@@ -4,7 +4,8 @@ Subcommands: specfun, moments, cgf, identities, cumulants, regimes, cdf,
 berry-esseen, ldp, modphi, sample, delaunay2d, report.  Output is versioned
 JSON (one document per file) or RFC-4180 CSV; every document embeds the
 resolved configuration and the package version.  Exit codes: 0 success,
-1 usage error, 2 domain error, 3 numerical-convergence failure.
+1 usage error, 2 domain error, 3 numerical-convergence failure, 4 a claim
+reported ``fail`` (report only).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .errors import ConvergenceError, DomainError
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = sm.DEFAULT_SEED
+
+#: CSV columns shared by the sweep subcommands (cdf, berry-esseen, ldp, modphi)
+SWEEP_COLUMNS = ["n", "mu", "gamma", "quantity", "value", "variant", "provenance"]
 
 
 def _jobs_default() -> int:
@@ -88,6 +92,11 @@ def _float_list(text: str):
 
 def _int_list(text: str):
     return [int(x) for x in text.split(",") if x != ""]
+
+
+def _sweep_row(n, mu, gamma, quantity, value, variant=""):
+    return dict(n=n, mu=mu, gamma=gamma, quantity=quantity, value=value, variant=variant,
+                provenance="closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +213,9 @@ def cmd_cdf(args):
     p = _params(args)
     xs = _float_list(args.x)
     values = ds.cdf_inverted(p, np.array(xs))
-    rows = [
-        dict(n=p.n, mu=p.mu, gamma=p.gamma, quantity=f"cdf@x={x:g}", value=float(v), variant="",
-             provenance="closed_form")
-        for x, v in zip(xs, np.atleast_1d(values))
-    ]
-    _emit_csv(rows, ["n", "mu", "gamma", "quantity", "value", "variant", "provenance"],
+    rows = [_sweep_row(p.n, p.mu, p.gamma, f"cdf@x={x:g}", float(v))
+            for x, v in zip(xs, np.atleast_1d(values))]
+    _emit_csv(rows, SWEEP_COLUMNS,
               {"subcommand": "cdf", "n": p.n, "mu": p.mu, "gamma": p.gamma, "x": xs}, args.output)
     return 0
 
@@ -229,11 +235,9 @@ def cmd_berry_esseen(args):
         results = [_bs_one(t) for t in tasks]
     rows = []
     for n, d in results:
-        rows.append(dict(n=n, mu=args.mu, gamma=args.gamma, quantity="kolmogorov_distance",
-                         value=d, variant="", provenance="closed_form"))
-        rows.append(dict(n=n, mu=args.mu, gamma=args.gamma, quantity="kd_times_sqrt_log_n",
-                         value=d * math.sqrt(math.log(n)), variant="", provenance="closed_form"))
-    _emit_csv(rows, ["n", "mu", "gamma", "quantity", "value", "variant", "provenance"],
+        rows.append(_sweep_row(n, args.mu, args.gamma, "kolmogorov_distance", d))
+        rows.append(_sweep_row(n, args.mu, args.gamma, "kd_times_sqrt_log_n", d * math.sqrt(math.log(n))))
+    _emit_csv(rows, SWEEP_COLUMNS,
               {"subcommand": "berry-esseen", "mu": args.mu, "gamma": args.gamma, "sweep": args.sweep,
                "jobs": args.jobs}, args.output)
     return 0
@@ -247,9 +251,8 @@ def cmd_ldp(args):
         for t in args.t:
             for kind in variants:
                 v = ds.ldp_scaled_cgf(p, t, ds.CenteringVariant(kind))
-                rows.append(dict(n=n, mu=args.mu, gamma=args.gamma, quantity=f"scaled_cgf@t={t:g}",
-                                 value=v, variant=kind, provenance="closed_form"))
-    _emit_csv(rows, ["n", "mu", "gamma", "quantity", "value", "variant", "provenance"],
+                rows.append(_sweep_row(n, args.mu, args.gamma, f"scaled_cgf@t={t:g}", v, kind))
+    _emit_csv(rows, SWEEP_COLUMNS,
               {"subcommand": "ldp", "mu": args.mu, "gamma": args.gamma, "sweep": args.sweep,
                "t": args.t, "variant": args.variant}, args.output)
     return 0
@@ -260,13 +263,10 @@ def cmd_modphi(args):
     for n in args.sweep:
         p = ex.ModelParams(n, args.mu, args.gamma)
         for z in args.z:
-            rows.append(dict(n=n, mu=args.mu, gamma=args.gamma, quantity=f"residual@z={z:g}",
-                             value=ds.mod_gaussian_residual(p, z), variant="adjusted",
-                             provenance="closed_form"))
-            rows.append(dict(n=n, mu=args.mu, gamma=args.gamma, quantity=f"residual@z={z:g}",
-                             value=ds.mod_gaussian_residual(p, z, adjusted=False), variant="stated",
-                             provenance="closed_form"))
-    _emit_csv(rows, ["n", "mu", "gamma", "quantity", "value", "variant", "provenance"],
+            for variant, adjusted in (("adjusted", True), ("stated", False)):
+                rows.append(_sweep_row(n, args.mu, args.gamma, f"residual@z={z:g}",
+                                       ds.mod_gaussian_residual(p, z, adjusted=adjusted), variant))
+    _emit_csv(rows, SWEEP_COLUMNS,
               {"subcommand": "modphi", "mu": args.mu, "gamma": args.gamma, "sweep": args.sweep,
                "z": args.z}, args.output)
     return 0
@@ -355,7 +355,7 @@ def cmd_delaunay2d(args):
 def cmd_report(args):
     rows, timings = rp.run_claims(seed=args.seed, quick=args.quick)
     for r in rows:
-        print(f"[{r['status'].upper():7s}] {r['claim']}: {r['detail']}", file=sys.stderr)
+        print(rp.status_line(r), file=sys.stderr)
     config = {"subcommand": "report", "seed": args.seed, "quick": args.quick}
     if args.format == "csv":
         _emit_csv(rows, ["claim", "status", "value", "detail", "provenance"], config, args.output)
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_delaunay2d)
 
     p = sub.add_parser("report", help="run the claim-verification matrix")
-    p.add_argument("--quick", action="store_true", help="subset finishing in about a minute")
+    p.add_argument("--quick", action="store_true", help="smaller sweeps, about 4 s instead of 15 s")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(run=cmd_report)

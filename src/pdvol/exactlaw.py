@@ -56,12 +56,12 @@ class ModelParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.n < 2 or self.n != int(self.n):
+        if not 2 <= self.n < math.inf or self.n != int(self.n):
             raise DomainError("ModelParams: dimension n must be an integer >= 2")
-        if not self.mu > -2.0:
-            raise DomainError("ModelParams: weight mu must exceed -2")
-        if not self.gamma > 0.0:
-            raise DomainError("ModelParams: intensity gamma must be positive")
+        if not -2.0 < self.mu < math.inf:
+            raise DomainError("ModelParams: weight mu must be finite and exceed -2")
+        if not 0.0 < self.gamma < math.inf:
+            raise DomainError("ModelParams: intensity gamma must be finite and positive")
 
 
 @dataclass(frozen=True)

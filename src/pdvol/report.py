@@ -3,11 +3,13 @@
 Runs the package's checkable claims end to end and returns one row per
 claim: id, status, headline value, human-readable detail, and the provenance
 of every number (closed_form, oracle_fd, monte_carlo, tessellation, fitted).
+``CLAIMS`` is the single definition of every claim and its gates: both
+``pdvol report`` and the acceptance suite run it.
 
-Status vocabulary:
+Status vocabulary (one rule, see ``_status``):
   pass     - the claim holds at its stated tolerance;
   finding  - the stated form is numerically off and the adjudicated
-             replacement is reported (nothing is silently corrected);
+             replacement passes its gates (nothing is silently corrected);
   fail     - an unexpected breakage; the run exits nonzero.
 """
 
@@ -24,6 +26,7 @@ from . import distribution as ds
 from . import exactlaw as ex
 from . import polygamma_sums as ps
 from . import sampling as sm
+from .specfun import log_barnes_g, log_barnes_g_shift_asymptotic
 
 DEFAULT_SEED = sm.DEFAULT_SEED
 
@@ -32,18 +35,32 @@ def _row(claim, status, value, detail, provenance):
     return dict(claim=claim, status=status, value=value, detail=detail, provenance=provenance)
 
 
-def claim_moment_normalization():
+def _status(stated_ok, replacement_ok=False):
+    """pass if the stated form holds; finding if only the adjudicated
+    replacement does; fail otherwise.  Claims without a replacement keep the
+    default, so a failed check is a fail; ``replacement_ok=True`` marks a
+    replacement that no gate checks beyond the value its row reports."""
+    if stated_ok:
+        return "pass"
+    return "finding" if replacement_ok else "fail"
+
+
+def status_line(row) -> str:
+    """One human-readable line per row, as ``pdvol report`` prints it."""
+    return f"[{row['status'].upper():7s}] {row['claim']}: {row['detail']}"
+
+
+def claim_moment_normalization(seed, quick):
     worst = 0.0
     for n in range(2, 201):
         for mu in (-1.9, -1.0, 0.0, 1.0, 10.0):
             for gamma in (0.1, 1.0, 10.0):
                 worst = max(worst, abs(ex.log_volume_moment(ex.ModelParams(n, mu, gamma), 0.0)))
-    ok = worst < 1e-10
-    return _row("moment-normalization", "pass" if ok else "fail", worst,
-                f"max |log E V^0| over the (n<=200, mu, gamma) grid = {worst:.2e}", "closed_form")
+    return [_row("moment-normalization", _status(worst < 1e-10), worst,
+                 f"max |log E V^0| over the (n<=200, mu, gamma) grid = {worst:.2e}", "closed_form")]
 
 
-def claim_planar_mean_three_ways(seed=DEFAULT_SEED, quick=False):
+def claim_planar_mean_three_ways(seed, quick):
     p = ex.ModelParams(2, -1.0, 1.0)
     exact = ex.volume_moment(p, 1.0)
     err_formula = abs(exact - 0.5)
@@ -58,35 +75,38 @@ def claim_planar_mean_three_ways(seed=DEFAULT_SEED, quick=False):
     est = dl.estimate_typical_moment(tri, win, mu=-1.0, s=1.0)
     z_tess = abs(est.estimate - 0.5) / est.std_error
     ok = err_formula < 1e-12 and z_mc < 4.0 and z_tess < 3.0
-    return _row("planar-mean-three-ways", "pass" if ok else "fail", exact,
-                f"formula err {err_formula:.1e}; sampler z = {z_mc:.2f} ({ndraws} draws); "
-                f"tessellation z = {z_tess:.2f} (side {side:g})",
-                "closed_form+monte_carlo+tessellation")
+    return [_row("planar-mean-three-ways", _status(ok), exact,
+                 f"formula err {err_formula:.1e}; sampler z = {z_mc:.2f} ({ndraws} draws); "
+                 f"tessellation z = {z_tess:.2f} (side {side:g})",
+                 "closed_form+monte_carlo+tessellation")]
 
 
-def claim_summation_identities():
+def claim_summation_identities(seed, quick):
     rows = ps.identity_grid_report()
     main = [r for r in rows if r["proposition"] in ("digamma_sum", "trigamma_sum")]
     bound = [r for r in rows if r["proposition"] == "polygamma_sum_bound"]
     alt = [r for r in rows if r["proposition"] == "digamma_sum_alt"]
     ok_main = all(r["holds"] for r in main)
     ok_bound = all(r["holds"] for r in bound)
-    offsets = sorted({round(float(r["rhs"] - r["lhs"]), 9) for r in alt})
-    out = [
-        _row("digamma-trigamma-closed-forms", "pass" if ok_main else "fail",
+    odd = {round(float(r["rhs"] - r["lhs"]), 9) for r in alt if r["k"] % 2}
+    even = {round(float(r["rhs"] - r["lhs"]), 9) for r in alt if not r["k"] % 2}
+    offsets = sorted(odd | even)
+    offset = max(offsets, key=abs)
+    alt_status = _status(offsets == [0.0], odd == {1.5} and even == {0.0})
+    return [
+        _row("digamma-trigamma-closed-forms", _status(ok_main),
              max(r["abs_diff"] for r in main),
              f"max |direct - closed| = {max(r['abs_diff'] for r in main):.2e} over the grid", "closed_form"),
-        _row("polygamma-sum-bound", "pass" if ok_bound else "fail",
+        _row("polygamma-sum-bound", _status(ok_bound),
              max(r["lhs"] / r["rhs"] for r in bound),
              f"max lhs/bound = {max(r['lhs'] / r['rhs'] for r in bound):.3f}", "closed_form"),
-        _row("digamma-sum-alt-offset", "finding", 1.5,
-             f"the alternative odd-tail grouping is offset by exactly +1.5 for odd k "
+        _row("digamma-sum-alt-offset", alt_status, offset,
+             f"the alternative odd-tail grouping is offset by exactly {offset:+g} for odd k "
              f"(observed offsets {offsets}); the reduced closed form has none", "closed_form"),
     ]
-    return out
 
 
-def claim_cumulant_oracle():
+def claim_cumulant_oracle(seed, quick):
     worst = 0.0
     at = None
     for n in (2, 3, 5, 10, 20, 35, 50):
@@ -100,40 +120,43 @@ def claim_cumulant_oracle():
                     if rel > worst:
                         worst, at = rel, (n, mu, gamma, m)
     ok = worst < 1e-6
-    rows = [_row("cumulant-closed-form-vs-fd", "pass" if ok else "fail", worst,
+    rows = [_row("cumulant-closed-form-vs-fd", _status(ok), worst,
                  f"worst relative gap {worst:.2e} at (n,mu,gamma,m)={at}", "closed_form+oracle_fd")]
-    # last-term adjudication: the plain-power variant must fail the oracle
+    # last-term adjudication: the plain-power variant is held to the same
+    # oracle tolerance; the factorial-corrected form passed it above
     p = ex.ModelParams(5, -1.0, 1.0)
     plain = cm.cumulant_exact(p, 2) - 2.0 * (5 - 1) / (5 - 1.0) ** 2
     gap = abs(plain - cm.cumulant_fd_oracle(p, 2))
-    rows.append(_row("cumulant-last-term-adjudication", "finding", gap,
+    rows.append(_row("cumulant-last-term-adjudication", _status(gap / max(1.0, abs(plain)) < 1e-6, ok), gap,
                      f"replacing the factorial-corrected last term by a plain power moves c_2 by {gap:.3f} "
                      f"at (n=5, mu=-1), which the difference oracle rejects", "oracle_fd"))
     return rows
 
 
-def claim_expansions():
-    rows = []
-    mean_deltas, var_products = [], []
+def claim_expansions(seed, quick):
+    ns = (100, 1000, 10000)
+    mean_deltas, var_products = {}, {}
     for mu in (-1.0, 0.0):
-        for n in (100, 1000, 10000):
-            p = ex.ModelParams(n, mu, 1.0)
-            mean_deltas.append(abs(cm.cumulant_exact(p, 1) - cm.mean_expansion(p)))
-            var_products.append(
-                (n, mu, (cm.cumulant_exact(p, 2) - cm.variance_expansion(p)) * (n + mu) ** 2)
-            )
-    ok_mean = max(mean_deltas) < 1.0 and mean_deltas[2] <= mean_deltas[0] + 0.05
-    rows.append(_row("mean-expansion-bounded", "pass" if ok_mean else "fail", max(mean_deltas),
-                     f"|exact - expansion| stays within {max(mean_deltas):.3f} over the sweep", "closed_form"))
-    coef = [v / n for (n, _, v) in var_products]
-    rows.append(_row("variance-expansion-remainder", "finding", float(np.mean(coef)),
-                     "(exact - expansion) * (n+mu)^2 grows linearly: per-n coefficient "
-                     f"{np.mean(coef):.4f} (the 2n/(n+mu)^2 term measures as (2{np.mean(coef):+.2f})n); "
-                     "the stated product-bounded check cannot hold", "closed_form"))
-    return rows
+        params = [ex.ModelParams(n, mu, 1.0) for n in ns]
+        mean_deltas[mu] = [abs(cm.cumulant_exact(p, 1) - cm.mean_expansion(p)) for p in params]
+        var_products[mu] = [(cm.cumulant_exact(p, 2) - cm.variance_expansion(p)) * (p.n + mu) ** 2
+                            for p in params]
+    worst = max(max(d) for d in mean_deltas.values())
+    ok_mean = worst < 1.0 and all(d[2] <= d[0] + 0.05 and d[2] / d[0] < 1.1 for d in mean_deltas.values())
+    # stated: the (n+mu)^2-scaled remainder stays bounded, within 2x of its n = 100 value
+    bounded = all(max(abs(v) for v in prods) < 2.0 * abs(prods[0]) for prods in var_products.values())
+    coef = float(np.mean([v / n for prods in var_products.values() for n, v in zip(ns, prods)]))
+    return [
+        _row("mean-expansion-bounded", _status(ok_mean), worst,
+             f"|exact - expansion| stays within {worst:.3f} over the sweep", "closed_form"),
+        _row("variance-expansion-remainder", _status(bounded, True), coef,
+             "(exact - expansion) * (n+mu)^2 grows linearly: per-n coefficient "
+             f"{coef:.4f} (the 2n/(n+mu)^2 term measures as (2{coef:+.2f})n); "
+             "the stated product-bounded check cannot hold", "closed_form"),
+    ]
 
 
-def claim_regime_limits():
+def claim_regime_limits(seed, quick):
     rows = []
     checks = []
     for alpha in (0.5, 1.0, 2.0):
@@ -141,42 +164,39 @@ def claim_regime_limits():
         p = ex.ModelParams(n, alpha * n, 1.0)
         tgt = cm.regime_expansion(cm.RegimeSpec("mu_linear", alpha), n)[1]
         checks.append(abs(cm.cumulant_exact(p, 2) / tgt - 1.0))
-    ok_lin = max(checks) < 0.02
-    rows.append(_row("regime-limit-mu-linear", "pass" if ok_lin else "fail", max(checks),
+    rows.append(_row("regime-limit-mu-linear", _status(max(checks) < 0.02), max(checks),
                      f"worst relative gap {max(checks):.2%} at n = 1e4 over slopes (0.5, 1, 2)", "closed_form"))
     n = 10**4
     p = ex.ModelParams(n, float(n - math.isqrt(n)), 1.0)
     tgt = cm.regime_expansion(cm.RegimeSpec("near_equal_weight"), n)[1]
     gap = abs(cm.cumulant_exact(p, 2) / tgt - 1.0)
-    rows.append(_row("regime-limit-near-equal", "pass" if gap < 0.02 else "fail", gap,
+    rows.append(_row("regime-limit-near-equal", _status(gap < 0.02), gap,
                      f"relative gap {gap:.2%} at n = 1e4, n - mu = sqrt(n)", "closed_form"))
     p = ex.ModelParams(3, 1e4, 1.0)
     v = cm.cumulant_exact(p, 2)
     stated = v * (4.0 * 1e4 / 3.0)
-    rows.append(_row("regime-limit-fixed-n", "finding", v * 1e4,
+    rows.append(_row("regime-limit-fixed-n", _status(abs(stated - 1.0) < 0.02, True), v * 1e4,
                      f"stated check Var*(4mu/3) -> 1 measures {stated:.4f}; the exact variance satisfies "
                      f"Var*mu = {v * 1e4:.4f} -> 1 (prediction 3/(4 mu) adjudicated to 1/mu)", "closed_form"))
     return rows
 
 
-def claim_berry_esseen(quick=False):
+def claim_berry_esseen(seed, quick):
     ns = (10, 100, 1000) if quick else (10, 100, 1000, 10000)
     ds_vals = [ds.kolmogorov_distance_to_normal(ex.ModelParams(n, -1.0, 1.0)) for n in ns]
     prods = [d * math.sqrt(math.log(n)) for d, n in zip(ds_vals, ns)]
-    decreasing = all(a > b for a, b in zip(ds_vals, ds_vals[1:]))
     ratio = max(prods) / min(prods)
-    rows = [
-        _row("berry-esseen-decrease", "pass" if decreasing else "fail", ds_vals[-1],
+    return [
+        _row("berry-esseen-decrease", _status(_decreasing(ds_vals)), ds_vals[-1],
              "d_n = " + ", ".join(f"{d:.5f}" for d in ds_vals) + f" over n = {ns}", "closed_form"),
-        _row("berry-esseen-ratio-window", "finding" if ratio > 2.0 else "pass", ratio,
+        _row("berry-esseen-ratio-window", _status(ratio <= 2.0, True), ratio,
              f"d_n*sqrt(log n) decreases monotonically ({', '.join(f'{p:.4f}' for p in prods)}; "
              f"bound holds with fitted c = {max(prods):.4f}) but spans factor {ratio:.2f} > 2: "
              "the distance decays at the faster (log n)^(-3/2) rate", "closed_form+fitted"),
     ]
-    return rows
 
 
-def claim_product_identity(seed=DEFAULT_SEED, quick=False):
+def claim_product_identity(seed, quick):
     ndraws = 3 * 10**4 if quick else 10**5
     fails = runs = 0
     worst_p = 1.0
@@ -187,13 +207,12 @@ def claim_product_identity(seed=DEFAULT_SEED, quick=False):
             runs += 1
             worst_p = min(worst_p, rep.p_value)
             fails += rep.p_value <= 0.01
-    ok = fails <= 1
-    return _row("product-identity-ks", "pass" if ok else "fail", worst_p,
-                f"{runs} KS runs at level 0.01, {fails} below level (budget 1); min p = {worst_p:.3f}",
-                "monte_carlo")
+    return [_row("product-identity-ks", _status(fails <= 1), worst_p,
+                 f"{runs} KS runs at level 0.01, {fails} below level (budget 1); min p = {worst_p:.3f}",
+                 "monte_carlo")]
 
 
-def claim_radius_law(seed=DEFAULT_SEED, quick=False):
+def claim_radius_law(seed, quick):
     ndraws = 3 * 10**4 if quick else 10**5
     combos = [(2, -1.0, 1.0), (2, 0.0, 1.0), (3, -1.0, 1.0), (3, 0.0, 2.0), (2, 1.0, 0.5), (4, 0.5, 1.0)]
     fails = runs = 0
@@ -207,40 +226,42 @@ def claim_radius_law(seed=DEFAULT_SEED, quick=False):
             runs += 1
             worst_p = min(worst_p, pv)
             fails += pv <= 0.01
-    ok = fails <= 1
-    return _row("radius-law-ks", "pass" if ok else "fail", worst_p,
-                f"{runs} KS runs over 6 parameter sets, {fails} below level 0.01 (budget 1); "
-                f"min p = {worst_p:.3f}", "monte_carlo")
+    return [_row("radius-law-ks", _status(fails <= 1), worst_p,
+                 f"{runs} KS runs over 6 parameter sets, {fails} below level 0.01 (budget 1); "
+                 f"min p = {worst_p:.3f}", "monte_carlo")]
 
 
-def claim_sphere_identity():
+def claim_sphere_identity(seed, quick):
     worst = 0.0
     for n in (2, 3, 4, 7):
         for mu in (-1, 0, 1):
             for s in (0.5, 1.0, 2.0, 3.7):
                 worst = max(worst, ex.sphere_representation_gap(n, mu, s))
-    ok = worst < 1e-9
-    return _row("sphere-moment-identity", "pass" if ok else "fail", worst,
-                f"max relative gap {worst:.2e} over the (n, mu, s) grid", "closed_form")
+    return [_row("sphere-moment-identity", _status(worst < 1e-9), worst,
+                 f"max relative gap {worst:.2e} over the (n, mu, s) grid", "closed_form")]
 
 
-def claim_mod_gaussian(quick=False):
+def claim_mod_gaussian(seed, quick):
     ns = (100, 1000) if quick else (100, 1000, 10000)
-    worst_ratio = 1.0
+    worst_ratio = stated_ratio = 1.0
     stated_limits = []
     for mu in (-1.0, 0.0):
         for z in (-1.0, 0.5, 1.0):
             vals = [ds.mod_gaussian_residual(ex.ModelParams(n, mu, 1.0), z) * n for n in ns]
             worst_ratio = max(worst_ratio, max(vals) / min(vals))
-            stated = ds.mod_gaussian_residual(ex.ModelParams(ns[-1], mu, 1.0), z, adjusted=False)
+            # stated: without the adjustment the residual decays like 1/n as well
+            stated = [ds.mod_gaussian_residual(ex.ModelParams(n, mu, 1.0), z, adjusted=False) for n in ns]
+            scaled = [r * n for r, n in zip(stated, ns)]
+            stated_ratio = max(stated_ratio, max(scaled) / min(scaled))
             expected = ds.mod_gaussian_limit(mu, z) * abs(1.0 - math.exp(-z * z / 4.0))
-            stated_limits.append(abs(stated - expected) / expected)
-    ok = worst_ratio < 3.0
+            stated_limits.append(abs(stated[-1] - expected) / expected)
+    # the 2% match is stated at n = 1e4, which the quick sweep does not reach
+    matched = quick or max(stated_limits) < 0.02
     return [
-        _row("mod-gaussian-residual-decay", "pass" if ok else "fail", worst_ratio,
+        _row("mod-gaussian-residual-decay", _status(worst_ratio < 3.0), worst_ratio,
              f"residual*n varies by at most x{worst_ratio:.3f} over n = {ns} "
              "(adjusted Gaussian normalization)", "closed_form"),
-        _row("mod-gaussian-normalization", "finding", max(stated_limits),
+        _row("mod-gaussian-normalization", _status(stated_ratio < 3.0, matched), max(stated_limits),
              "with the stated normalization the residual converges to the constant "
              "|psi(z)| |1 - exp(-z^2/4)| (matched within "
              f"{max(stated_limits):.1%} at n = {ns[-1]}); the Gaussian variance parameter needs the "
@@ -248,44 +269,46 @@ def claim_mod_gaussian(quick=False):
     ]
 
 
-def claim_centering_adjudication(quick=False):
+def _decreasing(xs):
+    return all(a > b for a, b in zip(xs, xs[1:]))
+
+
+def claim_centering_adjudication(seed, quick):
     ns = (100, 1000, 10000) if quick else (100, 1000, 10000, 100000)
     p_of = lambda n: ex.ModelParams(n, -1.0, 1.0)
     detail = []
-    converging = set()
-    ok_unique = True
+    converges = {"MODPHI": True, "LDP": True}
+    diverging = True
+    rel = {}
     for t in (0.5, 1.0):
         mod = [ds.ldp_scaled_cgf(p_of(n), t, ds.MODPHI_CENTERING) for n in ns]
         ldp = [ds.ldp_scaled_cgf(p_of(n), t, ds.LDP_CENTERING) for n in ns]
         tgt = t * t / 2.0
         gaps_mod = [abs(v - tgt) for v in mod]
-        mono_conv = all(a > b for a, b in zip(gaps_mod, gaps_mod[1:]))
+        mono_conv = _decreasing(gaps_mod)
         mono_div = all(b > a for a, b in zip(ldp, ldp[1:]))
-        rel = gaps_mod[-1] / tgt
-        detail.append(f"t={t}: MODPHI gap {rel:.1%} (monotone {mono_conv}), LDP value {ldp[-1]:.0f} "
+        converges["MODPHI"] &= mono_conv
+        converges["LDP"] &= _decreasing([abs(v - tgt) for v in ldp])
+        diverging &= mono_div
+        rel[t] = gaps_mod[-1] / tgt
+        detail.append(f"t={t}: MODPHI gap {rel[t]:.1%} (monotone {mono_conv}), LDP value {ldp[-1]:.0f} "
                       f"(diverging {mono_div})")
-        if mono_conv and mono_div:
-            converging.add("MODPHI")
-        else:
-            ok_unique = False
+    converging = {kind for kind, ok in converges.items() if ok}
     # the 10% window is stated at n = 1e5, which the quick sweep does not reach
-    within10 = quick or abs(ds.ldp_scaled_cgf(p_of(ns[-1]), 1.0, ds.MODPHI_CENTERING) - 0.5) / 0.5 < 0.10
-    status = "pass" if (ok_unique and converging == {"MODPHI"} and within10) else "fail"
-    t05 = abs(ds.ldp_scaled_cgf(p_of(ns[-1]), 0.5, ds.MODPHI_CENTERING) - 0.125) / 0.125
-    rows = [
-        _row("centering-adjudication", status, 1.0,
+    within10 = quick or rel[1.0] < 0.10
+    ok = converging == {"MODPHI"} and diverging and within10
+    return [
+        _row("centering-adjudication", _status(ok), float(len(converging)),
              "exactly one centering variant converges to t^2/2: MODPHI (the Stirling-form centering); "
              + "; ".join(detail), "closed_form"),
+        _row("centering-t05-threshold", _status(rel[0.5] < 0.10, converges["MODPHI"]), rel[0.5],
+             f"at t = 0.5 the converging variant is within {rel[0.5]:.1%} of t^2/2 at n = {ns[-1]} "
+             "(stated window 10%; the gap is [log psi(t) - t^2/4]/w_n and shrinks like 1/log n)",
+             "closed_form"),
     ]
-    if t05 > 0.10:
-        rows.append(_row("centering-t05-threshold", "finding", t05,
-                         f"at t = 0.5 the converging variant is within {t05:.1%} of t^2/2 at n = {ns[-1]} "
-                         "(stated window 10%; the gap is [log psi(t) - t^2/4]/w_n and shrinks like 1/log n)",
-                         "closed_form"))
-    return rows
 
 
-def claim_tessellation(seed=DEFAULT_SEED, quick=False):
+def claim_tessellation(seed, quick):
     target = 2 * 10**4 if quick else 10**5
     side = math.sqrt(float(target))
     win = dl.SimWindow(side=side, guard=0.0, mode="toroidal")
@@ -297,48 +320,49 @@ def claim_tessellation(seed=DEFAULT_SEED, quick=False):
     tile = dl.tiling_defect(tri)
     bad = dl.audit_empty_circumdisk(tri, 1000, sm.RngStream(seed, 51).generator())
     ok = count_ok and intensity_z < 3.0 and tile < 1e-6 and bad == 0
-    return _row("tessellation-invariants", "pass" if ok else "fail", tile,
-                f"{len(pts)} points: triangles = 2N ({count_ok}), intensity z = {intensity_z:.2f}, "
-                f"tiling defect {tile:.1e}, circumdisk violations {bad}/1000", "tessellation")
+    return [_row("tessellation-invariants", _status(ok), tile,
+                 f"{len(pts)} points: triangles = 2N ({count_ok}), intensity z = {intensity_z:.2f}, "
+                 f"tiling defect {tile:.1e}, circumdisk violations {bad}/1000", "tessellation")]
 
 
-def claim_barnes_shift():
-    from .specfun import log_barnes_g, log_barnes_g_shift_asymptotic
-
+def claim_barnes_shift(seed, quick):
     errs = []
     for z in (100.0, 1000.0, 10000.0):
         approx = log_barnes_g_shift_asymptotic(z, 1.0)
         exact = log_barnes_g(z + 2.0) - log_barnes_g(z + 1.0)
         errs.append(abs(approx - exact))
     ratios = [b / a for a, b in zip(errs, errs[1:])]
-    ok = all(r <= 0.2 for r in ratios)
-    return _row("barnes-shift-error-decay", "pass" if ok else "fail", max(ratios),
-                f"errors {', '.join(f'{e:.2e}' for e in errs)}; consecutive ratios "
-                f"{', '.join(f'{r:.3f}' for r in ratios)} (<= 0.2 required)", "closed_form")
+    return [_row("barnes-shift-error-decay", _status(all(r <= 0.2 for r in ratios)), max(ratios),
+                 f"errors {', '.join(f'{e:.2e}' for e in errs)}; consecutive ratios "
+                 f"{', '.join(f'{r:.3f}' for r in ratios)} (<= 0.2 required)", "closed_form")]
+
+
+#: (task, claim function(seed, quick) -> rows); the task names key the
+#: ``timings_seconds`` of ``pdvol report``
+CLAIMS = (
+    ("moment-normalization", claim_moment_normalization),
+    ("planar-mean", claim_planar_mean_three_ways),
+    ("summation-identities", claim_summation_identities),
+    ("cumulant-oracle", claim_cumulant_oracle),
+    ("expansions", claim_expansions),
+    ("regime-limits", claim_regime_limits),
+    ("berry-esseen", claim_berry_esseen),
+    ("product-identity", claim_product_identity),
+    ("radius-law", claim_radius_law),
+    ("sphere-identity", claim_sphere_identity),
+    ("mod-gaussian", claim_mod_gaussian),
+    ("centering", claim_centering_adjudication),
+    ("tessellation", claim_tessellation),
+    ("barnes-shift", claim_barnes_shift),
+)
 
 
 def run_claims(seed: int = DEFAULT_SEED, quick: bool = False):
     """Run the full claim suite; returns (rows, elapsed_seconds_per_claim)."""
     rows = []
     timings = {}
-    tasks = [
-        ("moment-normalization", lambda: [claim_moment_normalization()]),
-        ("planar-mean", lambda: [claim_planar_mean_three_ways(seed, quick)]),
-        ("summation-identities", claim_summation_identities),
-        ("cumulant-oracle", claim_cumulant_oracle),
-        ("expansions", claim_expansions),
-        ("regime-limits", claim_regime_limits),
-        ("berry-esseen", lambda: claim_berry_esseen(quick)),
-        ("product-identity", lambda: [claim_product_identity(seed, quick)]),
-        ("radius-law", lambda: [claim_radius_law(seed, quick)]),
-        ("sphere-identity", lambda: [claim_sphere_identity()]),
-        ("mod-gaussian", lambda: claim_mod_gaussian(quick)),
-        ("centering", lambda: claim_centering_adjudication(quick)),
-        ("tessellation", lambda: [claim_tessellation(seed, quick)]),
-        ("barnes-shift", lambda: [claim_barnes_shift()]),
-    ]
-    for name, fn in tasks:
-        t0 = time.time()
-        rows.extend(fn())
-        timings[name] = time.time() - t0
+    for name, fn in CLAIMS:
+        t0 = time.perf_counter()
+        rows.extend(fn(seed, quick))
+        timings[name] = time.perf_counter() - t0
     return rows, timings

@@ -1,373 +1,114 @@
-"""Acceptance suite: one test per verification criterion, printing one
-status line each (run with -s to see them all).
+"""Acceptance suite: runs every claim of ``pdvol.report.CLAIMS`` once, on the
+full grids, prints its status lines (run with -s to see them) and checks each
+row's status against the expected claim matrix and each claim against its
+wall-clock budget.  All computation and every gate live in ``pdvol.report``.
 
-Four sub-criteria are implemented faithfully as stated but are expected to
-fail for quantified reasons recorded in the claim report (run
-``pdvol report``): the variance-expansion remainder, the fixed-dimension
-variance limit, the Kolmogorov-distance ratio window, and the t = 0.5
-scaled-CGF threshold.  They are marked xfail(strict=True) so that a change
-in their status is itself flagged.
+Four claims are implemented faithfully as stated but fail for quantified
+reasons recorded in their rows, which therefore report ``finding``: the
+variance-expansion remainder, the fixed-dimension variance limit, the
+Kolmogorov-distance ratio window, and the t = 0.5 scaled-CGF threshold.
+``test_as_stated`` requires ``pass`` of them and is marked xfail(strict=True),
+so that a change in their status is itself flagged.
 """
 
-import math
+import functools
 import time
 
 import pytest
 
-from pdvol.cumulants import (
-    cumulant_exact,
-    cumulant_fd_oracle,
-    mean_expansion,
-    variance_expansion,
-)
-from pdvol.delaunay2d import (
-    SimWindow,
-    audit_empty_circumdisk,
-    delaunay_triangulate,
-    estimate_typical_moment,
-    sample_poisson_points,
-    tiling_defect,
-)
-from pdvol.distribution import (
-    LDP_CENTERING,
-    MODPHI_CENTERING,
-    kolmogorov_distance_to_normal,
-    ldp_scaled_cgf,
-    mod_gaussian_limit,
-    mod_gaussian_residual,
-)
-from pdvol.exactlaw import (
-    ModelParams,
-    log_volume_moment,
-    radius_cdf,
-    sphere_representation_gap,
-    volume_moment,
-)
-from pdvol.polygamma_sums import (
-    digamma_sum_closed,
-    digamma_sum_direct,
-    digamma_sum_offset,
-    polygamma_sum_bound_check,
-    trigamma_sum_closed,
-    trigamma_sum_direct,
-)
-from pdvol.sampling import (
-    DEFAULT_SEED,
-    RngStream,
-    check_product_identity,
-    ks_statistic,
-    sample_circumradius,
-    sample_volume,
-)
-from pdvol.specfun import log_barnes_g, log_barnes_g_shift_asymptotic
+from pdvol import report as rp
 
-A_GRID = (0.3, 0.5, 1.0, 2.7, 10.0)
-K_GRID = (2, 3, 10, 11, 100, 101, 10**4)
+#: task -> (test name, wall-clock budget in seconds, expected status per claim)
+EXPECTED = {
+    "moment-normalization": ("test_c01_moment_normalization", 1.0, {"moment-normalization": "pass"}),
+    "planar-mean": ("test_c02_planar_mean_three_ways", 30.0, {"planar-mean-three-ways": "pass"}),
+    "summation-identities": ("test_c03_summation_identities", 10.0, {
+        "digamma-trigamma-closed-forms": "pass",
+        "polygamma-sum-bound": "pass",
+        "digamma-sum-alt-offset": "finding",
+    }),
+    "cumulant-oracle": ("test_c04_cumulant_oracle", 30.0, {
+        "cumulant-closed-form-vs-fd": "pass",
+        "cumulant-last-term-adjudication": "finding",
+    }),
+    "expansions": ("test_c05_mean_expansion_bounded", 30.0, {
+        "mean-expansion-bounded": "pass",
+        "variance-expansion-remainder": "finding",
+    }),
+    "regime-limits": ("test_c06_regime_limits_mu_linear_and_near_equal", 30.0, {
+        "regime-limit-mu-linear": "pass",
+        "regime-limit-near-equal": "pass",
+        "regime-limit-fixed-n": "finding",
+    }),
+    "berry-esseen": ("test_c07_berry_esseen_decrease", 600.0, {
+        "berry-esseen-decrease": "pass",
+        "berry-esseen-ratio-window": "finding",
+    }),
+    "product-identity": ("test_c08_product_identity", 120.0, {"product-identity-ks": "pass"}),
+    "radius-law": ("test_c09_radius_law", 60.0, {"radius-law-ks": "pass"}),
+    "sphere-identity": ("test_c10_sphere_identity", 1.0, {"sphere-moment-identity": "pass"}),
+    "mod-gaussian": ("test_c11_mod_gaussian_residual", 60.0, {
+        "mod-gaussian-residual-decay": "pass",
+        "mod-gaussian-normalization": "finding",
+    }),
+    "centering": ("test_c12_centering_adjudication_t1", 60.0, {
+        "centering-adjudication": "pass",
+        "centering-t05-threshold": "finding",
+    }),
+    "tessellation": ("test_c13_tessellation_invariants", 120.0, {"tessellation-invariants": "pass"}),
+    "barnes-shift": ("test_c14_barnes_shift_decay", 1.0, {"barnes-shift-error-decay": "pass"}),
+}
 
-_kd_cache = {}
-
-
-def kd(n):
-    if n not in _kd_cache:
-        _kd_cache[n] = kolmogorov_distance_to_normal(ModelParams(n, -1.0, 1.0))
-    return _kd_cache[n]
-
-
-def _line(num, ok, msg):
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:>2}: {msg}")
-    return ok
-
-
-def test_c01_moment_normalization():
-    t0 = time.time()
-    worst = 0.0
-    for n in range(2, 201):
-        for mu in (-1.9, -1.0, 0.0, 1.0, 10.0):
-            for gamma in (0.1, 1.0, 10.0):
-                worst = max(worst, abs(log_volume_moment(ModelParams(n, mu, gamma), 0.0)))
-    elapsed = time.time() - t0
-    ok = worst < 1e-10 and elapsed < 1.0
-    assert _line(1, ok, f"max |log E V^0| = {worst:.2e} over 2985 grid points in {elapsed:.2f}s")
-    assert worst < 1e-10
-    assert elapsed < 1.0
-
-
-def test_c02_planar_mean_three_ways():
-    p = ModelParams(2, -1.0, 1.0)
-    err_formula = abs(volume_moment(p, 1.0) - 0.5)
-
-    t0 = time.time()
-    v = sample_volume(p, RngStream(DEFAULT_SEED, 1).generator(), 10**6)
-    z_mc = abs(v.mean() - 0.5) / (v.std() / 1000.0)
-    t_mc = time.time() - t0
-
-    t0 = time.time()
-    win = SimWindow(300.0, 10.0, "plain")
-    pts = sample_poisson_points(1.0, win, RngStream(DEFAULT_SEED, 2).generator())
-    tri = delaunay_triangulate(pts)
-    est = estimate_typical_moment(tri, win, mu=-1.0, s=1.0)
-    z_tess = abs(est.estimate - 0.5) / est.std_error
-    t_tess = time.time() - t0
-
-    ok = err_formula < 1e-12 and z_mc < 4.0 and t_mc < 30.0 and z_tess < 3.0 and t_tess < 120.0
-    assert _line(
-        2,
-        ok,
-        f"formula err {err_formula:.1e}; sampler z = {z_mc:.2f} in {t_mc:.1f}s; "
-        f"tessellation {est.estimate:.4f} (z = {z_tess:.2f}) in {t_tess:.1f}s",
-    )
-
-
-def test_c03_summation_identities():
-    t0 = time.time()
-    worst = 0.0
-    offsets = set()
-    bound_ok = True
-    for a in A_GRID:
-        for k in K_GRID:
-            d = digamma_sum_direct(a, k)
-            worst = max(worst, abs(d - digamma_sum_closed(a, k)) / max(1.0, abs(d)))
-            t = trigamma_sum_direct(a, k)
-            worst = max(worst, abs(t - trigamma_sum_closed(a, k)) / max(1.0, abs(t)))
-            offsets.add(round(float(digamma_sum_offset(a, k)), 6))
-            for m in (2, 3, 4, 5, 6):
-                bound_ok &= polygamma_sum_bound_check(a, k, m)[2]
-    elapsed = time.time() - t0
-    ok = worst < 1e-9 and bound_ok and elapsed < 10.0
-    assert _line(
-        3,
-        ok,
-        f"closed forms within {worst:.1e} relative; bound holds everywhere; systematic "
-        f"alt-form offsets {sorted(offsets)} (finding: +1.5 at odd k); {elapsed:.1f}s",
-    )
-
-
-def test_c04_cumulant_oracle():
-    t0 = time.time()
-    worst, at = 0.0, None
-    for n in (2, 3, 5, 10, 20, 35, 50):
-        for mu in (-1.5, -1.0, 0.0, 2.0):
-            for gamma in (0.5, 1.0):
-                p = ModelParams(n, mu, gamma)
-                for m in (1, 2, 3, 4):
-                    rel = abs(cumulant_exact(p, m) - cumulant_fd_oracle(p, m)) / max(
-                        1.0, abs(cumulant_exact(p, m))
-                    )
-                    if rel > worst:
-                        worst, at = rel, (n, mu, gamma, m)
-    elapsed = time.time() - t0
-    ok = worst < 1e-6 and elapsed < 30.0
-    assert _line(4, ok, f"worst relative gap {worst:.2e} at {at}; {elapsed:.1f}s")
-
-
-def test_c05_mean_expansion_bounded():
-    t0 = time.time()
-    deltas = []
-    for mu in (-1.0, 0.0):
-        for n in (100, 1000, 10000):
-            p = ModelParams(n, mu, 1.0)
-            deltas.append(abs(cumulant_exact(p, 1) - mean_expansion(p)))
-    elapsed = time.time() - t0
-    growth = max(deltas[2] / deltas[0], deltas[5] / deltas[3])
-    ok = max(deltas) < 1.0 and growth < 1.1 and elapsed < 30.0
-    assert _line(5, ok, f"(mean half) |exact - expansion| <= {max(deltas):.3f}, no growth trend; {elapsed:.1f}s")
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the variance expansion misses a -(3/4) n/(n+mu)^2 term, so the "
+#: claim -> why its stated form fails
+AS_STATED = {
+    "variance-expansion-remainder": "the variance expansion misses a -(3/4) n/(n+mu)^2 term, so the "
     "(n+mu)^2-scaled deltas grow ~0.75n instead of staying bounded",
+    "regime-limit-fixed-n": "for fixed n the exact variance satisfies Var*mu -> 1, not 3/(4 mu); the "
+    "stated Var*(4mu/3) -> 1 check measures 4/3",
+    "berry-esseen-ratio-window": "d_n*sqrt(log n) is monotone decreasing (the bound holds with fitted c) "
+    "but spans factor ~3.8 > 2 because the true distance decays at the faster (log n)^(-3/2) rate",
+    "centering-t05-threshold": "the converging variant's finite-size gap is [log psi(t) - t^2/4]/w_n = "
+    "14.5% of t^2/2 at t=0.5, n=1e5 (10% would need n ~ 1.3e7); the -t^2/4 term comes from the "
+    "mod-Gaussian normalization adjudication",
+}
+
+
+@functools.cache
+def run(task):
+    """Rows and wall-clock seconds of one claim, computed once per session."""
+    fn = dict(rp.CLAIMS)[task]
+    t0 = time.perf_counter()
+    rows = fn(rp.DEFAULT_SEED, False)
+    return rows, time.perf_counter() - t0
+
+
+def _claim_test(task):
+    name, budget, expected = EXPECTED[task]
+
+    def test():
+        rows, elapsed = run(task)
+        for row in rows:
+            print(rp.status_line(row))
+        print(f"{task}: {elapsed:.2f}s (budget {budget:g}s)")
+        assert {row["claim"]: row["status"] for row in rows} == expected
+        assert elapsed < budget
+
+    test.__name__ = test.__qualname__ = name
+    return test
+
+
+# one test per claim, parametrized over the registry; each keeps the name of
+# its numbered criterion so that test ids stay stable
+for _task, _ in rp.CLAIMS:
+    globals()[EXPECTED[_task][0]] = _claim_test(_task)
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=why)) for c, why in AS_STATED.items()],
 )
-def test_c05_variance_expansion_bounded_as_stated():
-    products = []
-    for mu in (-1.0, 0.0):
-        for n in (100, 1000, 10000):
-            p = ModelParams(n, mu, 1.0)
-            products.append(abs(cumulant_exact(p, 2) - variance_expansion(p)) * (n + mu) ** 2)
-    _line(5, False, f"(variance half, as stated) scaled deltas {', '.join(f'{x:.0f}' for x in products)}")
-    assert max(products[:3]) < 2.0 * products[0] and max(products[3:]) < 2.0 * products[3]
-
-
-def test_c06_regime_limits_mu_linear_and_near_equal():
-    t0 = time.time()
-    gaps = []
-    for alpha in (0.5, 1.0, 2.0):
-        n = 10**4
-        tgt = 0.5 * math.log(1.0 + 1.0 / alpha) - 1.0 / (2.0 * (1.0 + alpha))
-        gaps.append(abs(cumulant_exact(ModelParams(n, alpha * n, 1.0), 2) / tgt - 1.0))
-    n = 10**4
-    tgt = 0.5 * math.log(2.0) - 0.25
-    gap_r3 = abs(cumulant_exact(ModelParams(n, float(n - math.isqrt(n)), 1.0), 2) / tgt - 1.0)
-    elapsed = time.time() - t0
-    ok = max(gaps) < 0.02 and gap_r3 < 0.02
-    assert _line(
-        6, ok, f"linear-weight gaps {', '.join(f'{g:.3%}' for g in gaps)}; near-equal gap {gap_r3:.3%}; "
-        f"{elapsed:.1f}s"
-    )
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="for fixed n the exact variance satisfies Var*mu -> 1, not 3/(4 mu); the stated "
-    "Var*(4mu/3) -> 1 check measures 4/3",
-)
-def test_c06_fixed_n_variance_as_stated():
-    v = cumulant_exact(ModelParams(3, 1e4, 1.0), 2)
-    _line(6, False, f"(fixed-n half, as stated) Var*(4mu/3) = {v * 4e4 / 3.0:.4f} (adjudicated: Var*mu = {v * 1e4:.4f})")
-    assert abs(v * (4.0 * 1e4 / 3.0) - 1.0) < 0.02
-
-
-def test_c07_berry_esseen_decrease():
-    t0 = time.time()
-    ns = (10, 100, 1000, 10000)
-    ds = [kd(n) for n in ns]
-    elapsed = time.time() - t0
-    ok = all(a > b for a, b in zip(ds, ds[1:])) and elapsed < 600.0
-    assert _line(7, ok, "(decrease half) d_n = " + ", ".join(f"{d:.5f}" for d in ds) + f"; {elapsed:.0f}s")
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="d_n*sqrt(log n) is monotone decreasing (the bound holds with fitted c) but spans "
-    "factor ~3.8 > 2 because the true distance decays at the faster (log n)^(-3/2) rate",
-)
-def test_c07_ratio_window_as_stated():
-    ns = (10, 100, 1000, 10000)
-    prods = [kd(n) * math.sqrt(math.log(n)) for n in ns]
-    _line(7, False, "(ratio half, as stated) d_n*sqrt(log n) = " + ", ".join(f"{p:.4f}" for p in prods))
-    assert max(prods) / min(prods) < 2.0
-
-
-def test_c08_product_identity():
-    t0 = time.time()
-    fails = runs = 0
-    pmin = 1.0
-    for k, (n, mu) in enumerate([(2, -1.0), (2, 0.0), (3, -1.0), (3, 0.0)]):
-        for j in range(3):
-            rep = check_product_identity(
-                ModelParams(n, mu, 1.0), 10**5, RngStream(DEFAULT_SEED + j, 10 + k).generator()
-            )
-            runs += 1
-            pmin = min(pmin, rep.p_value)
-            fails += rep.p_value <= 0.01
-    elapsed = time.time() - t0
-    ok = fails <= 1 and elapsed < 120.0
-    assert _line(8, ok, f"{runs} two-sample KS runs, {fails} below level 0.01 (budget 1), "
-                 f"min p = {pmin:.3f}; {elapsed:.0f}s")
-
-
-def test_c09_radius_law():
-    t0 = time.time()
-    combos = [(2, -1.0, 1.0), (2, 0.0, 1.0), (3, -1.0, 1.0), (3, 0.0, 2.0), (2, 1.0, 0.5), (4, 0.5, 1.0)]
-    fails = runs = 0
-    pmin = 1.0
-    for k, (n, mu, gamma) in enumerate(combos):
-        p = ModelParams(n, mu, gamma)
-        for j in range(3):
-            r = sample_circumradius(p, RngStream(DEFAULT_SEED + j, 30 + k).generator(), size=10**5)
-            _, pv = ks_statistic(r, lambda t: radius_cdf(p, t))
-            runs += 1
-            pmin = min(pmin, pv)
-            fails += pv <= 0.01
-    elapsed = time.time() - t0
-    ok = fails <= 1 and elapsed < 60.0
-    assert _line(9, ok, f"{runs} one-sample KS runs over 6 parameter sets, {fails} below level "
-                 f"0.01 (budget 1), min p = {pmin:.3f}; {elapsed:.0f}s")
-
-
-def test_c10_sphere_identity():
-    t0 = time.time()
-    worst = 0.0
-    for n in (2, 3, 4, 7):
-        for mu in (-1, 0, 1):
-            for s in (0.5, 1.0, 2.0, 3.7):
-                worst = max(worst, sphere_representation_gap(n, mu, s))
-    elapsed = time.time() - t0
-    ok = worst < 1e-9 and elapsed < 1.0
-    assert _line(10, ok, f"max relative gap {worst:.1e}; {elapsed:.2f}s")
-
-
-def test_c11_mod_gaussian_residual():
-    t0 = time.time()
-    worst_ratio = 1.0
-    finding = 0.0
-    for mu in (-1.0, 0.0):
-        for z in (-1.0, 0.5, 1.0):
-            vals = [mod_gaussian_residual(ModelParams(n, mu, 1.0), z) * n for n in (100, 1000, 10000)]
-            worst_ratio = max(worst_ratio, max(vals) / min(vals))
-            stated = mod_gaussian_residual(ModelParams(10000, mu, 1.0), z, adjusted=False)
-            expect = mod_gaussian_limit(mu, z) * abs(1.0 - math.exp(-z * z / 4.0))
-            finding = max(finding, abs(stated / expect - 1.0))
-    elapsed = time.time() - t0
-    ok = worst_ratio < 3.0 and finding < 0.02 and elapsed < 60.0
-    assert _line(
-        11, ok,
-        f"adjusted residual*n varies by <= x{worst_ratio:.3f} (budget x3); stated-form residual "
-        f"converges to |psi(z)||1-exp(-z^2/4)| within {finding:.2%} (adjudication finding); {elapsed:.0f}s",
-    )
-
-
-def test_c12_centering_adjudication_t1():
-    t0 = time.time()
-    ns = (100, 1000, 10000, 100000)
-    gaps, ldps = [], []
-    for n in ns:
-        p = ModelParams(n, -1.0, 1.0)
-        gaps.append(abs(ldp_scaled_cgf(p, 1.0, MODPHI_CENTERING) - 0.5))
-        ldps.append(ldp_scaled_cgf(p, 1.0, LDP_CENTERING))
-    elapsed = time.time() - t0
-    within = gaps[-1] / 0.5 < 0.10
-    monotone_conv = all(a > b for a, b in zip(gaps, gaps[1:]))
-    monotone_div = all(b > a for a, b in zip(ldps, ldps[1:]))
-    ok = within and monotone_conv and monotone_div and elapsed < 60.0
-    assert _line(
-        12, ok,
-        f"(t=1) exactly one variant converges: MODPHI within {gaps[-1] / 0.5:.2%} of 1/2 at n=1e5; "
-        f"the power-log (LDP) centering diverges monotonically to {ldps[-1]:.0f}; {elapsed:.0f}s",
-    )
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the converging variant's finite-size gap is [log psi(t) - t^2/4]/w_n = 14.5% of t^2/2 "
-    "at t=0.5, n=1e5 (10% would need n ~ 1.3e7); the -t^2/4 term comes from the mod-Gaussian "
-    "normalization adjudication",
-)
-def test_c12_centering_within_ten_percent_t05_as_stated():
-    p = ModelParams(100000, -1.0, 1.0)
-    rel = abs(ldp_scaled_cgf(p, 0.5, MODPHI_CENTERING) - 0.125) / 0.125
-    _line(12, False, f"(t=0.5, as stated) converging-variant gap {rel:.2%} vs 10% window")
-    assert rel < 0.10
-
-
-def test_c13_tessellation_invariants():
-    t0 = time.time()
-    side = math.sqrt(1.0e5)
-    win = SimWindow(side, 0.0, "toroidal")
-    pts = sample_poisson_points(1.0, win, RngStream(DEFAULT_SEED, 50).generator())
-    tri = delaunay_triangulate(pts, mode="toroidal", side=side)
-    violations = audit_empty_circumdisk(tri, 1000, RngStream(DEFAULT_SEED, 51).generator())
-    tile = tiling_defect(tri)
-    count_exact = tri.n_triangles == 2 * len(pts)
-    z = abs(len(pts) - side * side) / math.sqrt(side * side)
-    elapsed = time.time() - t0
-    ok = violations == 0 and tile < 1e-6 and count_exact and z < 3.0 and elapsed < 120.0
-    assert _line(
-        13, ok,
-        f"{len(pts)} points: circumdisk violations {violations}/1000, tiling defect {tile:.1e}, "
-        f"triangle count exactly 2N ({count_exact}), intensity z = {z:.2f}; {elapsed:.0f}s",
-    )
-
-
-def test_c14_barnes_shift_decay():
-    t0 = time.time()
-    errs = []
-    for z in (100.0, 1000.0, 10000.0):
-        approx = log_barnes_g_shift_asymptotic(z, 1.0)
-        exact = log_barnes_g(z + 2.0) - log_barnes_g(z + 1.0)
-        errs.append(abs(approx - exact))
-    ratios = [b / a for a, b in zip(errs, errs[1:])]
-    elapsed = time.time() - t0
-    ok = all(r <= 0.2 for r in ratios) and elapsed < 1.0
-    assert _line(14, ok, f"errors {', '.join(f'{e:.2e}' for e in errs)}, decay ratios "
-                 f"{', '.join(f'{r:.3f}' for r in ratios)} (<= 0.2); {elapsed:.2f}s")
+def test_as_stated(claim):
+    task = next(task for task, (_, _, expected) in EXPECTED.items() if claim in expected)
+    row = next(row for row in run(task)[0] if row["claim"] == claim)
+    print(rp.status_line(row))
+    assert row["status"] == "pass"

@@ -87,6 +87,7 @@ def test_exit_codes():
     assert run_cli("bogus").returncode == 1
     assert run_cli("moments", "--n", "2", "--mu", "-3", "--s", "1").returncode == 2
     assert run_cli("moments", "--n", "2", "--mu", "-1", "--s", "-1.5").returncode == 2
+    assert run_cli("moments", "--n", "3", "--mu", "inf", "--s", "1").returncode == 2
     assert run_cli("--version").returncode == 0
 
 

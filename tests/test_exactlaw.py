@@ -25,12 +25,11 @@ RNG = np.random.default_rng(90125)
 
 def test_model_params_validation():
     ModelParams(2, -1.9, 0.1)
-    with pytest.raises(DomainError):
-        ModelParams(1, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        ModelParams(2, -2.0, 1.0)
-    with pytest.raises(DomainError):
-        ModelParams(2, -1.0, 0.0)
+    bad = [(1, -1.0, 1.0), (2, -2.0, 1.0), (2, -1.0, 0.0), (math.inf, -1.0, 1.0), (math.nan, -1.0, 1.0),
+           (3, math.inf, 1.0), (3, math.nan, 1.0), (3, -1.0, math.inf), (3, -1.0, math.nan)]
+    for args in bad:
+        with pytest.raises(DomainError):
+            ModelParams(*args)
 
 
 def test_angular_moment_normalization():
