@@ -13,21 +13,36 @@ log space:
 * and two independent cross-checks of the moment formula (the typical-cell
   constant route and the sphere-simplex product identity).
 
-Products of gamma functions are assembled strictly as differences of
-log-gammas so the Theta(n^2 log n)-sized leading terms cancel exactly; the
-two largest terms are paired first.
+The moment formula is a product of gamma ratios Gamma(x+h)/Gamma(x) and a
+row of n of them, prod_{i<=n} Gamma((i+mu)/2 + 1 + z/2) / Gamma((i+mu)/2 + 1).
+Both are assembled in shift form, at a cost per point that does not depend
+on n and with no log-gamma of size Theta(n^2 log n) ever formed:
+
+* each ratio is a ``specfun.GammaShift``: Stirling's series differenced
+  analytically at large x (plain log-gammas at small x);
+* the row splits by parity of i into two runs of ratios that a
+  ``specfun.GammaRun`` telescopes through G(w+1) = Gamma(w) G(w): the first
+  11 terms of a run follow from one gamma shift by the recurrence
+  Gamma(w+1) = w Gamma(w), the rest is a difference of two Barnes G shifts
+  (``specfun.BarnesShift``, the Barnes series differenced analytically).
+
+Both are prepared once per (n, mu) and then evaluated at every z.
+
+``log_angular_simplex_moment`` and ``sphere_representation_gap`` keep their
+direct O(n) sums: they are independent routes to the same formula.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, loggamma
+from scipy.special import gammaln
 
 from .errors import DomainError
-from .specfun import log_unit_ball_volume, log_unit_sphere_area
+from .specfun import GammaRun, GammaShift, log_unit_ball_volume, log_unit_sphere_area
 
 __all__ = [
     "ModelParams",
@@ -156,26 +171,37 @@ def typical_volume_moment(n: int, gamma: float, s: float) -> float:
     return math.exp(logm)
 
 
-def _log_moment_terms(params: ModelParams, z):
-    """Difference-form assembly of log E V^z; z may be real or complex array.
+@functools.lru_cache(maxsize=32)
+def _plan(n: int, mu: float):
+    """The z-independent part of log E V^z for (n, mu), prepared once: the
+    four gamma ratios Gamma(x + c z)/Gamma(x) of the moment formula (x, c and
+    their weights in the log) and the row.  Callers sweep z at fixed (n, mu),
+    so a few recent plans suffice."""
+    x = [(n + 1) * (n + mu) / 2.0 + 1.0, n * (n + mu + 1.0) / 2.0, n + mu + 1.0, (n + mu) / 2.0 + 1.0]
+    coef = np.array([(n + 1) / 2.0, n / 2.0, 1.0, 0.5])
+    weight = np.array([1.0, -1.0, 1.0, -(n + 1.0)])
+    row = GammaRun(((mu / 2.0 + 2.0, n // 2), ((mu + 3.0) / 2.0, (n + 1) // 2)))
+    return GammaShift(x), coef, weight, row
 
-    Returns exactly 0 at z = 0.  The two Theta(n^2 log n) gamma terms are
-    paired before anything else is added.
-    """
+
+def _row_sum(n: int, mu: float, a):
+    """sum_{i=1..n} [log Gamma((i+mu)/2 + 1 + a) - log Gamma((i+mu)/2 + 1)]
+    at every point of the array a (Re a > -(mu+3)/2), at a cost that does not
+    depend on n: by parity of i the terms form two runs, b = mu/2 + 2 for
+    the floor(n/2) even i and b = (mu+3)/2 for the ceil(n/2) odd i, which
+    ``specfun.GammaRun`` telescopes."""
+    return _plan(n, mu)[3](a)
+
+
+def _log_moment_terms(params: ModelParams, z):
+    """Assembly of log E V^z from gamma shifts and the row; z may be a real
+    or complex array.  Its cost does not depend on n, no log-gamma of size
+    Theta(n^2 log n) is ever formed, and it is exactly 0 at z = 0."""
     n, mu, gam = params.n, params.mu, params.gamma
+    ratios, coef, weight, _ = _plan(n, mu)
     z = np.asarray(z)
-    lg = loggamma if np.iscomplexobj(z) else gammaln
-    a_big = (n + 1) * (n + mu) / 2.0 + 1.0
-    b_big = n * (n + mu + 1.0) / 2.0
-    big = (lg(a_big + (n + 1) * z / 2.0) - lg(b_big + n * z / 2.0)) - (gammaln(a_big) - gammaln(b_big))
-    t = big + z * (gammaln(n / 2.0 + 1.0) - math.log(gam) - (n / 2.0) * math.log(math.pi) - gammaln(n + 1.0))
-    t = t + lg(n + mu + 1.0 + z) - gammaln(n + mu + 1.0)
-    t = t - (n + 1) * (lg((n + mu) / 2.0 + 1.0 + z / 2.0) - gammaln((n + mu) / 2.0 + 1.0))
-    i = np.arange(1, n + 1)
-    zc = np.atleast_1d(z).reshape(-1, 1)
-    row = np.sum(lg((i + mu) / 2.0 + 1.0 + zc / 2.0) - gammaln((i + mu) / 2.0 + 1.0), axis=1)
-    t = t + row.reshape(np.shape(z))
-    return t
+    t = ratios(z[..., None] * coef) @ weight + _row_sum(n, mu, z / 2.0)
+    return t + z * (gammaln(n / 2.0 + 1.0) - math.log(gam) - (n / 2.0) * math.log(math.pi) - gammaln(n + 1.0))
 
 
 def log_volume_moment(params: ModelParams, s: float) -> float:

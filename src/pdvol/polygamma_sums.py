@@ -1,8 +1,10 @@
 """Closed forms and bounds for partial sums of polygamma values at
 half-integer-spaced arguments: sum_{j=1..k} psi^(m)((j+a)/2).
 
-These sums drive the cumulant expansions, so each closed form is kept next
-to its direct-summation counterpart and the two are compared as a harness.
+These sums drive the cumulant expansions: ``cumulants.cumulant_exact`` takes
+its orders 1 and 2 from the closed forms, at a = mu+2 and k = n.  Each closed
+form is kept next to its direct-summation counterpart and the two are
+compared as a harness.
 ``digamma_sum_closed_alt`` preserves an alternative grouping of the odd-k
 tail that carries a spurious constant; its offset against the direct sum is
 reported, not silently absorbed (see ``digamma_sum_offset``).
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma as _psi
 from scipy.special import polygamma as _polygamma
+from scipy.special import zeta as _zeta
 
 from .errors import DomainError
 
@@ -118,16 +121,19 @@ def trigamma_sum_direct(a: float, k: int) -> float:
 
 
 def trigamma_sum_closed(a: float, k: int) -> float:
-    """Closed form of trigamma_sum_direct; exact for every k >= 2."""
+    """Closed form of trigamma_sum_direct; exact for every k >= 2.
+
+    psi^(1)(x) is taken as zeta(2, x), the value scipy's polygamma(1, x)
+    returns, without that wrapper's per-call overhead."""
     _check(a, k)
     c = int(k) % 2
     top = a + k - c + 1.0
     return (
         0.5 * (_psi(top) - _psi(a + 1.0))
-        + (a / 2.0) * (_polygamma(1, top) - _polygamma(1, a + 1.0))
-        - 0.125 * (_polygamma(1, top / 2.0) - _polygamma(1, (a + 1.0) / 2.0))
-        + ((k - c) / 2.0) * _polygamma(1, top)
-        + (c / 4.0) * _polygamma(1, (k + a) / 2.0)
+        + (a / 2.0) * (_zeta(2.0, top) - _zeta(2.0, a + 1.0))
+        - 0.125 * (_zeta(2.0, top / 2.0) - _zeta(2.0, (a + 1.0) / 2.0))
+        + ((k - c) / 2.0) * _zeta(2.0, top)
+        + (c / 4.0) * _zeta(2.0, (k + a) / 2.0)
     )
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma, gammaln, polygamma
 
 from pdvol.cumulants import (
     RegimeSpec,
@@ -20,6 +21,24 @@ from pdvol.exactlaw import ModelParams
 from pdvol.sampling import RngStream, sample_volume
 
 
+def direct_cumulant(params, m):
+    """O(n) oracle: the closed polygamma form with its row summed term by
+    term, and the sum of the magnitudes of its terms (its rounding scale)."""
+    n, mu, gam = params.n, params.mu, params.gamma
+    pg = digamma if m == 1 else (lambda x: polygamma(m - 1, x))
+    terms = [
+        pg(n + mu),
+        ((n + 1) / 2.0) ** m * pg((n + 1) * (n + mu) / 2.0),
+        -((n / 2.0) ** m) * pg(n * (n + mu + 1.0) / 2.0),
+        -(n + 1) / 2.0**m * pg((n + mu) / 2.0),
+        -(n - 1.0) * (-1.0) ** (m - 1) * math.factorial(m - 1) / (n + mu) ** m,
+    ]
+    if m == 1:
+        terms.append(gammaln(n / 2.0 + 1.0) - math.log(gam) - (n / 2.0) * math.log(math.pi) - gammaln(n + 1.0))
+    row = pg((np.arange(1, n + 1) + mu + 2.0) / 2.0) / 2.0**m
+    return math.fsum(terms) + float(np.sum(row)), sum(abs(t) for t in terms) + float(np.sum(np.abs(row)))
+
+
 def test_closed_form_matches_fd_oracle():
     for n in (2, 5, 20, 50):
         for mu in (-1.5, -1.0, 0.0, 2.0):
@@ -29,6 +48,17 @@ def test_closed_form_matches_fd_oracle():
                     exact = cumulant_exact(p, m)
                     oracle = cumulant_fd_oracle(p, m)
                     assert abs(exact - oracle) <= 1e-6 * max(1.0, abs(exact))
+
+
+def test_closed_row_matches_direct_polygamma_sum():
+    # within 1e-12 of the terms' magnitude: near mu = -2 the orders m >= 5
+    # cancel terms of ~1e10 down to ~1e2, where neither form keeps 1e-12 of c_m
+    for n in (2, 3, 4, 5, 6, 7, 31, 32, 33, 100, 101, 1000, 1001, 9999, 10**4):
+        for mu in (-1.9, -1.0, 0.0, 1.0, 10.0, 100.0):
+            p = ModelParams(n, mu, 0.5)
+            for m in range(1, 7):
+                value, scale = direct_cumulant(p, m)
+                assert abs(cumulant_exact(p, m) - value) <= 1e-12 * scale, (n, mu, m)
 
 
 def test_mean_matches_monte_carlo():

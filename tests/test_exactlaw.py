@@ -1,13 +1,19 @@
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln, loggamma
 
 from pdvol.errors import DomainError
 from pdvol.exactlaw import (
     CgfDomain,
     ModelParams,
+    _row_sum,
     cgf,
     log_angular_simplex_moment,
     log_typical_cell_constant,
@@ -21,6 +27,48 @@ from pdvol.exactlaw import (
 from pdvol.specfun import log_unit_ball_volume
 
 RNG = np.random.default_rng(90125)
+EPS = np.finfo(float).eps
+
+
+def direct_row(n, mu, a):
+    """O(n) oracle of the row sum_{i<=n} [log Gamma((i+mu)/2+1+a) - log Gamma((i+mu)/2+1)],
+    with the sum of the magnitudes of its terms: each term is good to a few
+    ulps of itself, so that sum bounds the oracle's own rounding."""
+    a = np.atleast_1d(np.asarray(a, dtype=complex))[:, None]
+    x = (np.arange(1, n + 1) + mu) / 2.0 + 1.0
+    hi, lo = loggamma(x + a), loggamma(x + 0j)
+    return np.sum(hi - lo, axis=1), np.sum(np.abs(hi) + np.abs(lo), axis=1)
+
+
+def direct_log_moment(params, z):
+    """O(n) oracle of log E V^z: the moment formula as a plain sum of
+    log-gamma differences, with the magnitude sum of its terms."""
+    n, mu, gam = params.n, params.mu, params.gamma
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    x = np.array([(n + 1) * (n + mu) / 2.0 + 1.0, n * (n + mu + 1.0) / 2.0, n + mu + 1.0, (n + mu) / 2.0 + 1.0])
+    h = z[:, None] * np.array([(n + 1) / 2.0, n / 2.0, 1.0, 0.5])
+    hi, lo = loggamma(x + h), loggamma(x + 0j)
+    weight = np.array([1.0, -1.0, 1.0, -(n + 1.0)])
+    linear = z * (gammaln(n / 2.0 + 1.0) - math.log(gam) - (n / 2.0) * math.log(math.pi) - gammaln(n + 1.0))
+    row, row_scale = direct_row(n, mu, z / 2.0)
+    value = (hi - lo) @ weight + linear + row
+    scale = (np.abs(hi) + np.abs(lo)) @ np.abs(weight) + np.abs(linear) + row_scale
+    return value, scale
+
+
+def row_mpmath(n, mu, a, head=200, dps=25):
+    """The row sum in mpmath: the first terms of each parity run summed,
+    the rest by Euler-Maclaurin (quadrature and endpoint derivatives), which
+    shares nothing with the Barnes G route."""
+    with mp.workdps(dps):
+        a, total = mp.mpmathify(a), mp.mpf(0)
+        for b, k in ((mp.mpf(mu) / 2 + 2, n // 2), ((mp.mpf(mu) + 3) / 2, (n + 1) // 2)):
+            def term(j, b=b):
+                return mp.loggamma(b + a + j) - mp.loggamma(b + j)
+            total += mp.fsum(term(j) for j in range(min(head, k)))
+            if k > head:
+                total += mp.sumem(term, [head, k - 1])
+        return complex(total)
 
 
 def test_model_params_validation():
@@ -185,3 +233,64 @@ def test_sphere_representation_identity():
     assert sphere_representation_gap(2, -1, 1e-9) < 1e-9
     with pytest.raises(DomainError):
         sphere_representation_gap(2, -0.5, 1.0)
+
+
+def test_cgf_matches_direct_sum_oracle():
+    # within 1e-12 relative, plus the oracle's own rounding, which
+    # dominates only where the terms cancel to a small value
+    for n in (2, 3, 4, 5, 31, 32, 33, 34, 35, 200, 1001):
+        for mu in (-1.9, -1.0, 0.0, 1.0, 10.0, 100.0):
+            p = ModelParams(n, mu, 0.7)
+            re = np.array([-(mu + 3.0) + 0.01, -(mu + 2.0) + 0.05, 0.3, 2.5])
+            z = (re[:, None] + 1j * np.array([0.0, 0.7, -3.0, 25.0])).ravel()
+            got = cgf(p, z, extended=True)
+            value, scale = direct_log_moment(p, z)
+            assert np.all(np.abs(got - value) <= 1e-12 * np.abs(value) + 4.0 * EPS * scale), (n, mu)
+            row, row_scale = direct_row(n, mu, z / 2.0)
+            assert np.all(np.abs(_row_sum(n, mu, z / 2.0) - row) <= 1e-12 * np.abs(row) + 4.0 * EPS * row_scale)
+
+
+@pytest.mark.parametrize("n, mu", [(10**5, -1.0), (10**6, 0.0)])
+def test_row_sum_matches_mpmath_at_large_n(n, mu):
+    # the O(n) double sum drifts here (7.9e-12 relative at n = 1e6, a = 0.65);
+    # the Euler-Maclaurin sum in mpmath does not
+    for a in (1.25j, (-(mu + 3.0) + 0.05 + 0.4j) / 2.0, 0.65):
+        ref = row_mpmath(n, mu, a)
+        got = complex(_row_sum(n, mu, np.array([complex(a)]))[0])
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_cgf_memory_bounded_at_large_n():
+    # the O(n) assembly built a (points x n) matrix: about 32 GB here
+    p = ModelParams(10**6, 0.0)
+    t = 1j * np.linspace(0.0, 12.0, 2048)
+    tracemalloc.start()
+    try:
+        L = cgf(p, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert L[0] == 0.0 and np.all(np.isfinite(L))
+
+
+def _point(params, u, im):
+    # u in [0, 1] spans the default strip (-(mu+2), 3]
+    return complex(-(params.mu + 2.0) + 0.01 + u * (params.mu + 4.99), im)
+
+
+model_params = st.builds(ModelParams, n=st.integers(2, 300), mu=st.floats(-1.95, 50.0),
+                         gamma=st.floats(0.1, 10.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(params=model_params, u=st.floats(0.0, 1.0), im=st.floats(-30.0, 30.0))
+def test_cgf_properties(params, u, im):
+    z = _point(params, u, im)
+    assert cgf(params, 0.0) == 0.0 and cgf(params, 0j) == 0.0
+    L, Lbar = cgf(params, z), cgf(params, z.conjugate())
+    assert abs(Lbar - L.conjugate()) <= 1e-13 * (1.0 + abs(L))
+    assert cgf(params, 1j * im).real <= 1e-12  # |phi(t)| <= 1
+    a = np.array([z / 2.0])
+    row, row_scale = direct_row(params.n, params.mu, a)
+    assert abs(_row_sum(params.n, params.mu, a)[0] - row[0]) <= 1e-12 * abs(row[0]) + 4.0 * EPS * row_scale[0]

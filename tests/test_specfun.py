@@ -1,12 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from pdvol.errors import DomainError
 from pdvol.specfun import (
     DEFAULT_PRECISION,
+    SHIFT_MIN,
+    BarnesShift,
     EvalPrecision,
+    GammaShift,
     digamma,
     log_barnes_g,
     log_barnes_g_shift_asymptotic,
@@ -163,6 +167,43 @@ def test_barnes_shift_asymptotic_decay():
         assert errs[1] < 0.5 * errs[0] and errs[2] < 0.5 * errs[1]
     assert log_barnes_g_shift_asymptotic(100.0, 0.0) == 0.0
     assert log_barnes_g(102.0) - log_barnes_g(102.0) == 0.0
+
+
+def test_gamma_shift_against_mpmath():
+    # both branches: plain log-gammas below SHIFT_MIN, Stirling's shift form above
+    for x in (0.3, 2.5, 9.99, 10.0, 37.5, 1e3, 5e11):
+        for h in (0.7, 2.0, -0.29, -0.2 + 3j, 5.0 - 40j, 1e-7j):
+            if (x + h).real <= 0:
+                continue
+            with mp.workdps(30):
+                ref = complex(mp.loggamma(mp.mpf(x) + mp.mpmathify(h)) - mp.loggamma(mp.mpf(x)))
+            got = complex(GammaShift(x)(h))
+            assert abs(got - ref) <= 5e-15 * max(1.0, abs(ref))
+    x = np.array([1.5, 40.0, 1e6])
+    assert np.all(GammaShift(x)(0.0) == 0.0) and np.all(GammaShift(x)(0j) == 0.0)
+
+
+def test_barnes_shift_against_mpmath():
+    for x in (SHIFT_MIN, 10.5, 37.0, 1e3, 5e5):
+        for a in (0.3, -0.45, 7.0, 3 + 4j, 1e-3j, -0.45 + 30j):
+            if (x + a).real < SHIFT_MIN:
+                continue
+            with mp.workdps(30):
+                w = mp.mpf(x) + mp.mpmathify(a)
+                ref = complex(mp.log(mp.barnesg(w + 1)) - mp.log(mp.barnesg(mp.mpf(x) + 1)))
+            got = complex(BarnesShift(x)(a))
+            # mpmath's log of G is principal; the shift is the continuation
+            turns = round((got.imag - ref.imag) / (2.0 * math.pi))
+            ref += 2j * math.pi * turns
+            assert abs(got - ref) <= 5e-15 * max(1.0, abs(ref))
+            # the branch: G(w+1) = Gamma(w) G(w) links neighbouring shifts
+            step = complex(BarnesShift(x + 1.0)(a) - BarnesShift(x)(a))
+            assert step == pytest.approx(complex(GammaShift(x + 1.0)(a)), rel=1e-10, abs=1e-12)
+    assert np.all(BarnesShift([10.0, 1e6])(0j) == 0.0)
+    with pytest.raises(DomainError):
+        BarnesShift(SHIFT_MIN - 0.5)
+    with pytest.raises(DomainError):
+        BarnesShift(12.0)(-2.5 + 1j)
 
 
 def test_barnes_domain():
