@@ -158,8 +158,8 @@ def _check_input_points(points):
         raise DomainError("delaunay_triangulate: points must be an (N, 2) array")
     if len(points) < 3:
         raise DomainError("delaunay_triangulate: need at least 3 points")
-    uniq = np.unique(points, axis=0)
-    if len(uniq) != len(points):
+    ordered = points[np.lexsort((points[:, 1], points[:, 0]))]
+    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         raise DomainError("delaunay_triangulate: duplicate points")
     return points
 
@@ -329,29 +329,18 @@ def estimate_radius_cdf(tri: Triangulation, window: SimWindow, mu: float, t_grid
 
 def audit_empty_circumdisk(tri: Triangulation, n_audits: int, rng: np.random.Generator, tol: float = 1e-9) -> int:
     """Count audited triangles whose open circumdisk strictly contains a
-    point beyond the predicate tolerance (tol * radius).  Should be zero."""
-    if tri.mode == "toroidal":
-        # audit against the replicated configuration: shift every point into
-        # the 3x3 cover and query there
-        side = tri.side
-        shifts = np.array([[dx * side, dy * side] for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
-        cloud = (tri.points[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-        tree = cKDTree(cloud)
-    else:
-        tree = cKDTree(tri.points)
+    point beyond the predicate tolerance: a point nearer to the circumcenter
+    than radius * (1 - tol).  Should be zero.
+
+    The nearest points come from a KD-tree of the points alone, independent
+    of Qhull's output; on the torus the tree is periodic, so distances are
+    minimum-image.  A triangle's own vertices lie at distance radius and never
+    count."""
+    tree = cKDTree(tri.points, boxsize=tri.side if tri.mode == "toroidal" else None)
     m = tri.n_triangles
     chosen = rng.choice(m, size=min(n_audits, m), replace=False)
-    violations = 0
-    for j in chosen:
-        hits = tree.query_ball_point(tri.centers[j], tri.radii[j] * (1.0 - tol))
-        if not hits:
-            continue
-        verts = tri.coords[j]
-        pts = tree.data[hits]
-        d2 = ((pts[:, None, :] - verts[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-        if np.any(d2 > (tol * tri.radii[j]) ** 2):
-            violations += 1
-    return violations
+    nearest, _ = tree.query(tri.centers[chosen], k=1)
+    return int(np.count_nonzero(nearest < tri.radii[chosen] * (1.0 - tol)))
 
 
 def tiling_defect(tri: Triangulation) -> float:
@@ -370,17 +359,24 @@ def tiling_defect(tri: Triangulation) -> float:
 
 def edge_incidence_counts(tri: Triangulation) -> np.ndarray:
     """Multiset of edge incidence counts.  Interior edges must appear exactly
-    twice (plain mode additionally has hull edges appearing once).  Torus
-    edges are keyed by vertex ids plus the edge midpoint folded into the
-    fundamental domain, which separates distinct seam-crossing edges."""
-    tris = tri.vertices
-    mids = 0.5 * (tri.coords[:, [0, 1, 2], :] + tri.coords[:, [1, 2, 0], :])
+    twice (plain mode additionally has hull edges appearing once).  An edge is
+    keyed by its vertex ids (lo, hi) plus, on the torus, the period offset of
+    hi's image relative to lo's, which separates distinct seam-crossing edges
+    between the same two points; the offsets come from ``coords`` and
+    ``points`` alone."""
+    pairs = ((0, 1), (1, 2), (2, 0))
+    vi = np.concatenate([tri.vertices[:, i] for i, _ in pairs]).astype(np.int64)
+    vj = np.concatenate([tri.vertices[:, j] for _, j in pairs]).astype(np.int64)
+    lo, hi = np.minimum(vi, vj), np.maximum(vi, vj)
+    keys = lo * len(tri.points) + hi
     if tri.mode == "toroidal":
-        mids = np.mod(mids, tri.side)
-    keys = {}
-    for t in range(len(tris)):
-        for e, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-            a, b = sorted((int(tris[t, i]), int(tris[t, j])))
-            key = (a, b, round(float(mids[t, e, 0]), 6), round(float(mids[t, e, 1]), 6))
-            keys[key] = keys.get(key, 0) + 1
-    return np.array(sorted(keys.values()))
+        image = np.rint((tri.coords - np.take(tri.points, tri.vertices, axis=0)) / tri.side).astype(np.int64)
+        dx, dy = (np.concatenate([image[:, j, a] - image[:, i, a] for i, j in pairs]) for a in (0, 1))
+        sign = np.where(vi > vj, -1, 1)  # offsets run from lo to hi
+        dx *= sign
+        dy *= sign
+        half = 2 * int(np.abs(image).max())
+        width = 2 * half + 1
+        keys = (keys * width + dx + half) * width + dy + half
+    _, counts = np.unique(keys, return_counts=True)
+    return np.sort(counts)

@@ -84,8 +84,10 @@ class CgfDomain:
     """Validity strip of the cumulant generating function.
 
     The moment formula holds for Re z > -(mu+2); the gamma-product extends
-    analytically down to -(mu+3) (first pole of the i = 1 factor), which the
-    extended mode evaluates as a continuation.
+    analytically down to the first pole below it, which the extended mode
+    evaluates as a continuation: -(mu+3) from the i = 1 factor of the row, or
+    for n = 2 the higher pole -(n+mu) - 2/(n+1) = -(mu+2) - 2/3 of
+    Gamma((n+1)(n+mu+z)/2 + 1).
     """
 
     lower: float
@@ -97,7 +99,11 @@ class CgfDomain:
 
     @classmethod
     def for_params(cls, params: ModelParams, extended: bool = False) -> "CgfDomain":
-        edge = -(params.mu + 3.0) if extended else -(params.mu + 2.0)
+        if extended:
+            n = params.n
+            edge = max(-(params.mu + 3.0), -(n + params.mu) - 2.0 / (n + 1.0))
+        else:
+            edge = -(params.mu + 2.0)
         return cls(lower=edge)
 
     def contains(self, re: float) -> bool:
@@ -223,8 +229,9 @@ def cgf(params: ModelParams, z, extended: bool = False):
 
     Accepts complex z with Re z inside the validity strip (default edge
     -(mu+2); ``extended=True`` evaluates the analytic continuation down to
-    -(mu+3)).  L(0) = 0, L is real on the real axis, and exp(L(it)) is the
-    characteristic function of log V.
+    -(mu+3), or to -(mu+2) - 2/3 at n = 2; see CgfDomain).  L(0) = 0, L is
+    real on the real axis, and exp(L(it)) is the characteristic function of
+    log V.
     """
     domain = CgfDomain.for_params(params, extended=extended)
     arr = np.asarray(z)

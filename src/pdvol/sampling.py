@@ -3,6 +3,14 @@ circumradius draws, the angular simplex density by rejection (n = 2, 3), the
 full volume sampler, both sides of the beta/gamma product identity, and
 Kolmogorov-Smirnov checks.
 
+The rejection sampler accepts a uniform proposal with probability
+(Delta/Delta_max)^(mu+2), so its exact acceptance rate is
+E[Delta^(mu+2)] / Delta_max^(mu+2) (closed form from the angular moment).  A
+request whose expected proposal count size / rate exceeds the proposal budget
+(1e7) is refused up front with ConvergenceError, before any random number is
+drawn; the volume sampler checks it before drawing its radial part too.  A
+request under the budget still fails if an unlucky run exceeds the budget.
+
 All randomness flows through RngStream (counter-based Philox keyed by
 (seed, stream_id)): identical streams reproduce bit-identical batches and
 distinct stream ids are independent by construction, so batches shard across
@@ -18,7 +26,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConvergenceError, DomainError
-from .exactlaw import ModelParams
+from .exactlaw import ModelParams, log_angular_simplex_moment
 from .specfun import log_unit_ball_volume
 
 __all__ = [
@@ -108,32 +116,62 @@ def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None
 
 
 def _uniform_circle(rng, count):
+    # (cos, sin) of three uniform angles per proposal, each (count, 3)
     th = rng.uniform(0.0, 2.0 * math.pi, size=(count, 3))
-    return np.stack([np.cos(th), np.sin(th)], axis=2)
+    return np.cos(th), np.sin(th)
 
 
 def _uniform_sphere(rng, count):
     g = rng.standard_normal(size=(count, 4, 3))
-    return g / np.linalg.norm(g, axis=2, keepdims=True)
+    return g / np.sqrt((g * g).sum(axis=2, keepdims=True))
 
 
 def _simplex_volume(u):
-    # u: (count, n+1, n); area for n=2, tetrahedron volume for n=3
-    e = u[:, 1:, :] - u[:, :1, :]
-    if u.shape[2] == 2:
-        return 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-    return np.abs(np.linalg.det(e)) / 6.0
+    """Triangle area for a circle proposal (cos, sin), tetrahedron volume for
+    a sphere proposal (count, 4, 3)."""
+    if isinstance(u, tuple):
+        x, y = u
+        return 0.5 * np.abs(
+            (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+        )
+    # edge vectors u_j - u_0, one contiguous array per component
+    a, b, c = ([u[:, j, k] - u[:, 0, k] for k in range(3)] for j in (1, 2, 3))
+    det = (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+    return np.abs(det) / 6.0
+
+
+def _directions(u, idx):
+    """The selected proposals as (len(idx), n+1, n) unit vectors."""
+    if isinstance(u, tuple):
+        return np.stack([u[0][idx], u[1][idx]], axis=2)
+    return u[idx]
 
 
 def _delta_max(n: int) -> float:
     return MAX_TRIANGLE_AREA_IN_DISK if n == 2 else MAX_TETRAHEDRON_VOLUME_IN_BALL
 
 
-def _rejection_batches(n: int, mu: float, rng, size: int, keep_directions: bool):
+def _check_proposal_budget(n: int, mu: float, size: int) -> None:
+    """Refuse a rejection run whose expected proposal count exceeds the budget."""
     if n not in (2, 3):
         raise DomainError("angular sampler: only n in {2, 3} is supported")
     if not mu > -2.0:
         raise DomainError("angular sampler: mu must exceed -2")
+    rate = math.exp(log_angular_simplex_moment(n, mu + 2.0) - (mu + 2.0) * math.log(_delta_max(n)))
+    expected = size / rate if rate > 0.0 else math.inf
+    if expected > _PROPOSAL_BUDGET:
+        raise ConvergenceError(
+            f"angular sampler: {size} draws need about {expected:.3g} proposals at the exact "
+            f"acceptance rate {rate:.3g} (mu = {mu:g}), above the budget of {_PROPOSAL_BUDGET} proposals"
+        )
+
+
+def _rejection_batches(n: int, mu: float, rng, size: int, keep_directions: bool):
+    _check_proposal_budget(n, mu, size)
     dmax = _delta_max(n)
     propose = _uniform_circle if n == 2 else _uniform_sphere
     deltas = np.empty(size)
@@ -154,7 +192,7 @@ def _rejection_batches(n: int, mu: float, rng, size: int, keep_directions: bool)
         take = len(idx)
         deltas[got : got + take] = vol[idx]
         if keep_directions:
-            dirs[got : got + take] = u[idx]
+            dirs[got : got + take] = _directions(u, idx)
         got += take
     return dirs, deltas
 
@@ -188,6 +226,7 @@ def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     n = params.n
     if n not in (2, 3):
         raise DomainError("sample_volume: only n in {2, 3} is supported")
+    _check_proposal_budget(n, params.mu, size)
     rho = sample_gamma(n + params.mu + 1.0, 1.0, rng, size=size)
     kappa = math.exp(log_unit_ball_volume(n))
     rn = rho / (params.gamma * kappa)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from pdvol.cli import main
 
@@ -102,3 +103,13 @@ def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("PDVOL_OUTPUT_DIR", str(tmp_path))
     assert main(["moments", "--n", "2", "--mu", "-1", "--s", "1", "--output", "m.json"]) == 0
     assert (tmp_path / "m.json").exists()
+
+
+def test_sample_over_budget_refused_up_front(capsys):
+    # about 2e7 expected proposals against the 1e7 budget: refused before any
+    # draw, so the call costs no sampling time
+    t0 = time.perf_counter()
+    code = main(["sample", "--kind", "volume", "--n", "2", "--mu", "5", "--count", "1500000"])
+    assert code == 3
+    assert time.perf_counter() - t0 < 2.0
+    assert "proposals" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pdvol.delaunay2d import (
     SimWindow,
+    Triangulation,
     audit_empty_circumdisk,
     circumcircle,
     delaunay_triangulate,
@@ -120,6 +122,68 @@ def test_toroidal_edges_shared_exactly_twice():
     tri = delaunay_triangulate(pts, mode="toroidal", side=side)
     counts = edge_incidence_counts(tri)
     assert np.all(counts == 2)
+
+
+def _one_triangle(tri, j, extra_point=None):
+    """Triangle j alone, over the same points plus an optional extra point."""
+    points = tri.points if extra_point is None else np.vstack([tri.points, extra_point])
+    fields = ("vertices", "coords", "centers", "radii", "areas")
+    return dataclasses.replace(tri, points=points, **{f: getattr(tri, f)[j : j + 1] for f in fields})
+
+
+def test_audit_finds_planted_points():
+    # plain mode: a point at a circumcenter violates that triangle's disk
+    pts = sample_poisson_points(1.0, SimWindow(30.0), rng(15))
+    tri = delaunay_triangulate(pts)
+    assert audit_empty_circumdisk(tri, tri.n_triangles, rng(16)) == 0
+    assert audit_empty_circumdisk(_one_triangle(tri, 0), 1, rng(16)) == 0
+    assert audit_empty_circumdisk(_one_triangle(tri, 0, tri.centers[0]), 1, rng(16)) == 1
+
+    # torus: a point inside a seam-crossing disk, stored at its wrapped
+    # position, which only a periodic search finds inside that disk
+    side = 30.0
+    pts = sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(17))
+    tri = delaunay_triangulate(pts, mode="toroidal", side=side)
+    assert audit_empty_circumdisk(tri, tri.n_triangles, rng(18)) == 0
+    outside = np.any((tri.coords < 0.0) | (tri.coords >= side), axis=2)
+    j = int(np.nonzero(outside.any(axis=1))[0][0])
+    vertex = tri.coords[j][outside[j]][0]
+    wrapped = np.mod(0.5 * (tri.centers[j] + vertex), side)
+    assert np.linalg.norm(wrapped - tri.centers[j]) > tri.radii[j]
+    assert audit_empty_circumdisk(_one_triangle(tri, j), 1, rng(18)) == 0
+    assert audit_empty_circumdisk(_one_triangle(tri, j, wrapped), 1, rng(18)) == 1
+
+
+def test_edge_counts_see_a_dropped_triangle():
+    side = 30.0
+    pts = sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(19))
+    tri = delaunay_triangulate(pts, mode="toroidal", side=side)
+    # drop a seam-crossing triangle, whose edges need the image offsets
+    outside = np.any((tri.coords < 0.0) | (tri.coords >= side), axis=(1, 2))
+    keep = np.ones(tri.n_triangles, dtype=bool)
+    keep[np.nonzero(outside)[0][0]] = False
+    fields = ("vertices", "coords", "centers", "radii", "areas")
+    holed = dataclasses.replace(tri, **{f: getattr(tri, f)[keep] for f in fields})
+    counts = edge_incidence_counts(holed)
+    assert np.sum(counts == 1) == 3 and np.all(counts[3:] == 2)
+
+
+def test_edge_counts_separate_seam_images():
+    # points 0 and 1 are joined twice: directly (triangle A) and across the
+    # x seam (triangle B); triangle C is B translated by one period, so it
+    # repeats B's three edges and no edge of A
+    side = 10.0
+    points = np.array([[1.0, 5.0], [9.0, 5.0], [5.0, 1.0], [5.0, 9.0]])
+    vertices = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 3]])
+    coords = np.array([
+        [[1.0, 5.0], [9.0, 5.0], [5.0, 1.0]],
+        [[1.0, 5.0], [-1.0, 5.0], [5.0, 9.0]],
+        [[11.0, 5.0], [9.0, 5.0], [15.0, 9.0]],
+    ])
+    zeros = np.zeros(3)
+    tri = Triangulation(points, "toroidal", side, vertices, coords, np.zeros((3, 2)), zeros, zeros)
+    assert edge_incidence_counts(tri).tolist() == [1, 1, 1, 2, 2, 2]
+    assert edge_incidence_counts(dataclasses.replace(tri, mode="plain")).tolist() == [1, 1, 2, 2, 3]
 
 
 def test_typical_moment_estimates():

@@ -180,7 +180,13 @@ def test_cgf_strip_validation():
         cgf(p, -2.0, extended=True)
     dom = CgfDomain.for_params(p)
     assert dom.lower == -1.0 and not dom.contains(-1.0) and dom.contains(-0.9)
-    assert CgfDomain.for_params(p, extended=True).lower == -2.0
+    # n = 2: the extended strip ends at the pole of Gamma((n+1)(n+mu+z)/2 + 1)
+    assert CgfDomain.for_params(p, extended=True).lower == pytest.approx(-5.0 / 3.0, abs=1e-15)
+    for z in (-5.0 / 3.0, -5.0 / 3.0 + 0.0j, -1.9):
+        with pytest.raises(DomainError):
+            cgf(p, z, extended=True)
+    # for n >= 3 the i = 1 factor's pole -(mu+3) comes first
+    assert CgfDomain.for_params(ModelParams(3, -1.0, 1.0), extended=True).lower == -2.0
 
 
 def test_radius_cdf_closed_form():
@@ -241,7 +247,8 @@ def test_cgf_matches_direct_sum_oracle():
     for n in (2, 3, 4, 5, 31, 32, 33, 34, 35, 200, 1001):
         for mu in (-1.9, -1.0, 0.0, 1.0, 10.0, 100.0):
             p = ModelParams(n, mu, 0.7)
-            re = np.array([-(mu + 3.0) + 0.01, -(mu + 2.0) + 0.05, 0.3, 2.5])
+            edge = CgfDomain.for_params(p, extended=True).lower
+            re = np.array([edge + 0.01, -(mu + 2.0) + 0.05, 0.3, 2.5])
             z = (re[:, None] + 1j * np.array([0.0, 0.7, -3.0, 25.0])).ravel()
             got = cgf(p, z, extended=True)
             value, scale = direct_log_moment(p, z)

@@ -20,6 +20,7 @@ from pdvol.sampling import (
     sample_beta,
     sample_circumradius,
     sample_gamma,
+    sample_lhs_product,
     sample_rhs_product,
     sample_volume,
 )
@@ -183,6 +184,52 @@ def test_acceptance_starvation(monkeypatch):
     monkeypatch.setattr(sampling, "_PROPOSAL_BUDGET", 20000)
     with pytest.raises(ConvergenceError, match="proposals"):
         sample_angular_delta(3, 60.0, RngStream(0, 0).generator(), 10)
+
+
+# Philox counter after the call and three values of 2000 volume draws from
+# RngStream(20261018, 3), recorded with the LAPACK-determinant kernel:
+# chunk sizes, proposal order and accept decisions must all stay as they were
+PINNED_STREAMS = {
+    (2, -1.0): (9029, 0.16360330397982367, 0.29967565960988235, 1015.65288583676),
+    (2, 3.0): (22042, 1.4749824810542433, 1.8330083707632827, 4200.9223871266695),
+    (3, -1.0): (41130, 0.04710137402503183, 0.04528346511377502, 296.1110846233351),
+    (3, 2.0): (229304, 0.27844789487603167, 0.38732547914709414, 935.8937011115636),
+}
+
+
+@pytest.mark.parametrize("n,mu", sorted(PINNED_STREAMS))
+def test_pinned_streams(n, mu):
+    counter, first, last, total = PINNED_STREAMS[(n, mu)]
+    rng = RngStream(20261018, 3).generator()
+    v = sample_volume(ModelParams(n, mu, 1.0), rng, 2000)
+    assert rng.bit_generator.state["state"]["counter"].tolist() == [counter, 0, 0, 0]
+    assert v[0] == pytest.approx(first, rel=1e-12)
+    assert v[-1] == pytest.approx(last, rel=1e-12)
+    assert v.sum() == pytest.approx(total, rel=1e-12)
+
+
+def test_over_budget_refused_before_drawing():
+    # (2, 5): exact acceptance rate 0.0739, so 1.5e6 draws need about 2e7 proposals
+    p = ModelParams(2, 5.0, 1.0)
+    for sampler in (sample_volume, sample_lhs_product):
+        rng = RngStream(4, 0).generator()
+        before = repr(rng.bit_generator.state)
+        with pytest.raises(ConvergenceError, match=r"proposals.*0\.0739") as info:
+            sampler(p, rng, 1_500_000)
+        assert "2.03e+07" in str(info.value)
+        assert repr(rng.bit_generator.state) == before
+    with pytest.raises(ConvergenceError, match="proposals"):
+        sample_angular_delta(2, 5.0, RngStream(4, 0).generator(), 1_500_000)
+
+
+def test_budget_edge(monkeypatch):
+    # n = 2, mu = -1: rate 0.36755, so 1000 draws expect 2720.7 proposals
+    monkeypatch.setattr(sampling, "_PROPOSAL_BUDGET", 2721)
+    v = sample_volume(ModelParams(2, -1.0, 1.0), RngStream(8, 0).generator(), 1000)
+    assert len(v) == 1000 and np.all(v > 0.0)
+    monkeypatch.setattr(sampling, "_PROPOSAL_BUDGET", 2720)
+    with pytest.raises(ConvergenceError, match="proposals"):
+        sample_volume(ModelParams(2, -1.0, 1.0), RngStream(8, 0).generator(), 1000)
 
 
 def test_angular_domain_errors():
