@@ -35,7 +35,6 @@ from .delaunay2d import (
 )
 from .distribution import (
     CenteringVariant,
-    InversionConfig,
     LDP_CENTERING,
     MODPHI_CENTERING,
     StandardizedLaw,
@@ -50,7 +49,6 @@ from .distribution import (
 )
 from .errors import ConvergenceError, DomainError
 from .exactlaw import (
-    CgfDomain,
     ModelParams,
     cgf,
     log_angular_simplex_moment,
@@ -64,7 +62,6 @@ from .exactlaw import (
 )
 from .sampling import (
     RngStream,
-    SampleBatch,
     check_product_identity,
     ks_statistic,
     sample_angular_simplex,
@@ -75,7 +72,6 @@ from .sampling import (
     sample_volume,
 )
 from .specfun import (
-    EvalPrecision,
     digamma,
     log_barnes_g,
     log_barnes_g_shift_asymptotic,

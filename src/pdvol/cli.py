@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_delaunay2d)
 
     p = sub.add_parser("report", help="run the claim-verification matrix")
-    p.add_argument("--quick", action="store_true", help="smaller sweeps, about 5 s instead of 13 s")
+    p.add_argument("--quick", action="store_true", help="smaller sweeps, about 5 s instead of 11 s")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(run=cmd_report)

@@ -33,7 +33,7 @@ from scipy.special import polygamma as _polygamma
 from scipy.special import zeta as _zeta
 
 from .errors import DomainError
-from .exactlaw import ModelParams, cgf
+from .exactlaw import STRIP_GUARD, ModelParams, cgf, strip_edge
 from .polygamma_sums import digamma_sum_closed, trigamma_sum_closed
 
 __all__ = [
@@ -84,19 +84,25 @@ def cumulant_exact(params: ModelParams, m: int) -> float:
     return float(c)
 
 
-def cumulant_fd_oracle(params: ModelParams, m: int, levels: int = 8, ratio: float = 1.5) -> float:
+#: the oracle's Ridders tableau: 8 steps, each 1.5 times smaller than the last
+_FD_LEVELS = 8
+_FD_RATIO = 1.5
+
+
+def cumulant_fd_oracle(params: ModelParams, m: int) -> float:
     """Numerical m-th derivative of s -> cgf(params, s) at 0.
 
     Central differences with Ridders-style extrapolation: the stencil is
-    evaluated at geometrically shrinking steps inside the extended
-    analyticity strip and the extrapolation stops where the error estimate
-    turns.  Relative accuracy on the tested ranges (m <= 4, n <= 50) is
-    better than 1e-6; orders 5 and 6 degrade to roughly 1e-4.
+    evaluated at 8 steps shrinking by 1.5, sized from the extended
+    analyticity strip (``exactlaw.strip_edge``), and the extrapolation stops
+    where the error estimate turns.  Relative accuracy on the tested ranges
+    (m <= 4, n <= 50) is better than 1e-6; orders 5 and 6 degrade to roughly
+    1e-4.
     """
     if m < 1 or m > 6 or m != int(m):
         raise DomainError("cumulant_fd_oracle: order m must be an integer in [1, 6]")
     m = int(m)
-    span = (params.mu + 3.0) - 1e-6
+    span = -strip_edge(params, extended=True) - STRIP_GUARD
     h0 = min(0.45 * span / (m / 2.0 + 0.5), 0.6)
     if h0 < 1e-12:
         raise DomainError("cumulant_fd_oracle: step underflow at the strip edge")
@@ -108,16 +114,16 @@ def cumulant_fd_oracle(params: ModelParams, m: int, levels: int = 8, ratio: floa
         ]
         return math.fsum(vals) / h**m
 
-    steps = [h0 / ratio**j for j in range(levels)]
+    steps = [h0 / _FD_RATIO**j for j in range(_FD_LEVELS)]
     tableau = [[stencil(h)] for h in steps]
     best = tableau[0][0]
     err = math.inf
-    for col in range(1, levels):
-        f = ratio ** (2 * col)
-        for row in range(levels - col):
+    for col in range(1, _FD_LEVELS):
+        f = _FD_RATIO ** (2 * col)
+        for row in range(_FD_LEVELS - col):
             tableau[row].append((f * tableau[row + 1][col - 1] - tableau[row][col - 1]) / (f - 1.0))
         est = abs(tableau[0][col] - tableau[0][col - 1])
-        if levels - col > 1:
+        if _FD_LEVELS - col > 1:
             est += abs(tableau[1][col - 1] - tableau[0][col - 1])
         if est < err:
             err, best = est, tableau[0][col]
@@ -279,7 +285,7 @@ def deviation_scale(regime: RegimeSpec, n: int) -> float:
 def concentration_envelope(y: float, c: float, eps: float) -> float:
     """Exponential envelope 2 exp(-y^2 / (2 + c y / eps)) for the two-sided
     tail of the standardized log volume; nonincreasing in y."""
-    if y < 0:
+    if not y >= 0:
         raise DomainError("concentration_envelope: y must be nonnegative")
     if not (c > 0 and eps > 0):
         raise DomainError("concentration_envelope: c and eps must be positive")

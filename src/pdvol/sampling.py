@@ -31,7 +31,6 @@ from .specfun import log_unit_ball_volume
 
 __all__ = [
     "RngStream",
-    "SampleBatch",
     "KsReport",
     "MAX_TRIANGLE_AREA_IN_DISK",
     "MAX_TETRAHEDRON_VOLUME_IN_BALL",
@@ -56,8 +55,6 @@ MAX_TETRAHEDRON_VOLUME_IN_BALL = 8.0 / (9.0 * math.sqrt(3.0))
 
 _PROPOSAL_BUDGET = 10**7
 
-BATCH_KINDS = ("radius", "volume", "log_volume", "rhs_product", "lhs_product")
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -69,20 +66,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass
-class SampleBatch:
-    params: ModelParams
-    kind: str
-    values: np.ndarray
-    seed_info: RngStream
-
-    def __post_init__(self):
-        if self.kind not in BATCH_KINDS:
-            raise DomainError(f"SampleBatch: unknown kind {self.kind!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("SampleBatch: values must be finite")
 
 
 @dataclass
@@ -224,8 +207,6 @@ def sample_angular_simplex(n: int, mu: float, rng: np.random.Generator):
 def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     """Volume draws V = R^n * Delta with independent radial and angular parts."""
     n = params.n
-    if n not in (2, 3):
-        raise DomainError("sample_volume: only n in {2, 3} is supported")
     _check_proposal_budget(n, params.mu, size)
     rho = sample_gamma(n + params.mu + 1.0, 1.0, rng, size=size)
     kappa = math.exp(log_unit_ball_volume(n))

@@ -18,7 +18,6 @@ shifts.  All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -27,10 +26,8 @@ from .errors import DomainError
 
 __all__ = [
     "BarnesShift",
-    "EvalPrecision",
     "GammaRun",
     "GammaShift",
-    "DEFAULT_PRECISION",
     "log_gamma",
     "digamma",
     "polygamma",
@@ -41,23 +38,6 @@ __all__ = [
     "log_unit_sphere_area",
 ]
 
-
-@dataclass(frozen=True)
-class EvalPrecision:
-    """Tolerances and truncation caps for series evaluation."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("EvalPrecision: tolerances must be positive")
-        if self.max_terms < 16:
-            raise DomainError("EvalPrecision: max_terms must be >= 16")
-
-
-DEFAULT_PRECISION = EvalPrecision()
 
 # log of the Glaisher-Kinkelin constant A = 1.2824271291...
 _LN_GLAISHER = 0.24875447713391599274
@@ -73,10 +53,10 @@ _POWERS = np.arange(7.0)
 #: real parts from which the shift forms are used: the first omitted terms
 #: of both series are below 4e-16 there
 SHIFT_MIN = 10.0
-
-
-def _is_pole(x) -> bool:
-    return x <= 0 and float(x) == round(float(x))
+# the Taylor series of log G(1+z) stops at the first term below 1e-14 in
+# magnitude (1% of an absolute tolerance of 1e-12), and fails past 10^6 terms
+_SERIES_STOP = 0.01 * 1e-12
+_SERIES_MAX_TERMS = 10**6
 
 
 def log_gamma(z):
@@ -121,16 +101,16 @@ def polygamma(m: int, x):
     return float(out) if arr.ndim == 0 else out
 
 
-def _log_barnes_g_series(z: float, precision: EvalPrecision) -> float:
+def _log_barnes_g_series(z: float) -> float:
     # Taylor series of log G(1+z) around 0, |z| <= 0.5:
     #   z (log(2 pi) - 1)/2 - (1 + gamma) z^2/2 + sum_{k>=3} (-1)^(k-1) zeta(k-1) z^k / k
     total = z * (math.log(2.0 * math.pi) - 1.0) / 2.0 - (1.0 + np.euler_gamma) * z * z / 2.0
     zk = z * z
-    for k in range(3, precision.max_terms):
+    for k in range(3, _SERIES_MAX_TERMS):
         zk *= z
         term = ((-1.0) ** (k - 1)) * sp.zeta(k - 1) * zk / k
         total += term
-        if abs(term) < 0.01 * precision.abs_tol:
+        if abs(term) < _SERIES_STOP:
             return total
     raise DomainError("log_barnes_g: series did not converge within max_terms")
 
@@ -146,7 +126,7 @@ def _log_barnes_g_asymptotic(x: float) -> float:
     return s
 
 
-def log_barnes_g(x: float, precision: EvalPrecision = DEFAULT_PRECISION) -> float:
+def log_barnes_g(x: float) -> float:
     """log G(x) for x > 0, with G the Barnes function, G(z+1) = Gamma(z) G(z).
 
     G(1) = G(2) = G(3) = 1.  Evaluation: asymptotic series for x >= 15,
@@ -154,8 +134,8 @@ def log_barnes_g(x: float, precision: EvalPrecision = DEFAULT_PRECISION) -> floa
     functional equation.
     """
     x = float(x)
-    if not x > 0.0:
-        raise DomainError("log_barnes_g: argument must be positive")
+    if not 0.0 < x < math.inf:
+        raise DomainError("log_barnes_g: argument must be finite and positive")
     if x >= 15.0:
         return _log_barnes_g_asymptotic(x)
     shift = 0.0
@@ -168,7 +148,7 @@ def log_barnes_g(x: float, precision: EvalPrecision = DEFAULT_PRECISION) -> floa
     while b >= 1.5:
         b -= 1.0
         climbs.append(math.lgamma(b))
-    return _log_barnes_g_series(b - 1.0, precision) + shift + math.fsum(climbs)
+    return _log_barnes_g_series(b - 1.0) + shift + math.fsum(climbs)
 
 
 def _log1p(u):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from pdvol.cli import main
 
 
@@ -113,3 +115,9 @@ def test_sample_over_budget_refused_up_front(capsys):
     assert code == 3
     assert time.perf_counter() - t0 < 2.0
     assert "proposals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["moments", "--n", "3", "--s", "inf"], ["cgf", "--n", "3", "--re", "inf"]])
+def test_non_finite_input_exit_code(args, capsys):
+    assert main(args) == 2
+    assert "finite" in capsys.readouterr().err

@@ -213,5 +213,6 @@ def test_concentration_envelope():
     y = np.linspace(0.0, 5.0, 40)
     vals = [concentration_envelope(float(t), 1.0, 10.0) for t in y]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        concentration_envelope(-1.0, 1.0, 1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            concentration_envelope(bad, 1.0, 1.0)

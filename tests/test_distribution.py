@@ -5,7 +5,6 @@ import pytest
 
 from pdvol.cumulants import cumulant_exact, deviation_scale, RegimeSpec
 from pdvol.distribution import (
-    InversionConfig,
     LDP_CENTERING,
     MODPHI_CENTERING,
     StandardizedLaw,
@@ -64,6 +63,14 @@ def test_cdf_monotone_and_edges():
     F = standardized_cdf(P2, ys)
     assert np.all(np.diff(F) >= -2e-6)
     assert F[0] < 1e-4 and F[-1] > 1.0 - 1e-4
+    # a non-finite point is refused up front, not after every panel doubling
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            standardized_cdf(P2, np.array([0.0, bad]))
+        with pytest.raises(DomainError):
+            cdf_inverted(P2, bad)
+        with pytest.raises(DomainError):
+            two_sided_tail(P2, bad)
 
 
 def test_cdf_against_empirical():
@@ -78,15 +85,6 @@ def test_cdf_against_empirical():
 def test_cdf_median_location():
     c1 = cumulant_exact(P2, 1)
     assert 0.3 < float(cdf_inverted(P2, c1)) < 0.7
-
-
-def test_inversion_config_validation():
-    with pytest.raises(DomainError):
-        InversionConfig(grid_points=128)
-    with pytest.raises(DomainError):
-        InversionConfig(x_range=(2.0, -2.0))
-    with pytest.raises(DomainError):
-        InversionConfig(t_max=-1.0)
 
 
 def test_kolmogorov_distance_decreases():

@@ -11,7 +11,6 @@ from scipy.special import gammaln, loggamma
 
 from pdvol.errors import DomainError
 from pdvol.exactlaw import (
-    CgfDomain,
     ModelParams,
     _row_sum,
     cgf,
@@ -20,6 +19,7 @@ from pdvol.exactlaw import (
     log_volume_moment,
     radius_cdf,
     sphere_representation_gap,
+    strip_edge,
     typical_volume_moment,
     volume_moment,
     weighted_intensity_ratio,
@@ -178,15 +178,14 @@ def test_cgf_strip_validation():
     assert np.isfinite(cgf(p, -1.0, extended=True))
     with pytest.raises(DomainError):
         cgf(p, -2.0, extended=True)
-    dom = CgfDomain.for_params(p)
-    assert dom.lower == -1.0 and not dom.contains(-1.0) and dom.contains(-0.9)
+    assert strip_edge(p) == -1.0 and np.isfinite(cgf(p, -0.9))
     # n = 2: the extended strip ends at the pole of Gamma((n+1)(n+mu+z)/2 + 1)
-    assert CgfDomain.for_params(p, extended=True).lower == pytest.approx(-5.0 / 3.0, abs=1e-15)
+    assert strip_edge(p, extended=True) == pytest.approx(-5.0 / 3.0, abs=1e-15)
     for z in (-5.0 / 3.0, -5.0 / 3.0 + 0.0j, -1.9):
         with pytest.raises(DomainError):
             cgf(p, z, extended=True)
     # for n >= 3 the i = 1 factor's pole -(mu+3) comes first
-    assert CgfDomain.for_params(ModelParams(3, -1.0, 1.0), extended=True).lower == -2.0
+    assert strip_edge(ModelParams(3, -1.0, 1.0), extended=True) == -2.0
 
 
 def test_radius_cdf_closed_form():
@@ -247,7 +246,7 @@ def test_cgf_matches_direct_sum_oracle():
     for n in (2, 3, 4, 5, 31, 32, 33, 34, 35, 200, 1001):
         for mu in (-1.9, -1.0, 0.0, 1.0, 10.0, 100.0):
             p = ModelParams(n, mu, 0.7)
-            edge = CgfDomain.for_params(p, extended=True).lower
+            edge = strip_edge(p, extended=True)
             re = np.array([edge + 0.01, -(mu + 2.0) + 0.05, 0.3, 2.5])
             z = (re[:, None] + 1j * np.array([0.0, 0.7, -3.0, 25.0])).ravel()
             got = cgf(p, z, extended=True)
@@ -301,3 +300,58 @@ def test_cgf_properties(params, u, im):
     a = np.array([z / 2.0])
     row, row_scale = direct_row(params.n, params.mu, a)
     assert abs(_row_sum(params.n, params.mu, a)[0] - row[0]) <= 1e-12 * abs(row[0]) + 4.0 * EPS * row_scale[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(params=model_params, u=st.floats(0.0, 1.0))
+def test_moment_scales_as_gamma_power(params, u):
+    # E V^s = gamma^(-s) E V^s|_(gamma=1): 1e-12 relative on the moment, or on
+    # its logarithm where that exceeds 1 (the log carries rounding of its size)
+    s = strip_edge(params) + 0.01 + u * (params.mu + 12.0)
+    unit = log_volume_moment(ModelParams(params.n, params.mu, 1.0), s)
+    scaled = log_volume_moment(params, s) + s * math.log(params.gamma)
+    assert abs(scaled - unit) <= 1e-12 * max(1.0, abs(unit))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(params=model_params, u=st.floats(0.0, 1.0), h=st.floats(1e-3, 1.0))
+def test_log_moment_convex_in_strip(params, u, h):
+    s = strip_edge(params) + 0.01 + h + u * (params.mu + 12.0)
+    f = [log_volume_moment(params, s + k * h) for k in (-1, 0, 1)]
+    assert f[0] - 2.0 * f[1] + f[2] >= -1e-13 * (1.0 + sum(abs(v) for v in f))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(params=model_params, t=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=40))
+def test_radius_cdf_monotone_in_unit_interval(params, t):
+    F = radius_cdf(params, np.sort(t))
+    assert np.all(np.diff(F) >= 0.0) and F[0] >= 0.0 and F[-1] <= 1.0
+
+
+_P3 = ModelParams(3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (cgf, (_P3, math.inf)),
+        (cgf, (_P3, complex(math.inf, 0.0))),
+        (cgf, (_P3, complex(0.0, math.nan))),
+        (cgf, (_P3, np.array([0.5j, complex(0.0, math.inf)]))),
+        (log_volume_moment, (_P3, math.inf)),
+        (log_volume_moment, (_P3, math.nan)),
+        (log_angular_simplex_moment, (3, math.inf)),
+        (log_angular_simplex_moment, (math.inf, 1.0)),
+        (log_typical_cell_constant, (math.inf,)),
+        (typical_volume_moment, (3, math.inf, 1.0)),
+        (sphere_representation_gap, (3, 0, math.inf)),
+        (sphere_representation_gap, (3, math.inf, 1.0)),
+        (radius_cdf, (_P3, math.nan)),
+        (radius_cdf, (_P3, np.array([0.5, math.nan]))),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_non_finite_input_refused(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+    assert radius_cdf(_P3, math.inf) == 1.0

@@ -11,7 +11,6 @@ from pdvol.sampling import (
     MAX_TETRAHEDRON_VOLUME_IN_BALL,
     MAX_TRIANGLE_AREA_IN_DISK,
     RngStream,
-    SampleBatch,
     angular_acceptance_rate,
     check_product_identity,
     ks_statistic,
@@ -168,16 +167,6 @@ def test_ks_statistic_contract():
     assert stat >= 0.5
     with pytest.raises(DomainError):
         ks_statistic(u[:10], lambda t: t)
-
-
-def test_sample_batch_validation():
-    p = ModelParams(2, -1.0, 1.0)
-    batch = SampleBatch(p, "radius", np.ones(4), RngStream(0, 0))
-    assert batch.kind == "radius"
-    with pytest.raises(DomainError):
-        SampleBatch(p, "bogus", np.ones(4), RngStream(0, 0))
-    with pytest.raises(DomainError):
-        SampleBatch(p, "radius", np.array([1.0, np.inf]), RngStream(0, 0))
 
 
 def test_acceptance_starvation(monkeypatch):

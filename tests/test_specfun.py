@@ -6,10 +6,8 @@ import pytest
 
 from pdvol.errors import DomainError
 from pdvol.specfun import (
-    DEFAULT_PRECISION,
     SHIFT_MIN,
     BarnesShift,
-    EvalPrecision,
     GammaShift,
     digamma,
     log_barnes_g,
@@ -132,6 +130,9 @@ def test_barnes_anchor_values():
     # below the series base point the downward recurrence takes over
     half = -1.5 * ln_a - 0.25 * math.log(math.pi) + 0.125 + math.log(2.0) / 24.0
     assert log_barnes_g(0.5) == pytest.approx(half, abs=1e-12)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            log_barnes_g(bad)
 
 
 def test_barnes_functional_equation_random():
@@ -234,11 +235,3 @@ def test_unit_ball_volume():
     assert log_unit_sphere_area(2) == pytest.approx(math.log(2.0 * math.pi), rel=1e-15)
     with pytest.raises(DomainError):
         log_unit_ball_volume(0)
-
-
-def test_eval_precision_validation():
-    assert DEFAULT_PRECISION.max_terms >= 16
-    with pytest.raises(DomainError):
-        EvalPrecision(abs_tol=-1.0)
-    with pytest.raises(DomainError):
-        EvalPrecision(max_terms=4)
