@@ -3,9 +3,14 @@
 Subcommands: specfun, moments, cgf, identities, cumulants, regimes, cdf,
 berry-esseen, ldp, modphi, sample, delaunay2d, report.  Output is versioned
 JSON (one document per file) or RFC-4180 CSV; every document embeds the
-resolved configuration and the package version.  Exit codes: 0 success,
-1 usage error, 2 domain error, 3 numerical-convergence failure, 4 a claim
-reported ``fail`` (report only).
+package version and its configuration: the subcommand followed by every
+parsed flag in declaration order, except ``--output``, ``--format`` and
+``--per-triangle``, which only say where or how to write.  ``specfun`` embeds
+only the inputs its function reads.  Each handler returns its document, a
+dict for JSON or ``(rows, columns)`` for CSV, and ``_emit`` writes it.
+Exit codes: 0 success, 1 usage error (including a malformed flag value),
+2 domain error, 3 numerical-convergence failure, 4 a claim reported
+``fail`` (report only).
 """
 
 from __future__ import annotations
@@ -38,60 +43,79 @@ DEFAULT_SEED = sm.DEFAULT_SEED
 #: CSV columns shared by the sweep subcommands (cdf, berry-esseen, ldp, modphi)
 SWEEP_COLUMNS = ["n", "mu", "gamma", "quantity", "value", "variant", "provenance"]
 
-
-def _jobs_default() -> int:
-    return max(1, int(os.environ.get("PDVOL_JOBS", "1")))
-
-
-def _resolve_output(path):
-    if path is None or path == "-":
-        return None
-    outdir = os.environ.get("PDVOL_OUTPUT_DIR")
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
+#: parsed attributes left out of the embedded config: the handler, and the
+#: flags that only say where or how to write
+_NOT_CONFIG = ("run", "output", "format", "per_triangle")
 
 
 def _write_text(text: str, path):
-    path = _resolve_output(path)
-    if path is None:
+    if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    outdir = os.environ.get("PDVOL_OUTPUT_DIR")
+    if outdir and not os.path.isabs(path):
+        path = os.path.join(outdir, path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
-def _emit_json(document: dict, config: dict, path):
-    document = {"schema_version": SCHEMA_VERSION, "artifact_version": __version__, "config": config, **document}
-    _write_text(json.dumps(document, indent=2, sort_keys=False) + "\n", path)
-
-
-def _emit_csv(rows, columns, config: dict, path):
+def _csv_text(rows, columns, config: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     meta = json.dumps(config, sort_keys=True)
     writer.writerow(["schema_version", "artifact_version", "config"] + columns)
     for row in rows:
         writer.writerow([SCHEMA_VERSION, __version__, meta] + [row[c] for c in columns])
-    _write_text(buf.getvalue(), path)
+    return buf.getvalue()
+
+
+def _emit(args, payload) -> None:
+    """Write a handler's document to ``--output``: a dict as JSON, ``(rows, columns)`` as CSV."""
+    if args.subcommand == "specfun":
+        config = {"subcommand": "specfun", "function": args.function, **payload["input"]}
+    else:
+        config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    if isinstance(payload, dict):
+        document = {"schema_version": SCHEMA_VERSION, "artifact_version": __version__, "config": config,
+                    **payload}
+        text = json.dumps(document, indent=2) + "\n"
+    else:
+        text = _csv_text(*payload, config)
+    _write_text(text, args.output)
 
 
 def _params(args) -> ex.ModelParams:
     return ex.ModelParams(args.n, args.mu, args.gamma)
 
 
-def _common_model_flags(p, n_default=2):
-    p.add_argument("--n", type=int, default=n_default, help="dimension (>= 2)")
+def _common_model_flags(p):
+    p.add_argument("--n", type=int, default=2, help="dimension (>= 2)")
     p.add_argument("--mu", type=float, default=-1.0, help="weight exponent (> -2)")
     p.add_argument("--gamma", type=float, default=1.0, help="point-process intensity (> 0)")
 
 
-def _float_list(text: str):
-    return [float(x) for x in text.split(",") if x != ""]
+def _comma_list(convert, what):
+    def parse(text: str):
+        try:
+            items = [convert(x) for x in text.split(",") if x != ""]
+        except ValueError:
+            items = []
+        if not items:
+            raise argparse.ArgumentTypeError(f"expected a comma list of {what}, got {text!r}")
+        return items
+
+    return parse
 
 
-def _int_list(text: str):
-    return [int(x) for x in text.split(",") if x != ""]
+_float_list = _comma_list(float, "numbers")
+_int_list = _comma_list(int, "integers")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    return value
 
 
 def _sweep_row(n, mu, gamma, quantity, value, variant=""):
@@ -103,25 +127,32 @@ def _sweep_row(n, mu, gamma, quantity, value, variant=""):
 # subcommand implementations
 
 
+def _log_gamma(x, im):
+    if not im:
+        return sf.log_gamma(x)
+    value = sf.log_gamma(complex(x, im))
+    return [value.real, value.imag]
+
+
+#: specfun --function: (evaluator, the flags it reads in argument order)
+SPECFUN = {
+    "log_gamma": (_log_gamma, ("x", "im")),
+    "digamma": (sf.digamma, ("x",)),
+    "polygamma": (sf.polygamma, ("m", "x")),
+    "log_barnes_g": (sf.log_barnes_g, ("x",)),
+    "reg_lower_incomplete_gamma": (sf.reg_lower_incomplete_gamma, ("a", "x")),
+    "log_unit_ball_volume": (sf.log_unit_ball_volume, ("x",)),
+}
+
+
 def cmd_specfun(args):
-    fn = args.function
-    if fn == "log_gamma":
-        value = sf.log_gamma(complex(args.x, args.im)) if args.im else sf.log_gamma(args.x)
-        value = [value.real, value.imag] if isinstance(value, complex) else value
-        inputs = {"x": args.x, "im": args.im}
-    elif fn == "digamma":
-        value, inputs = sf.digamma(args.x), {"x": args.x}
-    elif fn == "polygamma":
-        value, inputs = sf.polygamma(args.m, args.x), {"m": args.m, "x": args.x}
-    elif fn == "log_barnes_g":
-        value, inputs = sf.log_barnes_g(args.x), {"x": args.x}
-    elif fn == "reg_lower_incomplete_gamma":
-        value, inputs = sf.reg_lower_incomplete_gamma(args.a, args.x), {"a": args.a, "x": args.x}
-    else:
-        value, inputs = sf.log_unit_ball_volume(int(args.x)), {"n": int(args.x)}
-    _emit_json({"function": fn, "input": inputs, "value": value},
-               {"subcommand": "specfun", "function": fn, **inputs}, args.output)
-    return 0
+    evaluate, flags = SPECFUN[args.function]
+    inputs = {flag: getattr(args, flag) for flag in flags}
+    if args.function == "log_unit_ball_volume":
+        # x is the dimension n, reported as an integer; any other x is left
+        # for log_unit_ball_volume to refuse
+        inputs = {"n": int(args.x) if args.x.is_integer() else args.x}
+    return {"function": args.function, "input": inputs, "value": evaluate(*inputs.values())}
 
 
 def _params_doc(p: ex.ModelParams) -> dict:
@@ -131,28 +162,16 @@ def _params_doc(p: ex.ModelParams) -> dict:
 def cmd_moments(args):
     p = _params(args)
     logm = ex.log_volume_moment(p, args.s)
-    _emit_json(
-        {"params": _params_doc(p), "s": args.s, "value": math.exp(logm), "log_value": logm,
-         "provenance": "closed_form"},
-        {"subcommand": "moments", "n": p.n, "mu": p.mu, "gamma": p.gamma, "s": args.s},
-        args.output,
-    )
-    return 0
+    return {"params": _params_doc(p), "s": args.s, "value": math.exp(logm), "log_value": logm,
+            "provenance": "closed_form"}
 
 
 def cmd_cgf(args):
     p = _params(args)
     z = complex(args.re, args.im)
-    value = ex.cgf(p, z if args.im else args.re, extended=args.extended)
-    value = complex(value)
-    _emit_json(
-        {"params": _params_doc(p), "z": {"re": args.re, "im": args.im},
-         "value": {"re": value.real, "im": value.imag}, "provenance": "closed_form"},
-        {"subcommand": "cgf", "n": p.n, "mu": p.mu, "gamma": p.gamma, "re": args.re, "im": args.im,
-         "extended": args.extended},
-        args.output,
-    )
-    return 0
+    value = complex(ex.cgf(p, z if args.im else args.re, extended=args.extended))
+    return {"params": _params_doc(p), "z": {"re": args.re, "im": args.im},
+            "value": {"re": value.real, "im": value.imag}, "provenance": "closed_form"}
 
 
 def cmd_identities(args):
@@ -162,9 +181,7 @@ def cmd_identities(args):
         rows = ps.identity_grid_report()
     for row in rows:
         row["provenance"] = "closed_form"
-    _emit_csv(rows, ["a", "k", "m", "proposition", "lhs", "rhs", "abs_diff", "holds", "provenance"],
-              {"subcommand": "identities", "grid": args.grid}, args.output)
-    return 0
+    return rows, ["a", "k", "m", "proposition", "lhs", "rhs", "abs_diff", "holds", "provenance"]
 
 
 def cmd_cumulants(args):
@@ -174,73 +191,40 @@ def cmd_cumulants(args):
         {"m": m, "exact": e, "oracle": o, "abs_diff": d, "provenance": "closed_form+oracle_fd"}
         for (m, e, o, d) in rep.orders
     ]
-    _emit_json(
-        {"params": _params_doc(p), "orders": orders},
-        {"subcommand": "cumulants", "n": p.n, "mu": p.mu, "gamma": p.gamma, "max_order": args.max_order},
-        args.output,
-    )
-    return 0
+    return {"params": _params_doc(p), "orders": orders}
 
 
 def cmd_regimes(args):
+    # (label, regime, n, mu, driver): the driver is n, or mu for fixed_n
+    cases = [(f"mu_linear(alpha={a:g})", cm.RegimeSpec("mu_linear", a), n, a * n, n)
+             for a in (0.5, 1.0, 2.0) for n in args.sweep]
+    cases += [("near_equal_weight", cm.RegimeSpec("near_equal_weight"), n, float(n - math.isqrt(n)), n)
+              for n in args.sweep]
+    cases += [("fixed_n(n=3)", cm.RegimeSpec("fixed_n"), 3, float(mu), mu) for mu in args.sweep]
     rows = []
-    for alpha in (0.5, 1.0, 2.0):
-        for n in args.sweep:
-            p = ex.ModelParams(n, alpha * n, args.gamma)
-            pred = cm.regime_expansion(cm.RegimeSpec("mu_linear", alpha), n, args.gamma)[1]
-            exact = cm.cumulant_exact(p, 2)
-            rows.append(dict(regime=f"mu_linear(alpha={alpha:g})", driver=n, exact_var=exact,
-                             predicted_var=pred, ratio=exact / pred, provenance="closed_form"))
-    for n in args.sweep:
-        mu = float(n - math.isqrt(n))
-        p = ex.ModelParams(n, mu, args.gamma)
-        pred = cm.regime_expansion(cm.RegimeSpec("near_equal_weight"), n, args.gamma)[1]
-        exact = cm.cumulant_exact(p, 2)
-        rows.append(dict(regime="near_equal_weight", driver=n, exact_var=exact,
-                         predicted_var=pred, ratio=exact / pred, provenance="closed_form"))
-    for mu in args.sweep:
-        p = ex.ModelParams(3, float(mu), args.gamma)
-        pred = cm.regime_expansion(cm.RegimeSpec("fixed_n"), float(mu), args.gamma)[1]
-        exact = cm.cumulant_exact(p, 2)
-        rows.append(dict(regime="fixed_n(n=3)", driver=mu, exact_var=exact,
-                         predicted_var=pred, ratio=exact / pred, provenance="closed_form"))
-    _emit_csv(rows, ["regime", "driver", "exact_var", "predicted_var", "ratio", "provenance"],
-              {"subcommand": "regimes", "gamma": args.gamma, "sweep": args.sweep}, args.output)
-    return 0
+    for label, regime, n, mu, driver in cases:
+        pred = cm.regime_expansion(regime, driver, args.gamma)[1]
+        exact = cm.cumulant_exact(ex.ModelParams(n, mu, args.gamma), 2)
+        rows.append(dict(regime=label, driver=driver, exact_var=exact, predicted_var=pred,
+                         ratio=exact / pred, provenance="closed_form"))
+    return rows, ["regime", "driver", "exact_var", "predicted_var", "ratio", "provenance"]
 
 
 def cmd_cdf(args):
     p = _params(args)
-    xs = _float_list(args.x)
-    values = ds.cdf_inverted(p, np.array(xs))
+    values = ds.cdf_inverted(p, np.array(args.x))
     rows = [_sweep_row(p.n, p.mu, p.gamma, f"cdf@x={x:g}", float(v))
-            for x, v in zip(xs, np.atleast_1d(values))]
-    _emit_csv(rows, SWEEP_COLUMNS,
-              {"subcommand": "cdf", "n": p.n, "mu": p.mu, "gamma": p.gamma, "x": xs}, args.output)
-    return 0
-
-
-def _bs_one(task):
-    n, mu, gamma = task
-    d = ds.kolmogorov_distance_to_normal(ex.ModelParams(n, mu, gamma))
-    return n, d
+            for x, v in zip(args.x, np.atleast_1d(values))]
+    return rows, SWEEP_COLUMNS
 
 
 def cmd_berry_esseen(args):
-    tasks = [(n, args.mu, args.gamma) for n in args.sweep]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bs_one, tasks))
-    else:
-        results = [_bs_one(t) for t in tasks]
     rows = []
-    for n, d in results:
+    for n in args.sweep:
+        d = ds.kolmogorov_distance_to_normal(ex.ModelParams(n, args.mu, args.gamma))
         rows.append(_sweep_row(n, args.mu, args.gamma, "kolmogorov_distance", d))
         rows.append(_sweep_row(n, args.mu, args.gamma, "kd_times_sqrt_log_n", d * math.sqrt(math.log(n))))
-    _emit_csv(rows, SWEEP_COLUMNS,
-              {"subcommand": "berry-esseen", "mu": args.mu, "gamma": args.gamma, "sweep": args.sweep,
-               "jobs": args.jobs}, args.output)
-    return 0
+    return rows, SWEEP_COLUMNS
 
 
 def cmd_ldp(args):
@@ -252,10 +236,7 @@ def cmd_ldp(args):
             for kind in variants:
                 v = ds.ldp_scaled_cgf(p, t, ds.CenteringVariant(kind))
                 rows.append(_sweep_row(n, args.mu, args.gamma, f"scaled_cgf@t={t:g}", v, kind))
-    _emit_csv(rows, SWEEP_COLUMNS,
-              {"subcommand": "ldp", "mu": args.mu, "gamma": args.gamma, "sweep": args.sweep,
-               "t": args.t, "variant": args.variant}, args.output)
-    return 0
+    return rows, SWEEP_COLUMNS
 
 
 def cmd_modphi(args):
@@ -266,10 +247,7 @@ def cmd_modphi(args):
             for variant, adjusted in (("adjusted", True), ("stated", False)):
                 rows.append(_sweep_row(n, args.mu, args.gamma, f"residual@z={z:g}",
                                        ds.mod_gaussian_residual(p, z, adjusted=adjusted), variant))
-    _emit_csv(rows, SWEEP_COLUMNS,
-              {"subcommand": "modphi", "mu": args.mu, "gamma": args.gamma, "sweep": args.sweep,
-               "z": args.z}, args.output)
-    return 0
+    return rows, SWEEP_COLUMNS
 
 
 def cmd_sample(args):
@@ -277,16 +255,10 @@ def cmd_sample(args):
     if args.kind == "identity":
         rng = sm.RngStream(args.seed, 0).generator()
         rep = sm.check_product_identity(p, args.count, rng)
-        _emit_json(
-            {"params": _params_doc(p), "kind": "identity",
-             "ks": {"statistic": rep.statistic, "p_value": rep.p_value,
-                    "n_lhs": rep.n_lhs, "n_rhs": rep.n_rhs},
-             "provenance": "monte_carlo"},
-            {"subcommand": "sample", "kind": args.kind, "n": p.n, "mu": p.mu, "gamma": p.gamma,
-             "count": args.count, "seed": args.seed, "streams": args.streams},
-            args.output,
-        )
-        return 0
+        return {"params": _params_doc(p), "kind": "identity",
+                "ks": {"statistic": rep.statistic, "p_value": rep.p_value,
+                       "n_lhs": rep.n_lhs, "n_rhs": rep.n_rhs},
+                "provenance": "monte_carlo"}
     per = (args.count + args.streams - 1) // args.streams
     rows = []
     for sid in range(args.streams):
@@ -301,10 +273,7 @@ def cmd_sample(args):
         else:
             vals = sm.sample_rhs_product(p, rng, take)
         rows.extend(dict(stream=sid, value=float(v), provenance="monte_carlo") for v in vals)
-    _emit_csv(rows, ["stream", "value", "provenance"],
-              {"subcommand": "sample", "kind": args.kind, "n": p.n, "mu": p.mu, "gamma": p.gamma,
-               "count": args.count, "seed": args.seed, "streams": args.streams}, args.output)
-    return 0
+    return rows, ["stream", "value", "provenance"]
 
 
 def _delaunay_one(task):
@@ -321,7 +290,7 @@ def cmd_delaunay2d(args):
     tasks = [(args.gamma, args.side, args.guard, args.mode, args.mu, args.s, args.seed, r)
              for r in range(args.replicates)]
     if args.jobs > 1 and args.replicates > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, args.replicates)) as pool:
             results = list(pool.map(_delaunay_one, tasks))
     else:
         results = [_delaunay_one(t) for t in tasks]
@@ -338,30 +307,28 @@ def cmd_delaunay2d(args):
         rows = [dict(area=float(a), circumradius=float(r), cx=float(c[0]), cy=float(c[1]),
                      provenance="tessellation")
                 for a, r, c in zip(tri.areas, tri.radii, tri.centers)]
-        _emit_csv(rows, ["area", "circumradius", "cx", "cy", "provenance"],
-                  {"subcommand": "delaunay2d", "detail": "per-triangle", "seed": args.seed},
-                  args.per_triangle)
-    _emit_json(
-        {"mu": args.mu, "s": args.s, "estimate": float(ests.mean()), "std_error": pooled_se,
-         "replicates": per_rep, "provenance": "tessellation"},
-        {"subcommand": "delaunay2d", "gamma": args.gamma, "side": args.side, "guard": args.guard,
-         "mode": args.mode, "mu": args.mu, "s": args.s, "seed": args.seed,
-         "replicates": args.replicates, "jobs": args.jobs},
-        args.output,
-    )
-    return 0
+        _write_text(_csv_text(rows, ["area", "circumradius", "cx", "cy", "provenance"],
+                              {"subcommand": "delaunay2d", "detail": "per-triangle", "seed": args.seed}),
+                    args.per_triangle)
+    return {"mu": args.mu, "s": args.s, "estimate": float(ests.mean()), "std_error": pooled_se,
+            "replicates": per_rep, "provenance": "tessellation"}
 
 
 def cmd_report(args):
     rows, timings = rp.run_claims(seed=args.seed, quick=args.quick)
     for r in rows:
         print(rp.status_line(r), file=sys.stderr)
-    config = {"subcommand": "report", "seed": args.seed, "quick": args.quick}
     if args.format == "csv":
-        _emit_csv(rows, ["claim", "status", "value", "detail", "provenance"], config, args.output)
-    else:
-        _emit_json({"claims": rows, "timings_seconds": timings}, config, args.output)
-    return 0 if all(r["status"] != "fail" for r in rows) else 4
+        return rows, ["claim", "status", "value", "detail", "provenance"]
+    return {"claims": rows, "timings_seconds": timings}
+
+
+def _exit_code(args, payload) -> int:
+    """4 when ``report`` wrote a claim row with status ``fail``, else 0."""
+    if args.subcommand != "report":
+        return 0
+    rows = payload["claims"] if isinstance(payload, dict) else payload[0]
+    return 4 if any(r["status"] == "fail" for r in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("specfun", help="evaluate one special function")
-    p.add_argument("--function", required=True,
-                   choices=["log_gamma", "digamma", "polygamma", "log_barnes_g",
-                            "reg_lower_incomplete_gamma", "log_unit_ball_volume"])
+    p.add_argument("--function", required=True, choices=list(SPECFUN))
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--im", type=float, default=0.0)
     p.add_argument("--m", type=int, default=1)
@@ -414,14 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cdf", help="CDF of log V by characteristic-function inversion")
     _common_model_flags(p)
-    p.add_argument("--x", type=str, required=True, help="comma list of evaluation points")
+    p.add_argument("--x", type=_float_list, required=True, help="comma list of evaluation points")
     p.set_defaults(run=cmd_cdf)
 
     p = sub.add_parser("berry-esseen", help="Kolmogorov distance to the Gaussian over an n-sweep")
     p.add_argument("--mu", type=float, default=-1.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--sweep", type=_int_list, default=[10, 100, 1000, 10000])
-    p.add_argument("--jobs", type=int, default=_jobs_default())
     p.set_defaults(run=cmd_berry_esseen)
 
     p = sub.add_parser("ldp", help="scaled cumulant generating function per centering variant")
@@ -442,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="seeded Monte Carlo draws or the product-identity KS check")
     p.add_argument("--kind", choices=["radius", "volume", "rhs", "identity"], required=True)
     _common_model_flags(p)
-    p.add_argument("--count", type=int, default=10**5)
+    p.add_argument("--count", type=_positive_int, default=10**5)
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    p.add_argument("--streams", type=int, default=1)
+    p.add_argument("--streams", type=_positive_int, default=1)
     p.set_defaults(run=cmd_sample)
 
     p = sub.add_parser("delaunay2d", help="planar tessellation simulation and typical-cell estimate")
@@ -455,15 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=-1.0)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--replicates", type=_positive_int, default=1)
     p.add_argument("--per-triangle", type=str, default=None,
                    help="also write per-triangle (area, circumradius, center) CSV here")
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for the replicates")
     p.set_defaults(run=cmd_delaunay2d)
 
     p = sub.add_parser("report", help="run the claim-verification matrix")
-    p.add_argument("--quick", action="store_true", help="smaller sweeps, about 5 s instead of 11 s")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--quick", action="store_true", help="smaller sweeps, about 5 s instead of 11 s")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(run=cmd_report)
 
@@ -481,13 +445,15 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors; the contract wants 1
         return 0 if exc.code == 0 else 1
     try:
-        return args.run(args)
+        payload = args.run(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
+    _emit(args, payload)
+    return _exit_code(args, payload)
 
 
 if __name__ == "__main__":

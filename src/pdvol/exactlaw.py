@@ -242,7 +242,8 @@ def radius_cdf(params: ModelParams, t):
     from scipy.special import gammainc
 
     kappa = math.exp(log_unit_ball_volume(params.n))
-    out = gammainc(params.n + params.mu + 1.0, params.gamma * kappa * arr**params.n)
+    with np.errstate(over="ignore"):  # t^n past the float range is inf, and P(a, inf) = 1
+        out = gammainc(params.n + params.mu + 1.0, params.gamma * kappa * arr**params.n)
     return float(out) if arr.ndim == 0 else out
 
 

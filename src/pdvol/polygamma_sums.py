@@ -13,7 +13,6 @@ reported, not silently absorbed (see ``digamma_sum_offset``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma as _psi
@@ -23,7 +22,6 @@ from scipy.special import zeta as _zeta
 from .errors import DomainError
 
 __all__ = [
-    "SumParams",
     "digamma_sum_direct",
     "digamma_sum_closed",
     "digamma_sum_closed_alt",
@@ -35,27 +33,6 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class SumParams:
-    """Grid point for the summation identities; c = k mod 2 is derived."""
-
-    a: float
-    k: int
-    m: int = 2
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError("SumParams: a must be positive")
-        if self.k < 2:
-            raise DomainError("SumParams: k must be >= 2")
-        if self.m < 2:
-            raise DomainError("SumParams: bound order m must be >= 2")
-
-    @property
-    def c(self) -> int:
-        return self.k % 2
 
 
 def _check(a: float, k: int, kmin: int = 2):

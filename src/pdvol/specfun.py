@@ -310,13 +310,13 @@ def reg_lower_incomplete_gamma(a: float, x):
 
 def log_unit_ball_volume(n: int) -> float:
     """log of the n-dimensional unit-ball volume pi^(n/2) / Gamma(1 + n/2)."""
-    if n < 1 or n != int(n):
+    if not (n >= 1 and float(n).is_integer()):
         raise DomainError("log_unit_ball_volume: dimension must be an integer >= 1")
     return (n / 2.0) * math.log(math.pi) - math.lgamma(1.0 + n / 2.0)
 
 
 def log_unit_sphere_area(n: int) -> float:
     """log of the surface area of the unit sphere in R^n (= n * ball volume)."""
-    if n < 1 or n != int(n):
+    if not (n >= 1 and float(n).is_integer()):
         raise DomainError("log_unit_sphere_area: dimension must be an integer >= 1")
     return math.log(n) + log_unit_ball_volume(n)

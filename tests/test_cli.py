@@ -7,29 +7,40 @@ import time
 
 import pytest
 
+from pdvol import __version__
+from pdvol import report as rp
 from pdvol.cli import main
 
 
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "pdvol", *args], capture_output=True, text=True, timeout=600
-    )
-    return proc
+def run_cli(capsys, *args):
+    code = main(list(args))
+    return code, capsys.readouterr().out
 
 
-def test_moments_value():
-    proc = run_cli("moments", "--n", "2", "--mu", "-1", "--gamma", "1", "--s", "1")
+def csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_python_m_entry_point():
+    proc = subprocess.run([sys.executable, "-m", "pdvol", "--version"], capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+    assert proc.stdout.strip() == f"pdvol {__version__}"
+
+
+def test_moments_value(capsys):
+    code, out = run_cli(capsys, "moments", "--n", "2", "--mu", "-1", "--gamma", "1", "--s", "1")
+    assert code == 0
+    doc = json.loads(out)
     assert doc["schema_version"] == 1
     assert doc["config"]["subcommand"] == "moments"
     assert abs(doc["value"] - 0.5) < 1e-12
 
 
-def test_identities_all_hold():
-    proc = run_cli("identities", "--grid", "quick")
-    assert proc.returncode == 0
-    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+def test_identities_all_hold(capsys):
+    code, out = run_cli(capsys, "identities", "--grid", "quick")
+    assert code == 0
+    rows = csv_rows(out)
     assert rows and set(rows[0]) >= {"a", "k", "m", "proposition", "lhs", "rhs", "abs_diff", "holds"}
     main_rows = [r for r in rows if r["proposition"] in ("digamma_sum", "trigamma_sum", "polygamma_sum_bound")]
     assert all(r["holds"] == "True" for r in main_rows)
@@ -37,35 +48,32 @@ def test_identities_all_hold():
     assert alt_odd and all(r["holds"] == "False" for r in alt_odd)
 
 
-def test_cumulants_json():
-    proc = run_cli("cumulants", "--n", "10", "--mu", "0", "--gamma", "1", "--max-order", "3")
-    doc = json.loads(proc.stdout)
+def test_cumulants_json(capsys):
+    _, out = run_cli(capsys, "cumulants", "--n", "10", "--mu", "0", "--gamma", "1", "--max-order", "3")
+    doc = json.loads(out)
     assert [o["m"] for o in doc["orders"]] == [1, 2, 3]
     assert all(o["abs_diff"] < 1e-6 * max(1.0, abs(o["exact"])) for o in doc["orders"])
 
 
-def test_cdf_subcommand():
-    proc = run_cli("cdf", "--n", "2", "--mu", "-1", "--x=-1.2,0.0")
-    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
-    vals = [float(r["value"]) for r in rows]
+def test_cdf_subcommand(capsys):
+    _, out = run_cli(capsys, "cdf", "--n", "2", "--mu", "-1", "--x=-1.2,0.0")
+    vals = [float(r["value"]) for r in csv_rows(out)]
     assert 0.0 < vals[0] < vals[1] < 1.0
 
 
-def test_ldp_and_modphi_variants():
-    proc = run_cli("ldp", "--sweep", "100,1000", "--t", "1", "--variant", "both")
-    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
-    variants = {r["variant"] for r in rows}
-    assert variants == {"LDP", "MODPHI"}
-    proc = run_cli("modphi", "--sweep", "100", "--z", "1")
-    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
-    assert {r["variant"] for r in rows} == {"adjusted", "stated"}
+def test_ldp_and_modphi_variants(capsys):
+    _, out = run_cli(capsys, "ldp", "--sweep", "100,1000", "--t", "1", "--variant", "both")
+    assert {r["variant"] for r in csv_rows(out)} == {"LDP", "MODPHI"}
+    _, out = run_cli(capsys, "modphi", "--sweep", "100", "--z", "1")
+    assert {r["variant"] for r in csv_rows(out)} == {"adjusted", "stated"}
 
 
-def test_sample_determinism_and_streams():
-    a = run_cli("sample", "--kind", "radius", "--n", "2", "--count", "200", "--seed", "7", "--streams", "4")
-    b = run_cli("sample", "--kind", "radius", "--n", "2", "--count", "200", "--seed", "7", "--streams", "4")
-    assert a.stdout == b.stdout
-    rows = list(csv.DictReader(io.StringIO(a.stdout)))
+def test_sample_determinism_and_streams(capsys):
+    args = ("sample", "--kind", "radius", "--n", "2", "--count", "200", "--seed", "7", "--streams", "4")
+    _, a = run_cli(capsys, *args)
+    _, b = run_cli(capsys, *args)
+    assert a == b
+    rows = csv_rows(a)
     assert len(rows) == 200 and {r["stream"] for r in rows} == {"0", "1", "2", "3"}
 
 
@@ -80,23 +88,90 @@ def test_delaunay_byte_identical_reports(tmp_path):
     assert abs(doc["estimate"] - 0.5) < 5.0 * doc["std_error"]
 
 
-def test_specfun_subcommand():
-    proc = run_cli("specfun", "--function", "digamma", "--x", "1.0")
-    doc = json.loads(proc.stdout)
+def test_delaunay_pool_matches_serial(tmp_path):
+    args = ["delaunay2d", "--side", "40", "--guard", "4", "--seed", "5", "--replicates", "2"]
+    docs = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.json"
+        assert main(args + ["--jobs", jobs, "--output", str(path)]) == 0
+        docs.append(json.loads(path.read_text()))
+    assert [d["config"].pop("jobs") for d in docs] == [1, 2]
+    assert docs[0] == docs[1]
+
+
+def test_specfun_subcommand(capsys):
+    _, out = run_cli(capsys, "specfun", "--function", "digamma", "--x", "1.0")
+    doc = json.loads(out)
     assert abs(doc["value"] + 0.5772156649) < 1e-9
 
 
-def test_exit_codes():
-    assert run_cli("bogus").returncode == 1
-    assert run_cli("moments", "--n", "2", "--mu", "-3", "--s", "1").returncode == 2
-    assert run_cli("moments", "--n", "2", "--mu", "-1", "--s", "-1.5").returncode == 2
-    assert run_cli("moments", "--n", "3", "--mu", "inf", "--s", "1").returncode == 2
-    assert run_cli("--version").returncode == 0
+def test_exit_codes(capsys):
+    assert main(["bogus"]) == 1
+    assert main(["moments", "--n", "2", "--mu", "-3", "--s", "1"]) == 2
+    assert main(["moments", "--n", "2", "--mu", "-1", "--s", "-1.5"]) == 2
+    assert main(["moments", "--n", "3", "--mu", "inf", "--s", "1"]) == 2
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == f"pdvol {__version__}"
 
 
-def test_sample_identity_report():
-    proc = run_cli("sample", "--kind", "identity", "--n", "2", "--mu", "-1", "--count", "20000")
-    doc = json.loads(proc.stdout)
+@pytest.mark.parametrize("env, args, code", [
+    ({}, ["cdf", "--x", "1,abc"], 1),
+    ({}, ["cdf", "--x="], 1),
+    ({}, ["sample", "--kind", "radius", "--streams", "0"], 1),
+    ({}, ["sample", "--kind", "radius", "--count", "-5"], 1),
+    ({}, ["delaunay2d", "--side", "30", "--guard", "3", "--replicates", "0"], 1),
+    ({}, ["specfun", "--function", "log_unit_ball_volume", "--x", "2.7"], 2),
+    ({}, ["specfun", "--function", "log_unit_ball_volume", "--x", "inf"], 2),
+    ({"PDVOL_JOBS": "abc"}, ["--version"], 0),  # the variable is not read any more
+])
+def test_malformed_input_refused(env, args, code, monkeypatch, capsys):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert main(args) == code
+    assert capsys.readouterr().out == ("" if code else f"pdvol {__version__}\n")
+
+
+def _config_keys(out):
+    if out.startswith("{"):
+        return list(json.loads(out)["config"])
+    return list(json.loads(csv_rows(out)[0]["config"]))
+
+
+@pytest.mark.parametrize("args, keys", [
+    (["specfun", "--function", "log_gamma", "--x", "2"], ["subcommand", "function", "x", "im"]),
+    (["specfun", "--function", "digamma", "--x", "2"], ["subcommand", "function", "x"]),
+    (["specfun", "--function", "polygamma", "--x", "2"], ["subcommand", "function", "m", "x"]),
+    (["specfun", "--function", "log_barnes_g", "--x", "2"], ["subcommand", "function", "x"]),
+    (["specfun", "--function", "reg_lower_incomplete_gamma", "--x", "2"], ["subcommand", "function", "a", "x"]),
+    (["specfun", "--function", "log_unit_ball_volume", "--x", "2"], ["subcommand", "function", "n"]),
+    (["moments", "--s", "1"], ["subcommand", "n", "mu", "gamma", "s"]),
+    (["cgf"], ["subcommand", "n", "mu", "gamma", "re", "im", "extended"]),
+    (["identities", "--grid", "quick"], ["grid", "subcommand"]),
+    (["cumulants", "--max-order", "2"], ["subcommand", "n", "mu", "gamma", "max_order"]),
+    (["regimes", "--sweep", "100"], ["gamma", "subcommand", "sweep"]),
+    (["cdf", "--x", "0"], ["gamma", "mu", "n", "subcommand", "x"]),
+    (["berry-esseen", "--sweep", "10"], ["gamma", "mu", "subcommand", "sweep"]),
+    (["ldp", "--sweep", "100", "--t", "1"], ["gamma", "mu", "subcommand", "sweep", "t", "variant"]),
+    (["modphi", "--sweep", "100", "--z", "1"], ["gamma", "mu", "subcommand", "sweep", "z"]),
+    (["sample", "--kind", "radius", "--count", "10"],
+     ["count", "gamma", "kind", "mu", "n", "seed", "streams", "subcommand"]),
+    (["sample", "--kind", "identity", "--count", "200"],
+     ["subcommand", "kind", "n", "mu", "gamma", "count", "seed", "streams"]),
+    (["delaunay2d", "--side", "30", "--guard", "3"],
+     ["subcommand", "gamma", "side", "guard", "mode", "mu", "s", "seed", "replicates", "jobs"]),
+    (["report"], ["subcommand", "seed", "quick"]),
+])
+def test_config_keys_in_order(args, keys, monkeypatch, capsys):
+    # JSON documents keep the config in this order; the CSV config column is key-sorted
+    monkeypatch.setattr(rp, "run_claims", lambda seed, quick: ([], {}))
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert _config_keys(out) == keys
+
+
+def test_sample_identity_report(capsys):
+    _, out = run_cli(capsys, "sample", "--kind", "identity", "--n", "2", "--mu", "-1", "--count", "20000")
+    doc = json.loads(out)
     assert doc["ks"]["p_value"] > 0.01
     assert doc["provenance"] == "monte_carlo"
 

@@ -5,7 +5,6 @@ import pytest
 
 from pdvol.errors import DomainError
 from pdvol.polygamma_sums import (
-    SumParams,
     digamma_sum_closed,
     digamma_sum_closed_alt,
     digamma_sum_direct,
@@ -83,9 +82,6 @@ def test_domain_errors():
         digamma_sum_closed(-1.0, 4)
     with pytest.raises(DomainError):
         polygamma_sum_bound_check(1.0, 4, 1)
-    with pytest.raises(DomainError):
-        SumParams(a=1.0, k=1)
-    assert SumParams(a=1.0, k=5).c == 1
 
 
 def test_grid_report_structure():

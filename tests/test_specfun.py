@@ -233,5 +233,8 @@ def test_unit_ball_volume():
     assert log_unit_ball_volume(3) == pytest.approx(math.log(4.0 * math.pi / 3.0), rel=1e-15)
     assert log_unit_ball_volume(1) == pytest.approx(math.log(2.0), rel=1e-15)
     assert log_unit_sphere_area(2) == pytest.approx(math.log(2.0 * math.pi), rel=1e-15)
-    with pytest.raises(DomainError):
-        log_unit_ball_volume(0)
+    for bad in (0, 2.7, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            log_unit_ball_volume(bad)
+        with pytest.raises(DomainError):
+            log_unit_sphere_area(bad)
