@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -290,6 +289,8 @@ def cmd_delaunay2d(args):
     tasks = [(args.gamma, args.side, args.guard, args.mode, args.mu, args.s, args.seed, r)
              for r in range(args.replicates)]
     if args.jobs > 1 and args.replicates > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(args.jobs, args.replicates)) as pool:
             results = list(pool.map(_delaunay_one, tasks))
     else:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.special import gammaincc
 
 from .errors import ConvergenceError, DomainError
@@ -168,6 +166,8 @@ def _toroidal_margin(n_points: int, side: float) -> float:
     # margin exceeding the largest circumradius among ~2N cells with high
     # probability: solve 2N * P(R > r) = 1e-3 for the radius law of the
     # typical cell at the empirical intensity, then pad by 30%
+    from scipy.optimize import brentq
+
     gamma_hat = max(n_points / side**2, 1e-12)
 
     def excess(r):
@@ -187,6 +187,8 @@ def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = No
     the fundamental domain) and verifying post hoc that every kept circumdisk
     fits inside the replicated region.
     """
+    from scipy.spatial import Delaunay, QhullError
+
     points = _check_input_points(points)
     if mode == "plain":
         try:
@@ -336,6 +338,8 @@ def audit_empty_circumdisk(tri: Triangulation, n_audits: int, rng: np.random.Gen
     of Qhull's output; on the torus the tree is periodic, so distances are
     minimum-image.  A triangle's own vertices lie at distance radius and never
     count."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(tri.points, boxsize=tri.side if tri.mode == "toroidal" else None)
     m = tri.n_triangles
     chosen = rng.choice(m, size=min(n_audits, m), replace=False)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .cumulants import cumulant_exact
 from .errors import ConvergenceError, DomainError
@@ -163,7 +163,7 @@ def kolmogorov_distance_to_normal(params: ModelParams) -> float:
     """sup_y |F_std(y) - Phi(y)| over 2048 points on [-8, 8]."""
     ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
     F = standardized_cdf(params, ys)
-    return float(np.max(np.abs(F - norm.cdf(ys))))
+    return float(np.max(np.abs(F - ndtr(ys))))
 
 
 def centering(variant: CenteringVariant, params: ModelParams) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,9 +242,18 @@ def radius_cdf(params: ModelParams, t):
         raise DomainError("radius_cdf: radius must be nonnegative, not NaN")
     from scipy.special import gammainc
 
-    kappa = math.exp(log_unit_ball_volume(params.n))
-    with np.errstate(over="ignore"):  # t^n past the float range is inf, and P(a, inf) = 1
-        out = gammainc(params.n + params.mu + 1.0, params.gamma * kappa * arr**params.n)
+    n = params.n
+    log_kappa = log_unit_ball_volume(n)
+    kappa = math.exp(log_kappa)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        power = arr**n
+        x = params.gamma * kappa * power
+        # where t^n overflows or kappa_n is subnormal (n >= 436) the product
+        # loses the argument, so form it in log space there; P(a, inf) = 1
+        far = ~np.isfinite(power) | (kappa < sys.float_info.min)
+        if far.any():
+            x = np.where(far, np.exp(math.log(params.gamma) + log_kappa + n * np.log(arr)), x)
+    out = gammainc(n + params.mu + 1.0, x)
     return float(out) if arr.ndim == 0 else out
 
 

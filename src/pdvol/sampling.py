@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConvergenceError, DomainError
 from .exactlaw import ModelParams, log_angular_simplex_moment
@@ -240,6 +239,8 @@ def check_product_identity(params: ModelParams, n_draws: int, rng: np.random.Gen
     which leaves the statistic unchanged)."""
     lhs = np.log(sample_lhs_product(params, rng, n_draws))
     rhs = np.log(sample_rhs_product(params, rng, n_draws))
+    from scipy import stats
+
     res = stats.ks_2samp(lhs, rhs)
     return KsReport(float(res.statistic), float(res.pvalue), n_draws, n_draws)
 
@@ -250,6 +251,8 @@ def ks_statistic(sample, reference):
     sample = np.asarray(sample, dtype=float)
     if sample.size < 25:
         raise DomainError("ks_statistic: need at least 25 observations")
+    from scipy import stats
+
     if callable(reference):
         res = stats.kstest(sample, reference)
     else:

@@ -1,9 +1,13 @@
-"""The public surface: every ``__all__`` entry resolves, and every name the
-package re-exports is public in the module that defines it."""
+"""The public surface: every ``__all__`` entry resolves, every name the
+package re-exports is public in the module that defines it, and importing the
+package or its CLI leaves the heavy scipy subpackages unloaded."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,18 @@ def test_package_reexports_are_public():
         stale = [n for n in names if n not in mod.__all__]
         assert not stale, f"pdvol re-exports {stale} outside pdvol.{module}.__all__"
         assert all(getattr(pdvol, n) is getattr(mod, n) for n in names)
+
+
+# loaded on first use only: the KS tests need scipy.stats, the triangulation
+# scipy.optimize and scipy.spatial, and `delaunay2d --jobs` a process pool
+DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.spatial", "concurrent.futures.process")
+
+
+@pytest.mark.parametrize("module", ["pdvol", "pdvol.cli"])
+def test_import_defers_heavy_modules(module):
+    src = str(Path(pdvol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; print(*(m for m in {DEFERRED!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"import {module} loaded {proc.stdout.split()}"

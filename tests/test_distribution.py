@@ -5,6 +5,8 @@ import pytest
 
 from pdvol.cumulants import cumulant_exact, deviation_scale, RegimeSpec
 from pdvol.distribution import (
+    _GRID_POINTS,
+    _X_RANGE,
     LDP_CENTERING,
     MODPHI_CENTERING,
     StandardizedLaw,
@@ -98,6 +100,17 @@ def test_kolmogorov_distance_linear_weight_regime():
     # with weight mu = n the deviation scale is n itself: d_n * n stays bounded
     prods = [n * kolmogorov_distance_to_normal(ModelParams(n, float(n), 1.0)) for n in (10, 20, 40)]
     assert max(prods) / min(prods) < 2.0
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_kolmogorov_distance_bitwise_equal_to_norm_cdf(n):
+    # the distance compares against scipy.special.ndtr; scipy.stats.norm.cdf
+    # must give the identical float, so the swap moves no reported distance
+    from scipy.stats import norm
+
+    p = ModelParams(n, -1.0, 1.0)
+    ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
+    assert kolmogorov_distance_to_normal(p) == float(np.max(np.abs(standardized_cdf(p, ys) - norm.cdf(ys))))
 
 
 def test_centering_values():

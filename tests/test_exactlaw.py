@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln, loggamma
+from scipy.special import gammainc, gammaincinv, gammaln, loggamma
 
 from pdvol.errors import DomainError
 from pdvol.exactlaw import (
@@ -199,6 +200,37 @@ def test_radius_cdf_closed_form():
     assert np.all(np.diff(radius_cdf(p, t)) >= 0.0)
     with pytest.raises(DomainError):
         radius_cdf(p, -0.1)
+
+
+def _median_radius(p):
+    # P(n+mu+1, gamma kappa_n t^n) = 1/2, solved for t in log space
+    x = gammaincinv(p.n + p.mu + 1.0, 0.5)
+    return math.exp((math.log(x) - math.log(p.gamma) - log_unit_ball_volume(p.n)) / p.n)
+
+
+@pytest.mark.parametrize("n", [435, 450, 600, 1200])
+def test_radius_cdf_median_at_large_n(n):
+    # t^n overflows at the median from n = 435 and kappa_n is subnormal from
+    # n = 436 (0.0 later); the CDF must still read 1/2 there, without warnings
+    p = ModelParams(n, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert radius_cdf(p, _median_radius(p)) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_radius_cdf_product_form_kept_at_small_n():
+    # where t^n and kappa_n are normal floats the argument is the plain
+    # product gamma kappa_n t^n, bit for bit
+    rng = np.random.default_rng(436)
+    for n in (2, 3, 10, 50, 200):
+        kappa = math.exp(log_unit_ball_volume(n))
+        for mu in (-1.0, 0.5, 7.0):
+            for gamma in (0.5, 1.0, 3.0):
+                p = ModelParams(n, mu, gamma)
+                t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 24)), rng.uniform(3.0, 30.0, 8)])
+                old = gammainc(n + mu + 1.0, gamma * kappa * t**n)
+                assert np.array_equal(radius_cdf(p, t), old)
+                assert radius_cdf(p, float(t[5])) == float(old[5])
 
 
 def test_radius_cdf_quadrature_oracle():
