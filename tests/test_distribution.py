@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from pdvol.cumulants import cumulant_exact, deviation_scale, RegimeSpec
 from pdvol.distribution import (
     _GRID_POINTS,
     _X_RANGE,
+    _chunked_cdf,
+    _factored_cdf,
+    _invert,
     LDP_CENTERING,
     MODPHI_CENTERING,
     StandardizedLaw,
@@ -105,12 +109,55 @@ def test_kolmogorov_distance_linear_weight_regime():
 @pytest.mark.parametrize("n", [10, 1000])
 def test_kolmogorov_distance_bitwise_equal_to_norm_cdf(n):
     # the distance compares against scipy.special.ndtr; scipy.stats.norm.cdf
-    # must give the identical float, so the swap moves no reported distance
+    # must give the identical float on the grid, so the swap moves no reported distance
     from scipy.stats import norm
 
-    p = ModelParams(n, -1.0, 1.0)
     ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
-    assert kolmogorov_distance_to_normal(p) == float(np.max(np.abs(standardized_cdf(p, ys) - norm.cdf(ys))))
+    assert np.array_equal(ndtr(ys), norm.cdf(ys))
+    p = ModelParams(n, -1.0, 1.0)
+    F, _ = _invert(p, StandardizedLaw.from_params(p), _factored_cdf)
+    assert kolmogorov_distance_to_normal(p) == float(np.max(np.abs(F - ndtr(ys))))
+
+
+@pytest.mark.parametrize("mu", [-1.0, 0.0])
+@pytest.mark.parametrize("n", [10, 1000, 10**6])
+def test_factored_cdf_matches_chunked_path(n, mu):
+    # the Kolmogorov grid's factored product is the chunked sum regrouped: same
+    # panel count, F within 1e-14, and the same bits on every call
+    p = ModelParams(n, mu, 1.0)
+    law = StandardizedLaw.from_params(p)
+    ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
+    F, panels = _invert(p, law, _factored_cdf)
+    _, chunked_panels = _invert(p, law, _chunked_cdf(ys))
+    assert panels == chunked_panels
+    assert np.max(np.abs(F - standardized_cdf(p, ys))) < 1e-14
+    d = kolmogorov_distance_to_normal(p)
+    heap = [np.ones(k) for k in (3, 1001, 65537, 12345)]
+    assert kolmogorov_distance_to_normal(p) == d
+    del heap
+
+
+def test_factored_cdf_matches_mpmath_quadrature():
+    # the factored sum against the same quadrature (same nodes and weights)
+    # summed at 30 digits, at the distance's argmax and seven more grid points
+    import mpmath as mp
+
+    p = ModelParams(1000, -1.0, 1.0)
+    levels = []
+
+    def capture(tg, phi_w):
+        levels.append((tg, phi_w))
+        return _factored_cdf(tg, phi_w)
+
+    F, _ = _invert(p, StandardizedLaw.from_params(p), capture)
+    tg, phi_w = levels[-1]
+    ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
+    worst = int(np.argmax(np.abs(F - ndtr(ys))))
+    with mp.workdps(30):
+        for k in (worst, 0, 300, 700, 1000, 1100, 1500, 2047):
+            y = mp.mpf(ys[k])
+            s = mp.fsum(mp.im(mp.expj(-y * mp.mpf(t)) * mp.mpc(w.real, w.imag)) for t, w in zip(tg, phi_w))
+            assert abs(mp.mpf(F[k]) - (mp.mpf(0.5) - s / mp.pi)) < 2e-15
 
 
 def test_centering_values():
