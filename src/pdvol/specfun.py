@@ -4,15 +4,15 @@ regularized incomplete gamma and unit-ball volumes.
 Everything downstream (exact moment formulas, cumulants, characteristic
 functions, limiting functions) is evaluated through this module.  The gamma
 family is delegated to scipy.special; the Barnes G-function, which scipy does
-not provide, is evaluated from its Taylor series at 1+z, the functional
-equation G(z+1) = Gamma(z) G(z), and a Bernoulli asymptotic series anchored at
-the Glaisher-Kinkelin constant.  Differences log Gamma(x+h) - log Gamma(x)
-and log G(x+a+1) - log G(x+1) at large x come from Stirling's and the Barnes
-series in shift form, with their large parts cancelled analytically
-(``GammaShift``, ``BarnesShift``), and runs of gamma ratios
-sum_{j<k} log Gamma(b+a+j)/Gamma(b+j) telescope through them (``GammaRun``);
-these are prepared once per set of arguments and then called with the
-shifts.  All functions are pure and thread-safe.
+not provide, is evaluated from its Taylor series at 1+z and the functional
+equation G(z+1) = Gamma(z) G(z) below x = 15, and from its Bernoulli
+asymptotic series, anchored at the Glaisher-Kinkelin constant, above.
+Weighted sums of gamma ratios log Gamma(x+cz)/Gamma(x), together with runs
+sum_{j<k} log Gamma(b+j+a)/Gamma(b+j), are one ``GammaRatioSum``: prepared
+once per set of arguments, then called with arrays of real or complex z.  At
+large arguments it takes Stirling's and the same Barnes series in shift form,
+with their large parts cancelled analytically, so a call costs the same at
+every run length.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from scipy import special as sp
 from .errors import DomainError
 
 __all__ = [
-    "BarnesShift",
-    "GammaRun",
-    "GammaShift",
+    "GammaRatioSum",
     "log_gamma",
     "digamma",
     "polygamma",
@@ -40,7 +38,7 @@ __all__ = [
 
 
 # log of the Glaisher-Kinkelin constant A = 1.2824271291...
-_LN_GLAISHER = 0.24875447713391599274
+_LN_GLAISHER = 0.24875447703378426255
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Bernoulli numbers B_4 .. B_14 for the Barnes and Stirling asymptotic tails.
@@ -116,14 +114,12 @@ def _log_barnes_g_series(z: float) -> float:
 
 
 def _log_barnes_g_asymptotic(x: float) -> float:
-    # log G(z+1) for z = x-1 via z^2/4 + z log Gamma(z+1)
-    #   - (z(z+1)/2 + 1/12) log z - log A + Bernoulli tail; machine precision for x >= 15.
-    z = x - 1.0
-    lz = math.log(z)
-    s = z * z / 4.0 + z * math.lgamma(z + 1.0) - (z * (z + 1.0) / 2.0 + 1.0 / 12.0) * lz - _LN_GLAISHER
-    for k in (1, 2, 3, 4):
-        s += _BERNOULLI[2 * k + 2] / (2 * k * (2 * k + 1) * (2 * k + 2) * z ** (2 * k))
-    return s
+    # log G(w+1), w = x-1, from the Barnes series
+    #   w^2/2 log w - 3w^2/4 + w log sqrt(2 pi) - log(w)/12 + 1/12 - log A + tail(w)
+    # with the six-term Bernoulli tail; machine precision for x >= 15
+    w = x - 1.0
+    lw = math.log(w)
+    return w * w * (0.5 * lw - 0.75) + w * _LN_SQRT_2PI - lw / 12.0 + (1.0 / 12.0 - _LN_GLAISHER) + float(_barnes_tail(w))
 
 
 def log_barnes_g(x: float) -> float:
@@ -169,40 +165,94 @@ def _barnes_tail(w):
     return v * (np.power.outer(v, _POWERS[: len(_BARNES_TAIL)]) @ _BARNES_TAIL)
 
 
-class GammaShift:
-    """x -> log Gamma(x+h) - log Gamma(x), prepared at fixed real x > 0 and
-    called with arrays of real or complex shifts h (broadcasting against x,
-    Re(x+h) > 0 off the poles).
+#: terms at the start of a run taken by recurrence from its anchor; past
+#: them b+j and Re(b+a+j) are at least SHIFT_MIN whenever Re(b+a) >= 0
+RUN_HEAD = int(SHIFT_MIN) + 1
 
-    Where x and Re(x+h) >= SHIFT_MIN this is the shift form of Stirling's
-    series log Gamma(w) = (w - 1/2) log w - w + log sqrt(2 pi) + sum_k B_2k /
-    (2k(2k-1) w^(2k-1)): with log w = log x + log1p(h/x) the difference is
-    (x+h-1/2) log1p(h/x) + h (log x - 1) plus the difference of the tails,
-    so no log Gamma(x)-sized term is formed.  Elsewhere it is the difference
-    of two scipy log-gammas, both from the complex loop when h is complex
-    (scipy's real and complex loops differ in the last bits).  Exactly 0 at
-    h = 0.  Everything that depends on x alone is computed once.
+
+class GammaRatioSum:
+    """z -> sum over ratios (x, c, w) of w [log Gamma(x+cz) - log Gamma(x)]
+    plus sum over runs (b, k) of sum_{j<k} [log Gamma(b+j+a) - log Gamma(b+j)]
+    with a = run_coef z, prepared for real x > 0, b > 0 and integers k >= 1,
+    and called with arrays of real or complex z (Re(x+cz) > 0 off the poles,
+    Re(b+a) >= 0).  A call costs the same at every k and is exactly 0 at
+    z = 0.  Everything that depends on the arguments alone is computed once,
+    in three flat blocks:
+
+    * Stirling shifts log Gamma(x+h) - log Gamma(x), h = cz, for every ratio
+      and for each run's anchor x = b+J, J = min(k, RUN_HEAD), c = run_coef.
+      Where x and Re(x+h) >= SHIFT_MIN this is Stirling's series in shift
+      form: with log(x+h) = log x + log1p(h/x) the difference is
+      (x+h-1/2) log1p(h/x) + h (log x - 1) plus the difference of the tails,
+      so no log Gamma(x)-sized term is formed.  Elsewhere it is the
+      difference of two scipy log-gammas, both from the complex loop when z
+      is complex (scipy's real and complex loops differ in the last bits).
+      Each call splits the whole block into near and far entries once.
+    * Heads: g(w) = log Gamma(w+a) - log Gamma(w) obeys
+      g(w+1) = g(w) + log1p(a/w), so a run's first J terms are
+      J g(b+J) - sum_{i<J} (i+1) log1p(a/(b+i)).
+    * Barnes ends: the rest of a run telescopes through G(w+1) = Gamma(w) G(w)
+      to S(b+k-1) - S(b+J-1), where S(x) = log G(x+a+1) - log G(x+1) is the
+      Barnes series (see _log_barnes_g_asymptotic) in shift form: the
+      Theta(x^2 log x) parts cancel and, with w = x+a, S(x) is
+      (w^2/2 - 1/12) log1p(a/x) + a(2x+a)(log(x)/2 - 3/4) + a log sqrt(2 pi)
+      plus the difference of the tails.
     """
 
-    def __init__(self, x):
-        self.x = np.asarray(x, dtype=float)
+    def __init__(self, ratios, runs=(), run_coef=1.0):
+        x, coef, weight = (list(col) for col in zip(*ratios)) if ratios else ([], [], [])
+        self.split = len(x)
+        heads, head_w, ends = [], [], []
+        for b, k in runs:
+            if not (b > 0 and k >= 1 and k == int(k)):
+                raise DomainError("GammaRatioSum: a run needs b > 0 and an integer k >= 1")
+            j = min(int(k), RUN_HEAD)
+            x.append(b + j)
+            coef.append(run_coef)
+            weight.append(float(j))
+            heads += [b + i for i in range(j)]
+            head_w += [-(i + 1.0) for i in range(j)]
+            if k > j:
+                ends += [b + k - 1.0, b + j - 1.0]
+        self.x, self.coef, self.run_coef = np.array(x, dtype=float), np.array(coef, dtype=float), run_coef
+        if not (self.x > 0.0).all():
+            raise DomainError("GammaRatioSum: ratios need x > 0")
+        self.ratio_w, self.anchor_w = np.array(weight[: self.split]), np.array(weight[self.split :])
+        self.log_gamma_x, self.log_gamma_xc = sp.gammaln(self.x), sp.loggamma(self.x.astype(complex))
         self.far = self.x >= SHIFT_MIN
         # the series is prepared at SHIFT_MIN where x is below it
         self.x_far = np.where(self.far, self.x, SHIFT_MIN)
         self.inv = 1.0 / self.x_far
         self.log_m1 = np.log(self.x_far) - 1.0
         self.tail = _stirling_tail(self.x_far)
+        self.inv_heads, self.head_w = 1.0 / np.array(heads), np.array(head_w)
+        self.ends = np.array(ends)
+        self.inv_ends, self.two_ends = 1.0 / self.ends, 2.0 * self.ends
+        self.log_c = 0.5 * np.log(self.ends) - 0.75
+        self.ends_tail = _barnes_tail(self.ends)
+        self.signs = np.array([1.0, -1.0] * (len(ends) // 2))
 
-    def __call__(self, h):
-        h = np.asarray(h)
+    def __call__(self, z):
+        z = np.asarray(z)
+        shifts = self._shifts(z[..., None] * self.coef)
+        # the runs' shift stays one column broadcast against the entries: on
+        # a pre-broadcast copy numpy's complex loops round some points
+        # differently depending on how many points the call has
+        a = z[..., None] * self.run_coef
+        row = shifts[..., self.split :] @ self.anchor_w + _log1p(a * self.inv_heads) @ self.head_w
+        if self.ends.size:
+            row = row + self._barnes_ends(a) @ self.signs
+        return shifts[..., : self.split] @ self.ratio_w + row
+
+    def _shifts(self, h):
         w = self.x + h
         far = self.far & (w.real >= SHIFT_MIN)
         if far.all():
             return self._series(h, w)
         if np.iscomplexobj(h):
-            out = sp.loggamma(w) - sp.loggamma(self.x.astype(complex))
+            out = sp.loggamma(w) - self.log_gamma_xc
         else:
-            out = sp.gammaln(w) - sp.gammaln(self.x)
+            out = sp.gammaln(w) - self.log_gamma_x
         if far.any():
             # near entries run the series at h = 0, where it is exactly 0
             h = np.where(far, h, 0.0)
@@ -212,88 +262,23 @@ class GammaShift:
     def _series(self, h, w):
         return (w - 0.5) * _log1p(h * self.inv) + h * self.log_m1 + (_stirling_tail(w) - self.tail)
 
-
-class BarnesShift:
-    """x -> log G(x+a+1) - log G(x+1), prepared at fixed real x >= SHIFT_MIN
-    and called with arrays of real or complex a (broadcasting against x,
-    Re(x+a) >= SHIFT_MIN).
-
-    Shift form of the asymptotic series
-    log G(w+1) = w^2/2 log w - 3w^2/4 + w log sqrt(2 pi) - log(w)/12 + zeta'(-1)
-    + sum_k B_(2k+2) / (4k(k+1) w^(2k)) taken at w = x+a and at x: with
-    log w = log x + log1p(a/x), the Theta(x^2 log x) parts cancel exactly and
-    the difference is
-    (w^2/2 - 1/12) log1p(a/x) + a(2x+a)(log(x)/2 - 3/4) + a log sqrt(2 pi)
-    plus the difference of the Bernoulli tails.  Exactly 0 at a = 0.
-    """
-
-    def __init__(self, x):
-        self.x = np.asarray(x, dtype=float)
-        if (self.x < SHIFT_MIN).any():
-            raise DomainError(f"BarnesShift: requires x >= {SHIFT_MIN:g}")
-        self.inv = 1.0 / self.x
-        self.two_x = 2.0 * self.x
-        self.log_c = 0.5 * np.log(self.x) - 0.75
-        self.tail = _barnes_tail(self.x)
-
-    def __call__(self, a):
-        a = np.asarray(a)
-        w = self.x + a
+    def _barnes_ends(self, a):
+        w = self.ends + a
         if (w.real < SHIFT_MIN).any():
-            raise DomainError(f"BarnesShift: requires Re(x+a) >= {SHIFT_MIN:g}")
+            raise DomainError("GammaRatioSum: a run longer than RUN_HEAD needs Re(b + run_coef z) >= 0")
         return (
-            (0.5 * w * w - 1.0 / 12.0) * _log1p(a * self.inv)
-            + a * (self.two_x + a) * self.log_c
+            (0.5 * w * w - 1.0 / 12.0) * _log1p(a * self.inv_ends)
+            + a * (self.two_ends + a) * self.log_c
             + a * _LN_SQRT_2PI
-            + (_barnes_tail(w) - self.tail)
+            + (_barnes_tail(w) - self.ends_tail)
         )
-
-
-#: terms at the start of a run taken by recurrence from one gamma shift;
-#: past them b+j and Re(b+a+j) are at least SHIFT_MIN whenever Re(b+a) > 0
-RUN_HEAD = int(SHIFT_MIN) + 1
-
-
-class GammaRun:
-    """a -> sum over runs (b, k) of sum_{j<k} [log Gamma(b+a+j) - log Gamma(b+j)],
-    prepared for runs of real b > 0 and integer k >= 1 and called with arrays
-    of real or complex a with Re(b+a) > 0; a call costs the same at every k.
-
-    With g(w) = log Gamma(w+a) - log Gamma(w) and J = min(k, RUN_HEAD), the
-    head follows from g(w+1) = g(w) + log1p(a/w):
-    sum_{j<J} g(b+j) = J g(b+J) - sum_{i<J} (i+1) log1p(a/(b+i)),
-    and the rest telescopes through G(w+1) = Gamma(w) G(w) to
-    S(b+k-1, a) - S(b+J-1, a), S the Barnes G shift (BarnesShift).
-    """
-
-    def __init__(self, runs):
-        anchors, anchor_w, heads, head_w, ends = [], [], [], [], []
-        for b, k in runs:
-            j = min(k, RUN_HEAD)
-            anchors.append(b + j)
-            anchor_w.append(float(j))
-            heads += [b + i for i in range(j)]
-            head_w += [-(i + 1.0) for i in range(j)]
-            if k > j:
-                ends += [b + k - 1.0, b + j - 1.0]
-        self.anchors, self.anchor_w = GammaShift(anchors), np.array(anchor_w)
-        self.inv_heads, self.head_w = 1.0 / np.array(heads), np.array(head_w)
-        self.ends = BarnesShift(ends) if ends else None
-        self.signs = np.array([1.0, -1.0] * (len(ends) // 2))
-
-    def __call__(self, a):
-        ac = np.asarray(a)[..., None]
-        total = self.anchors(ac) @ self.anchor_w + _log1p(ac * self.inv_heads) @ self.head_w
-        if self.ends is not None:
-            total = total + self.ends(ac) @ self.signs
-        return total
 
 
 def log_barnes_g_shift_asymptotic(z: float, a: float) -> float:
     """Leading approximation a (z log z - z + log sqrt(2 pi)) + a^2/2 log z
     for log G(z+a+1) - log G(z+1); the error decays like O((|a|^3 + 1)/z)."""
-    if not (z > 0 and z + a > 0):
-        raise DomainError("log_barnes_g_shift_asymptotic: requires z > 0 and z + a > 0")
+    if not (0.0 < z < math.inf and math.isfinite(a) and z + a > 0):
+        raise DomainError("log_barnes_g_shift_asymptotic: z and a must be finite, with z > 0 and z + a > 0")
     return a * (z * math.log(z) - z + _LN_SQRT_2PI) + 0.5 * a * a * math.log(z)
 
 

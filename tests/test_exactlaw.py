@@ -13,7 +13,7 @@ from scipy.special import gammainc, gammaincinv, gammaln, loggamma
 from pdvol.errors import DomainError
 from pdvol.exactlaw import (
     ModelParams,
-    _row_sum,
+    _row_runs,
     cgf,
     log_angular_simplex_moment,
     log_typical_cell_constant,
@@ -25,10 +25,15 @@ from pdvol.exactlaw import (
     volume_moment,
     weighted_intensity_ratio,
 )
-from pdvol.specfun import log_unit_ball_volume
+from pdvol.specfun import GammaRatioSum, log_unit_ball_volume
 
 RNG = np.random.default_rng(90125)
 EPS = np.finfo(float).eps
+
+
+def row_sum(n, mu, a):
+    """The row at shift a, from the runs the moment formula's plan uses."""
+    return GammaRatioSum((), _row_runs(n, mu))(a)
 
 
 def direct_row(n, mu, a):
@@ -285,7 +290,7 @@ def test_cgf_matches_direct_sum_oracle():
             value, scale = direct_log_moment(p, z)
             assert np.all(np.abs(got - value) <= 1e-12 * np.abs(value) + 4.0 * EPS * scale), (n, mu)
             row, row_scale = direct_row(n, mu, z / 2.0)
-            assert np.all(np.abs(_row_sum(n, mu, z / 2.0) - row) <= 1e-12 * np.abs(row) + 4.0 * EPS * row_scale)
+            assert np.all(np.abs(row_sum(n, mu, z / 2.0) - row) <= 1e-12 * np.abs(row) + 4.0 * EPS * row_scale)
 
 
 @pytest.mark.parametrize("n, mu", [(10**5, -1.0), (10**6, 0.0)])
@@ -294,8 +299,20 @@ def test_row_sum_matches_mpmath_at_large_n(n, mu):
     # the Euler-Maclaurin sum in mpmath does not
     for a in (1.25j, (-(mu + 3.0) + 0.05 + 0.4j) / 2.0, 0.65):
         ref = row_mpmath(n, mu, a)
-        got = complex(_row_sum(n, mu, np.array([complex(a)]))[0])
+        got = complex(row_sum(n, mu, np.array([complex(a)]))[0])
         assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_cgf_independent_of_batching():
+    # each point's value must not depend on the other points of its call:
+    # the same 40000 extended-strip points in one call and in calls of 100
+    p = ModelParams(1000, -1.0)
+    gen = np.random.default_rng(4)
+    edge = strip_edge(p, extended=True)
+    z = gen.uniform(edge + 1e-5, -(p.mu + 2.0), 40000) + 1j * gen.uniform(-40.0, 40.0, 40000)
+    whole = cgf(p, z, extended=True)
+    chunks = np.concatenate([cgf(p, z[i : i + 100], extended=True) for i in range(0, z.size, 100)])
+    assert whole.tobytes() == chunks.tobytes()
 
 
 def test_cgf_memory_bounded_at_large_n():
@@ -331,7 +348,7 @@ def test_cgf_properties(params, u, im):
     assert cgf(params, 1j * im).real <= 1e-12  # |phi(t)| <= 1
     a = np.array([z / 2.0])
     row, row_scale = direct_row(params.n, params.mu, a)
-    assert abs(_row_sum(params.n, params.mu, a)[0] - row[0]) <= 1e-12 * abs(row[0]) + 4.0 * EPS * row_scale[0]
+    assert abs(row_sum(params.n, params.mu, a)[0] - row[0]) <= 1e-12 * abs(row[0]) + 4.0 * EPS * row_scale[0]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -361,6 +378,14 @@ def test_radius_cdf_monotone_in_unit_interval(params, t):
 
 
 _P3 = ModelParams(3, 0.0, 1.0)
+
+
+def test_log_volume_moment_refuses_non_finite_s():
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            log_volume_moment(_P3, s)
+    with pytest.raises(DomainError, match="domain edge"):
+        log_volume_moment(_P3, -2.0)
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,9 @@ import pytest
 
 from pdvol.errors import DomainError
 from pdvol.specfun import (
+    RUN_HEAD,
     SHIFT_MIN,
-    BarnesShift,
-    GammaShift,
+    GammaRatioSum,
     digamma,
     log_barnes_g,
     log_barnes_g_shift_asymptotic,
@@ -170,48 +170,69 @@ def test_barnes_shift_asymptotic_decay():
     assert log_barnes_g(102.0) - log_barnes_g(102.0) == 0.0
 
 
+def test_barnes_asymptotic_branch_against_mpmath():
+    # the series branch from x = 15 on, against 30-digit Barnes G
+    for x in [*np.linspace(15.0, 30.0, 212), 50.0, 100.0, 1e3, 1e4, 1e6]:
+        with mp.workdps(30):
+            ref = float(mp.log(mp.barnesg(mp.mpf(float(x)))))
+        assert abs(log_barnes_g(float(x)) - ref) <= 2e-15 * abs(ref)
+
+
 def test_gamma_shift_against_mpmath():
-    # both branches: plain log-gammas below SHIFT_MIN, Stirling's shift form above
+    # a single ratio in both branches: plain log-gammas below SHIFT_MIN,
+    # Stirling's shift form above
     for x in (0.3, 2.5, 9.99, 10.0, 37.5, 1e3, 5e11):
         for h in (0.7, 2.0, -0.29, -0.2 + 3j, 5.0 - 40j, 1e-7j):
             if (x + h).real <= 0:
                 continue
             with mp.workdps(30):
                 ref = complex(mp.loggamma(mp.mpf(x) + mp.mpmathify(h)) - mp.loggamma(mp.mpf(x)))
-            got = complex(GammaShift(x)(h))
+            got = complex(GammaRatioSum([(x, 1.0, 1.0)])(h))
             assert abs(got - ref) <= 5e-15 * max(1.0, abs(ref))
-    x = np.array([1.5, 40.0, 1e6])
-    assert np.all(GammaShift(x)(0.0) == 0.0) and np.all(GammaShift(x)(0j) == 0.0)
+    ratios = [(x, 1.0, 1.0) for x in (1.5, 40.0, 1e6)]
+    assert GammaRatioSum(ratios)(0.0) == 0.0 and GammaRatioSum(ratios)(0j) == 0.0
+    with pytest.raises(DomainError):
+        GammaRatioSum([(0.0, 1.0, 1.0)])
+
+
+def run_mpmath(b, k, a):
+    """sum_{j<k} [log Gamma(b+j+a) - log Gamma(b+j)] in 30 digits, through
+    Barnes G: prod_{j<k} Gamma(w+j) = G(w+k)/G(w)."""
+    with mp.workdps(30):
+        b, a = mp.mpf(b), mp.mpmathify(a)
+        g = [mp.log(mp.barnesg(w)) for w in (b + k + a, b + a, b + k, b)]
+        return complex(g[0] - g[1] - g[2] + g[3])
 
 
 def test_barnes_shift_against_mpmath():
-    for x in (SHIFT_MIN, 10.5, 37.0, 1e3, 5e5):
+    # runs past RUN_HEAD end in the Barnes series in shift form
+    for b, k in ((0.5, RUN_HEAD + 1), (1.25, 23), (10.0, 100), (37.0, 1000), (2.25, 5 * 10**5)):
         for a in (0.3, -0.45, 7.0, 3 + 4j, 1e-3j, -0.45 + 30j):
-            if (x + a).real < SHIFT_MIN:
+            if (b + a).real <= 0:
                 continue
-            with mp.workdps(30):
-                w = mp.mpf(x) + mp.mpmathify(a)
-                ref = complex(mp.log(mp.barnesg(w + 1)) - mp.log(mp.barnesg(mp.mpf(x) + 1)))
-            got = complex(BarnesShift(x)(a))
-            # mpmath's log of G is principal; the shift is the continuation
+            ref = run_mpmath(b, k, a)
+            got = complex(GammaRatioSum((), [(b, k)])(a))
+            # mpmath's log of G is principal; the run is the continuation
             turns = round((got.imag - ref.imag) / (2.0 * math.pi))
             ref += 2j * math.pi * turns
             assert abs(got - ref) <= 5e-15 * max(1.0, abs(ref))
-            # the branch: G(w+1) = Gamma(w) G(w) links neighbouring shifts
-            step = complex(BarnesShift(x + 1.0)(a) - BarnesShift(x)(a))
-            assert step == pytest.approx(complex(GammaShift(x + 1.0)(a)), rel=1e-10, abs=1e-12)
-    assert np.all(BarnesShift([10.0, 1e6])(0j) == 0.0)
+            # the branch: neighbouring runs differ by one gamma ratio
+            step = complex(GammaRatioSum((), [(b, k + 1)])(a) - GammaRatioSum((), [(b, k)])(a))
+            assert step == pytest.approx(complex(GammaRatioSum([(b + k, 1.0, 1.0)])(a)), rel=1e-10, abs=1e-12)
+    assert GammaRatioSum((), [(10.0, 50), (1e6, 10**6)])(0j) == 0.0
     with pytest.raises(DomainError):
-        BarnesShift(SHIFT_MIN - 0.5)
-    with pytest.raises(DomainError):
-        BarnesShift(12.0)(-2.5 + 1j)
+        GammaRatioSum((), [(1.5, 20)])(-2.5 + 1j)
+    for run in ((0.0, 20), (1.5, 0), (1.5, 2.5)):
+        with pytest.raises(DomainError):
+            GammaRatioSum((), [run])
 
 
 def test_barnes_domain():
     with pytest.raises(DomainError):
         log_barnes_g(0.0)
-    with pytest.raises(DomainError):
-        log_barnes_g_shift_asymptotic(-1.0, 1.0)
+    for z, a in ((-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (100.0, math.inf), (100.0, math.nan)):
+        with pytest.raises(DomainError):
+            log_barnes_g_shift_asymptotic(z, a)
 
 
 def test_reg_lower_incomplete_gamma():
