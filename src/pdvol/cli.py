@@ -5,9 +5,11 @@ berry-esseen, ldp, modphi, sample, delaunay2d, report.  Output is versioned
 JSON (one document per file) or RFC-4180 CSV; every document embeds the
 package version and its configuration: the subcommand followed by every
 parsed flag in declaration order, except ``--output``, ``--format`` and
-``--per-triangle``, which only say where or how to write.  ``specfun`` embeds
-only the inputs its function reads.  Each handler returns its document, a
-dict for JSON or ``(rows, columns)`` for CSV, and ``_emit`` writes it.
+``--per-triangle``, which only say where or how to write; the per-triangle
+CSV embeds the same configuration plus ``"detail": "per-triangle"``.
+``specfun`` embeds only the inputs its function reads.  Each handler returns
+its document, a dict for JSON or ``(rows, columns)`` for CSV, and ``_emit``
+writes it.
 Exit codes: 0 success, 1 usage error (including a malformed flag value),
 2 domain error, 3 numerical-convergence failure, 4 a claim reported
 ``fail`` (report only).
@@ -68,12 +70,17 @@ def _csv_text(rows, columns, config: dict) -> str:
     return buf.getvalue()
 
 
+def _config(args) -> dict:
+    """The subcommand followed by every parsed flag but those in _NOT_CONFIG."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
 def _emit(args, payload) -> None:
     """Write a handler's document to ``--output``: a dict as JSON, ``(rows, columns)`` as CSV."""
     if args.subcommand == "specfun":
         config = {"subcommand": "specfun", "function": args.function, **payload["input"]}
     else:
-        config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+        config = _config(args)
     if isinstance(payload, dict):
         document = {"schema_version": SCHEMA_VERSION, "artifact_version": __version__, "config": config,
                     **payload}
@@ -309,7 +316,7 @@ def cmd_delaunay2d(args):
                      provenance="tessellation")
                 for a, r, c in zip(tri.areas, tri.radii, tri.centers)]
         _write_text(_csv_text(rows, ["area", "circumradius", "cx", "cy", "provenance"],
-                              {"subcommand": "delaunay2d", "detail": "per-triangle", "seed": args.seed}),
+                              {**_config(args), "detail": "per-triangle"}),
                     args.per_triangle)
     return {"mu": args.mu, "s": args.s, "estimate": float(ests.mean()), "std_error": pooled_se,
             "replicates": per_rep, "provenance": "tessellation"}

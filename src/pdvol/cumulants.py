@@ -1,18 +1,14 @@
 """Exact cumulants of Y = log V_n(Z_mu) and their asymptotic expansions.
 
-The m-th cumulant has a closed polygamma form (differentiating the gamma
-product of the moment formula m times at 0).  Its row sum over i = 1..n is
-taken in closed form, so a cumulant costs the same at every n: orders 1 and 2
-use the paper's summation identities (``polygamma_sums.digamma_sum_closed``
-and ``trigamma_sum_closed``, production code here and checked against their
-direct sums by the claim report), higher orders a telescoped Hurwitz-zeta
-difference.  The closed sums lose about log10(mu/n) digits when the weight
-dwarfs the dimension (measured: 1.5e-11 relative on c_1 at n = 7, mu = 1e4).
-An independent finite-difference oracle differentiates the cumulant
-generating function numerically.  The closed form's last term is the true
-m-th derivative of -(n-1) log(n+mu+s), i.e. -(n-1) (-1)^(m-1) (m-1)! /
-(n+mu)^m, which the oracle confirms (a plain -(n-1)/(n+mu)^m variant fails
-it for every m >= 2).
+The m-th cumulant is the m-th derivative at 0 of the cumulant generating
+function log E V^z, whose gamma product ``exactlaw._plan`` prepares once per
+(n, mu): the moment formula is stated there only, and ``cumulant_exact``
+differentiates that plan (``specfun.GammaRatioSum.derivative``).  The row of
+n polygamma values is summed through the plan's runs at a cost that does not
+depend on n, with no digits lost when the weight dwarfs the dimension.  The
+paper's closed row sums in ``polygamma_sums`` are checked against their direct
+sums by the claim report, and an independent finite-difference oracle
+differentiates the cumulant generating function numerically.
 
 Also here: the mean/variance expansions, the explicit cumulant bound for
 m >= 3, per-regime leading terms, the deviation scale epsilon_n, and the
@@ -26,15 +22,11 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
-import numpy as np
 from scipy.special import digamma as _psi
-from scipy.special import gammaln
 from scipy.special import polygamma as _polygamma
-from scipy.special import zeta as _zeta
 
 from .errors import DomainError
-from .exactlaw import STRIP_GUARD, ModelParams, cgf, strip_edge
-from .polygamma_sums import digamma_sum_closed, trigamma_sum_closed
+from .exactlaw import STRIP_GUARD, ModelParams, _linear, _plan, cgf, strip_edge
 
 __all__ = [
     "CumulantReport",
@@ -53,35 +45,21 @@ __all__ = [
 
 
 def cumulant_exact(params: ModelParams, m: int) -> float:
-    """m-th cumulant of log V_n(Z_mu) in closed polygamma form, m >= 1.
+    """m-th cumulant of log V_n(Z_mu), m >= 1: the m-th z-derivative at 0 of
+    log E V^z, taken from the same prepared gamma-ratio plan that evaluates
+    the cumulant generating function (``specfun.GammaRatioSum.derivative``),
+    plus for m = 1 the part of log E V^z linear in z.
 
-    The row sum sum_{i=1..n} psi^(m-1)((i+mu)/2 + 1) / 2^m is taken in closed
-    form, at a cost that does not depend on n: for m = 1, 2 from the paper's
-    ``digamma_sum_closed`` / ``trigamma_sum_closed`` at a = mu+2, k = n; for
-    m >= 3 from psi^(m-1)(x) = (-1)^m (m-1)! zeta(m, x) and, by parity of i,
-    sum_{j<K} zeta(s, b+j) = T(b) - T(b+K), T(y) = zeta(s-1, y) - (y-1) zeta(s, y),
-    with b = mu/2 + 2, K = floor(n/2) and b = (mu+3)/2, K = ceil(n/2).
+    Its cost does not depend on n, and no digits are lost when the weight
+    dwarfs the dimension: against 50-digit mpmath over n <= 1e6, mu <= 1e8
+    and m <= 8 the relative error is below 2.5e-14 where mu < 100 n and below
+    4e-12 where mu >= 100 n, about n ulps of the moment formula's own
+    cancellation.
     """
     if m < 1 or m != int(m):
         raise DomainError("cumulant_exact: order m must be an integer >= 1")
     m = int(m)
-    n, mu, gam = params.n, params.mu, params.gamma
-    # psi^(m-1) at the four remaining gamma arguments, with their weights
-    x = np.array([n + mu, (n + 1) * (n + mu) / 2.0, n * (n + mu + 1.0) / 2.0, (n + mu) / 2.0])
-    w = np.array([1.0, ((n + 1) / 2.0) ** m, -((n / 2.0) ** m), -(n + 1) / 2.0**m])
-    if m == 1:
-        c = gammaln(n / 2.0 + 1.0) - math.log(gam) - (n / 2.0) * math.log(math.pi) - gammaln(n + 1.0)
-        c += w @ _psi(x) + digamma_sum_closed(mu + 2.0, n)
-    elif m == 2:
-        c = w @ _zeta(2.0, x) + trigamma_sum_closed(mu + 2.0, n)
-    else:
-        b = np.array([mu / 2.0 + 2.0, (mu + 3.0) / 2.0])
-        y = np.concatenate([b, b + [n // 2, (n + 1) // 2]])
-        zt = _zeta(np.repeat([m, m, m - 1], 4), np.concatenate([x, y, y]))
-        row = (zt[8:] - (y - 1.0) * zt[4:8]) @ [1.0, 1.0, -1.0, -1.0]
-        c = (-1.0) ** m * math.factorial(m - 1) * (w @ zt[:4] + row / 2.0**m)
-    c -= (n - 1.0) * (-1.0) ** (m - 1) * math.factorial(m - 1) / (n + mu) ** m
-    return float(c)
+    return _plan(params.n, params.mu).derivative(m) + (m == 1) * _linear(params)
 
 
 #: the oracle's Ridders tableau: 8 steps, each 1.5 times smaller than the last

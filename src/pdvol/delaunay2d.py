@@ -329,10 +329,14 @@ def estimate_radius_cdf(tri: Triangulation, window: SimWindow, mu: float, t_grid
     return values, ess
 
 
-def audit_empty_circumdisk(tri: Triangulation, n_audits: int, rng: np.random.Generator, tol: float = 1e-9) -> int:
+#: relative predicate tolerance of the empty-circumdisk audit
+_AUDIT_TOL = 1e-9
+
+
+def audit_empty_circumdisk(tri: Triangulation, n_audits: int, rng: np.random.Generator) -> int:
     """Count audited triangles whose open circumdisk strictly contains a
     point beyond the predicate tolerance: a point nearer to the circumcenter
-    than radius * (1 - tol).  Should be zero.
+    than radius * (1 - _AUDIT_TOL).  Should be zero.
 
     The nearest points come from a KD-tree of the points alone, independent
     of Qhull's output; on the torus the tree is periodic, so distances are
@@ -344,7 +348,7 @@ def audit_empty_circumdisk(tri: Triangulation, n_audits: int, rng: np.random.Gen
     m = tri.n_triangles
     chosen = rng.choice(m, size=min(n_audits, m), replace=False)
     nearest, _ = tree.query(tri.centers[chosen], k=1)
-    return int(np.count_nonzero(nearest < tri.radii[chosen] * (1.0 - tol)))
+    return int(np.count_nonzero(nearest < tri.radii[chosen] * (1.0 - _AUDIT_TOL)))
 
 
 def tiling_defect(tri: Triangulation) -> float:

@@ -184,6 +184,8 @@ def _standardized_cdf(params: ModelParams, law: StandardizedLaw, y):
     if not np.isfinite(ys).all():
         raise DomainError("standardized_cdf: evaluation points must be finite")
     F, _ = _invert(params, law, _chunked_cdf(ys))
+    # the quadrature's rounding leaves F up to about 1e-11 outside [0, 1] in the tails
+    F = np.clip(F, 0.0, 1.0)
     return F if np.ndim(y) else float(F[0])
 
 
@@ -294,15 +296,17 @@ def two_sided_tail(params: ModelParams, y: float) -> float:
     return float(F[0] + 1.0 - F[1])
 
 
-def fit_envelope_coefficient(tails, ys, eps: float, c_grid=None) -> float:
-    """Smallest coefficient c on a grid for which every observed two-sided
-    tail is below the concentration envelope 2 exp(-y^2/(2 + c y/eps)).
-    Constants here are fitted, never asserted."""
+#: the coefficients fit_envelope_coefficient tries, in increasing order
+_ENVELOPE_C_GRID = np.concatenate([np.linspace(0.01, 5.0, 500), np.linspace(5.1, 100.0, 950)])
+
+
+def fit_envelope_coefficient(tails, ys, eps: float) -> float:
+    """Smallest coefficient c on a fixed grid (0.01 to 100) for which every
+    observed two-sided tail is below the concentration envelope
+    2 exp(-y^2/(2 + c y/eps)).  Constants here are fitted, never asserted."""
     from .cumulants import concentration_envelope
 
-    if c_grid is None:
-        c_grid = np.concatenate([np.linspace(0.01, 5.0, 500), np.linspace(5.1, 100.0, 950)])
-    for c in c_grid:
+    for c in _ENVELOPE_C_GRID:
         if all(p <= concentration_envelope(y, float(c), eps) for p, y in zip(tails, ys)):
             return float(c)
     return float("inf")

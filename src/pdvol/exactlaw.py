@@ -179,14 +179,19 @@ def _plan(n: int, mu: float) -> GammaRatioSum:
     return GammaRatioSum(ratios, _row_runs(n, mu), 0.5)
 
 
+def _linear(params: ModelParams) -> float:
+    """The part of log E V^z linear in z, over z: log Gamma(n/2 + 1) - log gamma
+    - (n/2) log pi - log n!."""
+    n = params.n
+    return gammaln(n / 2.0 + 1.0) - math.log(params.gamma) - (n / 2.0) * math.log(math.pi) - gammaln(n + 1.0)
+
+
 def _log_moment_terms(params: ModelParams, z):
     """log E V^z at a real or complex array z.  Its cost does not depend on
     n, no log-gamma of size Theta(n^2 log n) is ever formed, and it is
     exactly 0 at z = 0."""
-    n, gam = params.n, params.gamma
     z = np.asarray(z)
-    linear = gammaln(n / 2.0 + 1.0) - math.log(gam) - (n / 2.0) * math.log(math.pi) - gammaln(n + 1.0)
-    return _plan(n, params.mu)(z) + z * linear
+    return _plan(params.n, params.mu)(z) + z * _linear(params)
 
 
 def log_volume_moment(params: ModelParams, s: float) -> float:

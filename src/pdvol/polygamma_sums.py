@@ -1,10 +1,10 @@
 """Closed forms and bounds for partial sums of polygamma values at
 half-integer-spaced arguments: sum_{j=1..k} psi^(m)((j+a)/2).
 
-These sums drive the cumulant expansions: ``cumulants.cumulant_exact`` takes
-its orders 1 and 2 from the closed forms, at a = mu+2 and k = n.  Each closed
-form is kept next to its direct-summation counterpart and the two are
-compared as a harness.
+At a = mu+2 and k = n they are the row sums of the first two cumulants,
+which ``cumulants.cumulant_exact`` takes from the exact-law plan instead: the
+closed forms here are the paper's claims, each kept next to its
+direct-summation counterpart and compared with it by the claim report.
 ``digamma_sum_closed_alt`` preserves an alternative grouping of the odd-k
 tail that carries a spurious constant; its offset against the direct sum is
 reported, not silently absorbed (see ``digamma_sum_offset``).

@@ -9,10 +9,11 @@ equation G(z+1) = Gamma(z) G(z) below x = 15, and from its Bernoulli
 asymptotic series, anchored at the Glaisher-Kinkelin constant, above.
 Weighted sums of gamma ratios log Gamma(x+cz)/Gamma(x), together with runs
 sum_{j<k} log Gamma(b+j+a)/Gamma(b+j), are one ``GammaRatioSum``: prepared
-once per set of arguments, then called with arrays of real or complex z.  At
-large arguments it takes Stirling's and the same Barnes series in shift form,
-with their large parts cancelled analytically, so a call costs the same at
-every run length.  All functions are pure and thread-safe.
+once per set of arguments, then called with arrays of real or complex z, or
+differentiated in z at 0.  At large arguments it takes Stirling's and the same
+Barnes series in shift form, with their large parts cancelled analytically, so
+a call costs the same at every run length.  All functions are pure and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -165,6 +166,29 @@ def _barnes_tail(w):
     return v * (np.power.outer(v, _POWERS[: len(_BARNES_TAIL)]) @ _BARNES_TAIL)
 
 
+def _polygamma(q, x):
+    # psi^(q)(x) for an integer q >= 0 and x > 0, without polygamma()'s checks
+    return sp.digamma(x) if q == 0 else (-1.0) ** (q + 1) * math.factorial(q) * sp.zeta(q + 1.0, x)
+
+
+def _psi_difference(q, y, log, psi_top, psi_start):
+    """psi^(q)(y+h) - psi^(q)(y) with log = log1p(h/y).  Below y = 20 + 2q it
+    is the difference of the given values; from there on it is the (q+1)-th
+    derivative of Stirling's series (y - 1/2) log y - y + sum_k t_k y^(1-2k)
+    (t_k the entries of _STIRLING_TAIL), a sum of terms C y^-p, with each
+    (y+h)^-p - y^-p taken as y^-p expm1(-p log), so no digits are lost when
+    y >> h.  The first omitted term is below 3e-18 of the difference (checked
+    to q = 60)."""
+    if y < 20.0 + 2.0 * q:
+        return psi_top - psi_start
+    # (p, C) from the q-th derivative of log y, then of -1/(2y) and of the tail
+    terms = [(q, (-1.0) ** (q - 1) * math.factorial(q - 1))] if q else []
+    terms.append((q + 1, -0.5 * (-1.0) ** q * math.factorial(q)))
+    for k, t in enumerate(_STIRLING_TAIL.tolist(), 1):
+        terms.append((2 * k + q, t * math.prod(range(1 - 2 * k - q, 2 - 2 * k))))
+    return sum(c * y**-p * math.expm1(-p * log) for p, c in terms) + (0.0 if q else log)
+
+
 #: terms at the start of a run taken by recurrence from its anchor; past
 #: them b+j and Re(b+a+j) are at least SHIFT_MIN whenever Re(b+a) >= 0
 RUN_HEAD = int(SHIFT_MIN) + 1
@@ -202,7 +226,7 @@ class GammaRatioSum:
     def __init__(self, ratios, runs=(), run_coef=1.0):
         x, coef, weight = (list(col) for col in zip(*ratios)) if ratios else ([], [], [])
         self.split = len(x)
-        heads, head_w, ends = [], [], []
+        heads, head_w, ends, spans = [], [], [], []
         for b, k in runs:
             if not (b > 0 and k >= 1 and k == int(k)):
                 raise DomainError("GammaRatioSum: a run needs b > 0 and an integer k >= 1")
@@ -214,6 +238,7 @@ class GammaRatioSum:
             head_w += [-(i + 1.0) for i in range(j)]
             if k > j:
                 ends += [b + k - 1.0, b + j - 1.0]
+                spans.append((b + j, float(k - j)))
         self.x, self.coef, self.run_coef = np.array(x, dtype=float), np.array(coef, dtype=float), run_coef
         if not (self.x > 0.0).all():
             raise DomainError("GammaRatioSum: ratios need x > 0")
@@ -225,12 +250,22 @@ class GammaRatioSum:
         self.inv = 1.0 / self.x_far
         self.log_m1 = np.log(self.x_far) - 1.0
         self.tail = _stirling_tail(self.x_far)
-        self.inv_heads, self.head_w = 1.0 / np.array(heads), np.array(head_w)
+        self.heads, self.head_w = np.array(heads), np.array(head_w)
+        self.inv_heads = 1.0 / self.heads
         self.ends = np.array(ends)
         self.inv_ends, self.two_ends = 1.0 / self.ends, 2.0 * self.ends
         self.log_c = 0.5 * np.log(self.ends) - 0.75
         self.ends_tail = _barnes_tail(self.ends)
         self.signs = np.array([1.0, -1.0] * (len(ends) // 2))
+        # derivative(m): a Barnes end spans the h = k-J terms from y = b+J on;
+        # psi^(m-1) is taken at the ratios, the anchors, the ends' tops y+h
+        # (weight h) and their starts y
+        self.spans = [(y, h, math.log1p(h / y)) for y, h in spans]
+        self.psi_x = np.array(x + [y + h for y, h in spans] + [y for y, _ in spans])
+        self.psi_w = np.array(weight + [h for _, h in spans])
+        self.psi_c = np.array(coef + [run_coef] * len(spans), dtype=float)
+        #: derivative(m) by m: the value depends on the arguments and m alone
+        self.derivatives = {}
 
     def __call__(self, z):
         z = np.asarray(z)
@@ -243,6 +278,38 @@ class GammaRatioSum:
         if self.ends.size:
             row = row + self._barnes_ends(a) @ self.signs
         return shifts[..., : self.split] @ self.ratio_w + row
+
+    def derivative(self, m):
+        """The m-th z-derivative at z = 0, m >= 1: the sum over ratios of
+        w c^m psi^(m-1)(x) plus run_coef^m times the sum over runs of
+        sum_{j<k} psi^(m-1)(b+j), from the same three blocks:
+
+        * ratios and anchors give w c^m psi^(m-1)(x);
+        * the heads' log1p(a/(b+i)) differentiate to (-1)^(m-1) (m-1)!/(b+i)^m;
+        * a Barnes end sums psi^(m-1) over b+J .. b+k-1 as U(b+k) - U(b+J),
+          U(y) = (y-1) psi^(m-1)(y) + (m-1) psi^(m-2)(y) (less y for m = 1),
+          taken as h psi^(m-1)(y+h) + (y-1) D_(m-1) + (m-1) D_(m-2) with
+          y = b+J, h = k-J and D_q = psi^(q)(y+h) - psi^(q)(y).  Where
+          y >= 20 + 2q, D_q is the (q+1)-th derivative of Stirling's series in
+          shift form (see _psi_difference), so no digits are lost when b >> k.
+        """
+        if m in self.derivatives:
+            return self.derivatives[m]
+        if not (m >= 1 and m == int(m)):
+            raise DomainError("GammaRatioSum.derivative: order m must be an integer >= 1")
+        q = int(m) - 1
+        psi = _polygamma(q, self.psi_x)
+        weighted, r = len(self.psi_w), len(self.spans)
+        total = (self.psi_w * self.psi_c**m) @ psi[:weighted]
+        row = (-1.0) ** q * math.factorial(q) * (self.head_w @ self.heads ** -float(m))
+        # psi^(q), then psi^(q-1), at the ends' tops and starts
+        ends = psi[weighted - r :].tolist()
+        lower = _polygamma(q - 1, self.psi_x[weighted - r :]).tolist() if q and r else None
+        for i, (y, h, log) in enumerate(self.spans):
+            row += (y - 1.0) * _psi_difference(q, y, log, ends[i], ends[r + i])
+            row += q * _psi_difference(q - 1, y, log, lower[i], lower[r + i]) if q else -h
+        value = self.derivatives[m] = float(total + self.run_coef**m * row)
+        return value
 
     def _shifts(self, h):
         w = self.x + h

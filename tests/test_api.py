@@ -1,6 +1,7 @@
 """The public surface: every ``__all__`` entry resolves, every name the
-package re-exports is public in the module that defines it, and importing the
-package or its CLI leaves the heavy scipy subpackages unloaded."""
+package re-exports is public in the module that defines it, importing the
+package or its CLI leaves the heavy scipy subpackages unloaded, and importing
+the package leaves the closed polygamma sums unloaded."""
 
 import ast
 import importlib
@@ -46,13 +47,17 @@ def test_package_reexports_are_public():
 # loaded on first use only: the KS tests need scipy.stats, the triangulation
 # scipy.optimize and scipy.spatial, and `delaunay2d --jobs` a process pool
 DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.spatial", "concurrent.futures.process")
+# the paper's closed polygamma sums are claims under test, on no production
+# path; the CLI loads them through the claim report
+CLAIMS_ONLY = {"pdvol": ("pdvol.polygamma_sums",), "pdvol.cli": ()}
 
 
 @pytest.mark.parametrize("module", ["pdvol", "pdvol.cli"])
 def test_import_defers_heavy_modules(module):
     src = str(Path(pdvol.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, {module}; print(*(m for m in {DEFERRED!r} if m in sys.modules))"
+    deferred = DEFERRED + CLAIMS_ONLY[module]
+    code = f"import sys, {module}; print(*(m for m in {deferred!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [], f"import {module} loaded {proc.stdout.split()}"

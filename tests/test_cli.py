@@ -99,6 +99,17 @@ def test_delaunay_pool_matches_serial(tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_per_triangle_csv_embeds_the_document_config(tmp_path):
+    per = tmp_path / "tri.csv"
+    args = ["delaunay2d", "--side", "30", "--guard", "0", "--mode", "toroidal", "--mu", "0.5", "--s", "2",
+            "--seed", "9", "--per-triangle", str(per), "--output", str(tmp_path / "doc.json")]
+    assert main(args) == 0
+    config = json.loads((tmp_path / "doc.json").read_text())["config"]
+    rows = csv_rows(per.read_text())
+    assert rows and {r["config"] for r in rows} == {rows[0]["config"]}
+    assert json.loads(rows[0]["config"]) == {**config, "detail": "per-triangle"}
+
+
 def test_specfun_subcommand(capsys):
     _, out = run_cli(capsys, "specfun", "--function", "digamma", "--x", "1.0")
     doc = json.loads(out)

@@ -123,14 +123,16 @@ def test_kolmogorov_distance_bitwise_equal_to_norm_cdf(n):
 @pytest.mark.parametrize("n", [10, 1000, 10**6])
 def test_factored_cdf_matches_chunked_path(n, mu):
     # the Kolmogorov grid's factored product is the chunked sum regrouped: same
-    # panel count, F within 1e-14, and the same bits on every call
+    # panel count, F within 1e-14, and the same bits on every call; the public
+    # CDF is the chunked sum clipped to [0, 1]
     p = ModelParams(n, mu, 1.0)
     law = StandardizedLaw.from_params(p)
     ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
     F, panels = _invert(p, law, _factored_cdf)
-    _, chunked_panels = _invert(p, law, _chunked_cdf(ys))
+    chunked, chunked_panels = _invert(p, law, _chunked_cdf(ys))
     assert panels == chunked_panels
-    assert np.max(np.abs(F - standardized_cdf(p, ys))) < 1e-14
+    assert np.max(np.abs(F - chunked)) < 1e-14
+    assert np.array_equal(standardized_cdf(p, ys), np.clip(chunked, 0.0, 1.0))
     d = kolmogorov_distance_to_normal(p)
     heap = [np.ones(k) for k in (3, 1001, 65537, 12345)]
     assert kolmogorov_distance_to_normal(p) == d
@@ -216,6 +218,19 @@ def test_mod_gaussian_residual_decays():
 
 def test_speed_value():
     assert mod_gaussian_speed(200) == pytest.approx(0.5 * math.log(100.0))
+
+
+def test_inverted_cdf_stays_in_unit_interval():
+    # the quadrature's rounding left F at -1.0e-14 at (n, y) = (1000, -20) and
+    # at -1.6e-13 and -2.0e-13 at (1e4, -100) and (1e4, -20)
+    p = ModelParams(1000, -1.0, 1.0)
+    assert 0.0 <= standardized_cdf(p, -20.0) <= 1.0
+    law = StandardizedLaw.from_params(p)
+    F = cdf_inverted(p, law.mean + law.sd * np.array([-20.0, 20.0]))
+    assert ((F >= 0.0) & (F <= 1.0)).all()
+    assert 0.0 <= two_sided_tail(p, 20.0) <= 1.0
+    F = standardized_cdf(ModelParams(10**4, -1.0, 1.0), np.array([-100.0, -20.0, 20.0, 100.0]))
+    assert ((F >= 0.0) & (F <= 1.0)).all()
 
 
 def test_envelope_fit_and_tails():

@@ -227,6 +227,47 @@ def test_barnes_shift_against_mpmath():
             GammaRatioSum((), [run])
 
 
+def derivative_mpmath(ratios, runs, run_coef, m):
+    """m-th z-derivative at 0 of the gamma-ratio sum in 30 digits, term by
+    term: sum w c^m psi^(m-1)(x) + run_coef^m sum_runs sum_{j<k} psi^(m-1)(b+j)."""
+    with mp.workdps(30):
+        total = mp.fsum(w * mp.mpf(c) ** m * mp.psi(m - 1, x) for x, c, w in ratios)
+        row = mp.fsum(mp.psi(m - 1, mp.mpf(b) + j) for b, k in runs for j in range(k))
+        return total + mp.mpf(run_coef) ** m * row
+
+
+# a run past RUN_HEAD ends at y = b + RUN_HEAD, whose differences psi^(q)(y+h)
+# - psi^(q)(y) take the shift form from y = 20 + 2q on and are plain below
+@pytest.mark.parametrize("ratios, runs", [
+    pytest.param([(0.3, 1.0, 1.0)], (), id="ratio-x0.3"),
+    pytest.param([(37.5, 2.5, -3.0)], (), id="ratio-x37.5"),
+    pytest.param([(12.0, -1.5, 0.25)], (), id="ratio-negative-c"),
+    pytest.param([(1e6, 0.5, 2.0)], (), id="ratio-x1e6"),
+    pytest.param((), [(0.5, 5)], id="run-head-only"),
+    pytest.param((), [(1.25, RUN_HEAD)], id="run-full-head"),
+    pytest.param((), [(2.5, RUN_HEAD + 1)], id="one-term-end-plain"),
+    pytest.param((), [(1e4, RUN_HEAD + 1)], id="one-term-end-shift"),
+    pytest.param((), [(1e6, 40)], id="b1e6-shift"),
+    pytest.param((), [(5e3, 100)], id="b5e3-shift"),
+    pytest.param((), [(20.0, 100)], id="b20-straddles"),  # y = 31: shift form up to q = 5
+    pytest.param((), [(0.75, 60)], id="b0.75-plain"),
+    pytest.param((), [(3.0, 80)], id="b3-plain"),
+])
+def test_derivative_against_mpmath(ratios, runs):
+    plan = GammaRatioSum(ratios, runs, 0.5)
+    for m in range(1, 9):
+        ref = derivative_mpmath(ratios, runs, 0.5, m)
+        assert abs(plan.derivative(m) - ref) <= 3e-15 * abs(ref), m
+
+
+def test_derivative_domain():
+    plan = GammaRatioSum([(2.0, 1.0, 1.0)], [(1.5, 20)])
+    for bad in (0, -1, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            plan.derivative(bad)
+    assert plan.derivative(2) == plan.derivative(2.0)
+
+
 def test_barnes_domain():
     with pytest.raises(DomainError):
         log_barnes_g(0.0)
