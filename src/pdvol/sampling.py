@@ -11,10 +11,22 @@ request whose expected proposal count size / rate exceeds the proposal budget
 drawn; the volume sampler checks it before drawing its radial part too.  A
 request under the budget still fails if an unlucky run exceeds the budget.
 
+Stream contract: every call consumes its generator in one fixed way, which
+any proposal kernel must keep so that a seed keeps giving the same draws.
+
+* ``sample_volume`` draws its ``size`` Gamma radial parts, then the angular
+  batches.
+* With ``got`` of ``size`` draws accepted, the next batch proposes
+  ``count = min(max(4 (size - got), 4096), 2e6)`` tuples.
+* Within a batch, all proposals are drawn first (three uniform angles per
+  triangle at n = 2, twelve standard normals per tetrahedron at n = 3, in
+  (tuple, vertex, coordinate) order), then ``count`` acceptance uniforms.
+* The first ``size - got`` acceptances, in proposal order, are kept; the rest
+  of the batch is consumed and discarded.
+
 All randomness flows through RngStream (counter-based Philox keyed by
-(seed, stream_id)): identical streams reproduce bit-identical batches and
-distinct stream ids are independent by construction, so batches shard across
-streams and run in parallel with no shared state.
+(seed, stream_id)): identical streams reproduce bit-identical draws, and
+distinct stream ids are independent by construction.
 """
 
 from __future__ import annotations
@@ -98,52 +110,52 @@ def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None
 
 
 def _uniform_circle(rng, count):
-    # (cos, sin) of three uniform angles per proposal, each (count, 3)
+    """Areas of ``count`` triangles on three uniform points of the unit circle
+    each, and the points as [cos, sin], each (count, 3)."""
     th = rng.uniform(0.0, 2.0 * math.pi, size=(count, 3))
-    return np.cos(th), np.sin(th)
+    x, y = np.cos(th), np.sin(th)
+    del th
+    area = 0.5 * np.abs(
+        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+    )
+    return area, [x, y]
 
 
 def _uniform_sphere(rng, count):
-    g = rng.standard_normal(size=(count, 4, 3))
-    return g / np.sqrt((g * g).sum(axis=2, keepdims=True))
-
-
-def _simplex_volume(u):
-    """Triangle area for a circle proposal (cos, sin), tetrahedron volume for
-    a sphere proposal (count, 4, 3)."""
-    if isinstance(u, tuple):
-        x, y = u
-        return 0.5 * np.abs(
-            (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
-        )
-    # edge vectors u_j - u_0, one contiguous array per component
-    a, b, c = ([u[:, j, k] - u[:, 0, k] for k in range(3)] for j in (1, 2, 3))
+    """Volumes of ``count`` tetrahedra on four uniform points of the unit
+    sphere each, and the points as [ux, uy, uz], each (count, 4)."""
+    g = rng.standard_normal(size=(count, 4, 3)).reshape(4 * count, 3)
+    x, y, z = g.T
+    r = np.sqrt(x * x + y * y + z * z)
+    u = [np.divide(comp, r).reshape(count, 4) for comp in (x, y, z)]
+    del g, x, y, z, r
+    # edge vectors u_j - u_0, one array per component
+    a, b, c = ([comp[:, j] - comp[:, 0] for comp in u] for j in (1, 2, 3))
     det = (
         a[0] * (b[1] * c[2] - b[2] * c[1])
         - a[1] * (b[0] * c[2] - b[2] * c[0])
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
-    return np.abs(det) / 6.0
+    return np.abs(det) / 6.0, u
 
 
-def _directions(u, idx):
-    """The selected proposals as (len(idx), n+1, n) unit vectors."""
-    if isinstance(u, tuple):
-        return np.stack([u[0][idx], u[1][idx]], axis=2)
-    return u[idx]
-
-
-def _delta_max(n: int) -> float:
-    return MAX_TRIANGLE_AREA_IN_DISK if n == 2 else MAX_TETRAHEDRON_VOLUME_IN_BALL
+def _angular_kernel(n: int, mu: float):
+    """The proposal kernel and Delta_max of the angular sampler at n in
+    {2, 3}, mu > -2.  The kernel is read from the module globals on each
+    call, so a wrapper bound over one of them sees every batch."""
+    if not mu > -2.0:
+        raise DomainError("angular sampler: mu must exceed -2")
+    if n == 2:
+        return _uniform_circle, MAX_TRIANGLE_AREA_IN_DISK
+    if n == 3:
+        return _uniform_sphere, MAX_TETRAHEDRON_VOLUME_IN_BALL
+    raise DomainError("angular sampler: only n in {2, 3} is supported")
 
 
 def _check_proposal_budget(n: int, mu: float, size: int) -> None:
     """Refuse a rejection run whose expected proposal count exceeds the budget."""
-    if n not in (2, 3):
-        raise DomainError("angular sampler: only n in {2, 3} is supported")
-    if not mu > -2.0:
-        raise DomainError("angular sampler: mu must exceed -2")
-    rate = math.exp(log_angular_simplex_moment(n, mu + 2.0) - (mu + 2.0) * math.log(_delta_max(n)))
+    _, dmax = _angular_kernel(n, mu)
+    rate = math.exp(log_angular_simplex_moment(n, mu + 2.0) - (mu + 2.0) * math.log(dmax))
     expected = size / rate if rate > 0.0 else math.inf
     if expected > _PROPOSAL_BUDGET:
         raise ConvergenceError(
@@ -153,9 +165,9 @@ def _check_proposal_budget(n: int, mu: float, size: int) -> None:
 
 
 def _rejection_batches(n: int, mu: float, rng, size: int, keep_directions: bool):
-    _check_proposal_budget(n, mu, size)
-    dmax = _delta_max(n)
-    propose = _uniform_circle if n == 2 else _uniform_sphere
+    """Accepted volumes (and unit vectors) of a run its caller has checked
+    against the proposal budget."""
+    propose, dmax = _angular_kernel(n, mu)
     deltas = np.empty(size)
     dirs = np.empty((size, n + 1, n)) if keep_directions else None
     got = 0
@@ -166,16 +178,19 @@ def _rejection_batches(n: int, mu: float, rng, size: int, keep_directions: bool)
                 f"angular sampler: no acceptance within {_PROPOSAL_BUDGET} proposals (mu = {mu:g})"
             )
         count = min(max(4 * (size - got), 4096), 2_000_000)
-        u = propose(rng, count)
-        vol = _simplex_volume(u)
+        vol, comps = propose(rng, count)
+        if not keep_directions:
+            comps = None  # drop the unit vectors before the acceptance test
         accept = rng.uniform(size=count) < (vol / dmax) ** (mu + 2.0)
         spent += count
         idx = np.nonzero(accept)[0][: size - got]
         take = len(idx)
         deltas[got : got + take] = vol[idx]
         if keep_directions:
-            dirs[got : got + take] = _directions(u, idx)
+            dirs[got : got + take] = np.stack([comp[idx] for comp in comps], axis=2)
         got += take
+        # free this batch before the next one is drawn
+        del vol, comps, accept
     return dirs, deltas
 
 
@@ -183,34 +198,33 @@ def angular_acceptance_rate(n: int, mu: float, rng: np.random.Generator, n_propo
     """Monte Carlo acceptance rate of the rejection sampler, i.e. the mean of
     (Delta/Delta_max)^(mu+2) over uniform proposals; equals the ratio of the
     (mu+2) angular moment to Delta_max^(mu+2)."""
-    if n not in (2, 3):
-        raise DomainError("angular sampler: only n in {2, 3} is supported")
-    propose = _uniform_circle if n == 2 else _uniform_sphere
-    vol = _simplex_volume(propose(rng, n_proposals))
-    return float(np.mean((vol / _delta_max(n)) ** (mu + 2.0)))
+    propose, dmax = _angular_kernel(n, mu)
+    vol, _ = propose(rng, n_proposals)
+    return float(np.mean((vol / dmax) ** (mu + 2.0)))
 
 
 def sample_angular_delta(n: int, mu: float, rng: np.random.Generator, size: int):
     """Batch of simplex volumes Delta under the density proportional to
     Delta^(mu+2) on unit-sphere (n+1)-tuples, by rejection from uniform."""
-    _, deltas = _rejection_batches(n, mu, rng, size, keep_directions=False)
-    return deltas
+    _check_proposal_budget(n, mu, size)
+    return _rejection_batches(n, mu, rng, size, keep_directions=False)[1]
 
 
 def sample_angular_simplex(n: int, mu: float, rng: np.random.Generator):
     """One accepted tuple of unit vectors (u_0..u_n) and its simplex volume."""
+    _check_proposal_budget(n, mu, 1)
     dirs, deltas = _rejection_batches(n, mu, rng, 1, keep_directions=True)
     return dirs[0], float(deltas[0])
 
 
 def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     """Volume draws V = R^n * Delta with independent radial and angular parts."""
-    n = params.n
-    _check_proposal_budget(n, params.mu, size)
-    rho = sample_gamma(n + params.mu + 1.0, 1.0, rng, size=size)
+    n, mu = params.n, params.mu
+    _check_proposal_budget(n, mu, size)
+    rho = sample_gamma(n + mu + 1.0, 1.0, rng, size=size)
     kappa = math.exp(log_unit_ball_volume(n))
     rn = rho / (params.gamma * kappa)
-    return rn * sample_angular_delta(n, params.mu, rng, size)
+    return rn * _rejection_batches(n, mu, rng, size, keep_directions=False)[1]
 
 
 def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int):

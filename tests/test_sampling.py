@@ -1,4 +1,7 @@
+import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +230,68 @@ def test_angular_domain_errors():
         sample_angular_delta(4, -1.0, rng, 10)
     with pytest.raises(DomainError):
         sample_volume(ModelParams(5, -1.0, 1.0), rng, 10)
+    # the acceptance rate shares the sampler's domain: (Delta/Delta_max)^(mu+2)
+    # is no probability at mu <= -2
+    for mu in (-2.0, -3.0, math.nan):
+        with pytest.raises(DomainError):
+            angular_acceptance_rate(2, mu, rng, 1000)
+
+
+# sha256 of every sampler output and generator state below, and the count
+# passed to each proposal-kernel call, recorded before the angular kernels
+# were rewritten around per-component arrays: the rewrite must keep the
+# random stream, the batch sizes and every accept decision bit for bit
+SAMPLER_DIGEST = "1f60bb39e4e7674396ba79b1fc71d11c4cbdf547b68ca40ca45f7cd04aa04ac5"
+MONTECARLO_POINTS = ((2, -1.0), (2, 0.0), (2, 1.0), (2, 3.0), (3, -1.0), (3, 0.0), (3, 2.0))
+PROPOSAL_CALLS = (
+    [(2, 4096)] * 2 + [(2, 8000)] + [(2, 4096)] * 2 + [(2, 8000)] + [(2, 4096)] * 3 + [(2, 8000)]
+    + [(2, 4096)] * 4 + [(2, 8000), (2, 4832)] + [(2, 4096)] * 2
+    + [(3, 4096)] * 2 + [(3, 8000)] + [(3, 4096)] * 3 + [(3, 8000), (3, 4980)] + [(3, 4096)] * 5
+    + [(3, 8000), (3, 7016), (3, 6244), (3, 5580), (3, 4896), (3, 4388)] + [(3, 4096)] * 9
+    + [(2, 4096)] * 10 + [(3, 4096)] * 10
+    + [(2, 5000), (3, 5000)]
+)
+
+
+def test_sampler_bit_identical_to_recorded_digest(monkeypatch):
+    calls = []
+    for n, name in ((2, "_uniform_circle"), (3, "_uniform_sphere")):
+        kernel = getattr(sampling, name)
+
+        def counted(rng, count, n=n, kernel=kernel):
+            calls.append((n, count))
+            return kernel(rng, count)
+
+        monkeypatch.setattr(sampling, name, counted)
+    h = hashlib.sha256()
+    for k, (n, mu) in enumerate(MONTECARLO_POINTS):
+        for size in (1, 7, 2000):
+            rng = RngStream(20261018, k).generator()
+            h.update(sample_volume(ModelParams(n, mu, 1.0), rng, size).tobytes())
+            h.update(repr(rng.bit_generator.state).encode())
+    for n in (2, 3):
+        for seed in range(10):
+            u, delta = sample_angular_simplex(n, 1.0, RngStream(seed, n).generator())
+            h.update(u.tobytes())
+            h.update(struct.pack("<d", delta))
+    rng = RngStream(31, 0).generator()
+    for n, mu in ((2, 0.0), (3, 2.0)):
+        h.update(struct.pack("<d", angular_acceptance_rate(n, mu, rng, 5000)))
+    assert calls == PROPOSAL_CALLS
+    assert h.hexdigest() == SAMPLER_DIGEST
+
+
+# tracemalloc peaks (bytes) of 1e5 volume draws before the rewrite, when one
+# batch's unit vectors were still alive while the next batch was drawn
+PEAK_BEFORE = {(3, 2.0): 123_996_248, (2, -1.0): 34_402_616}
+
+
+@pytest.mark.parametrize("n,mu,share", [(3, 2.0, 0.8), (2, -1.0, 1.0)])
+def test_sampler_memory_peak(n, mu, share):
+    tracemalloc.start()
+    try:
+        sample_volume(ModelParams(n, mu, 1.0), RngStream(1, 0).generator(), 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= share * PEAK_BEFORE[(n, mu)]
