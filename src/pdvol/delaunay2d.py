@@ -375,16 +375,30 @@ def edge_incidence_counts(tri: Triangulation) -> np.ndarray:
     pairs = ((0, 1), (1, 2), (2, 0))
     vi = np.concatenate([tri.vertices[:, i] for i, _ in pairs]).astype(np.int64)
     vj = np.concatenate([tri.vertices[:, j] for _, j in pairs]).astype(np.int64)
-    lo, hi = np.minimum(vi, vj), np.maximum(vi, vj)
-    keys = lo * len(tri.points) + hi
+    # keys = lo * len(points) + hi, formed in place
+    keys = np.minimum(vi, vj)
+    keys *= len(tri.points)
+    keys += np.maximum(vi, vj)
+    flip = vi > vj  # offsets run from lo to hi
+    del vi, vj
     if tri.mode == "toroidal":
-        image = np.rint((tri.coords - np.take(tri.points, tri.vertices, axis=0)) / tri.side).astype(np.int64)
-        dx, dy = (np.concatenate([image[:, j, a] - image[:, i, a] for i, j in pairs]) for a in (0, 1))
-        sign = np.where(vi > vj, -1, 1)  # offsets run from lo to hi
-        dx *= sign
-        dy *= sign
-        half = 2 * int(np.abs(image).max())
+        image = np.take(tri.points, tri.vertices, axis=0)
+        np.subtract(tri.coords, image, out=image)
+        image /= tri.side
+        np.rint(image, out=image)
+        half = 2 * int(max(image.max(), -image.min()))
+        dx, dy = (
+            np.concatenate([image[:, j, a] - image[:, i, a] for i, j in pairs]).astype(np.int64) for a in (0, 1)
+        )
+        del image
+        np.negative(dx, out=dx, where=flip)
+        np.negative(dy, out=dy, where=flip)
         width = 2 * half + 1
-        keys = (keys * width + dx + half) * width + dy + half
-    _, counts = np.unique(keys, return_counts=True)
-    return np.sort(counts)
+        keys *= width
+        keys += dx + half
+        keys *= width
+        keys += dy + half
+    # sorted, equal keys form runs; their lengths are the incidence counts
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size])
+    return np.sort(np.diff(starts, append=keys.size))

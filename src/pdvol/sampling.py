@@ -21,6 +21,9 @@ any proposal kernel must keep so that a seed keeps giving the same draws.
 * Within a batch, all proposals are drawn first (three uniform angles per
   triangle at n = 2, twelve standard normals per tetrahedron at n = 3, in
   (tuple, vertex, coordinate) order), then ``count`` acceptance uniforms.
+  A kernel may draw a batch's proposals in consecutive blocks of tuples:
+  successive draws from one generator consume it exactly as one draw of the
+  whole batch does, number for number.
 * The first ``size - got`` acceptances, in proposal order, are kept; the rest
   of the batch is consumed and discarded.
 
@@ -65,6 +68,9 @@ MAX_TRIANGLE_AREA_IN_DISK = 3.0 * math.sqrt(3.0) / 4.0
 MAX_TETRAHEDRON_VOLUME_IN_BALL = 8.0 / (9.0 * math.sqrt(3.0))
 
 _PROPOSAL_BUDGET = 10**7
+#: proposal tuples a kernel draws and reduces at a time, so that one block's
+#: arrays stay in cache whatever the batch size
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -110,33 +116,39 @@ def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None
 
 
 def _uniform_circle(rng, count):
-    """Areas of ``count`` triangles on three uniform points of the unit circle
-    each, and the points as [cos, sin], each (count, 3)."""
-    th = rng.uniform(0.0, 2.0 * math.pi, size=(count, 3))
-    x, y = np.cos(th), np.sin(th)
-    del th
-    area = 0.5 * np.abs(
-        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
-    )
-    return area, [x, y]
+    """Areas of ``count`` >= 1 triangles on three uniform points of the unit
+    circle each, drawn and reduced ``_BLOCK`` triangles at a time; for a
+    one-block batch also the points as [cos, sin], each (count, 3)."""
+    area = np.empty(count)
+    for lo in range(0, count, _BLOCK):
+        m = min(count - lo, _BLOCK)
+        th = rng.uniform(0.0, 2.0 * math.pi, size=(m, 3))
+        x, y = np.cos(th), np.sin(th)
+        area[lo : lo + m] = 0.5 * np.abs(
+            (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+        )
+    return area, ([x, y] if count <= _BLOCK else None)
 
 
 def _uniform_sphere(rng, count):
-    """Volumes of ``count`` tetrahedra on four uniform points of the unit
-    sphere each, and the points as [ux, uy, uz], each (count, 4)."""
-    g = rng.standard_normal(size=(count, 4, 3)).reshape(4 * count, 3)
-    x, y, z = g.T
-    r = np.sqrt(x * x + y * y + z * z)
-    u = [np.divide(comp, r).reshape(count, 4) for comp in (x, y, z)]
-    del g, x, y, z, r
-    # edge vectors u_j - u_0, one array per component
-    a, b, c = ([comp[:, j] - comp[:, 0] for comp in u] for j in (1, 2, 3))
-    det = (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-    return np.abs(det) / 6.0, u
+    """Volumes of ``count`` >= 1 tetrahedra on four uniform points of the unit
+    sphere each, drawn and reduced ``_BLOCK`` tetrahedra at a time; for a
+    one-block batch also the points as [ux, uy, uz], each (count, 4)."""
+    vol = np.empty(count)
+    for lo in range(0, count, _BLOCK):
+        m = min(count - lo, _BLOCK)
+        x, y, z = rng.standard_normal(size=(m, 4, 3)).reshape(4 * m, 3).T
+        r = np.sqrt(x * x + y * y + z * z)
+        u = [np.divide(comp, r).reshape(m, 4) for comp in (x, y, z)]
+        # edge vectors u_j - u_0, one array per component
+        a, b, c = ([comp[:, j] - comp[:, 0] for comp in u] for j in (1, 2, 3))
+        det = (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+        vol[lo : lo + m] = np.abs(det) / 6.0
+    return vol, (u if count <= _BLOCK else None)
 
 
 def _angular_kernel(n: int, mu: float):
@@ -178,9 +190,9 @@ def _rejection_batches(n: int, mu: float, rng, size: int, keep_directions: bool)
                 f"angular sampler: no acceptance within {_PROPOSAL_BUDGET} proposals (mu = {mu:g})"
             )
         count = min(max(4 * (size - got), 4096), 2_000_000)
+        # the kernels return unit vectors for one-block batches only
+        assert count <= _BLOCK or not keep_directions
         vol, comps = propose(rng, count)
-        if not keep_directions:
-            comps = None  # drop the unit vectors before the acceptance test
         accept = rng.uniform(size=count) < (vol / dmax) ** (mu + 2.0)
         spent += count
         idx = np.nonzero(accept)[0][: size - got]
@@ -198,6 +210,8 @@ def angular_acceptance_rate(n: int, mu: float, rng: np.random.Generator, n_propo
     """Monte Carlo acceptance rate of the rejection sampler, i.e. the mean of
     (Delta/Delta_max)^(mu+2) over uniform proposals; equals the ratio of the
     (mu+2) angular moment to Delta_max^(mu+2)."""
+    if not n_proposals >= 1:
+        raise DomainError("angular_acceptance_rate: n_proposals must be at least 1")
     propose, dmax = _angular_kernel(n, mu)
     vol, _ = propose(rng, n_proposals)
     return float(np.mean((vol / dmax) ** (mu + 2.0)))
