@@ -169,7 +169,10 @@ def _plan(n: int, mu: float) -> GammaRatioSum:
     """log E V^z for (n, mu) less its part linear in z, prepared once: the
     four gamma ratios Gamma(x + c z)/Gamma(x) of the moment formula, as
     (x, c, weight in the log), and the row at a = z/2.  Callers sweep z at
-    fixed (n, mu), so a few recent plans suffice."""
+    fixed (n, mu), so a few recent plans suffice.  Where the arguments
+    overflow, GammaRatioSum refuses them (as plain numbers: numpy scalars
+    would warn first)."""
+    n, mu = int(n), float(mu)
     ratios = (
         ((n + 1) * (n + mu) / 2.0 + 1.0, (n + 1) / 2.0, 1.0),
         (n * (n + mu + 1.0) / 2.0, n / 2.0, -1.0),

@@ -1,10 +1,14 @@
 """Special-function kernel: log-gamma, digamma, polygamma, log Barnes G,
 regularized incomplete gamma and unit-ball volumes.
 
-Everything downstream (exact moment formulas, cumulants, characteristic
-functions, limiting functions) is evaluated through this module.  The gamma
-family is delegated to scipy.special; the Barnes G-function, which scipy does
-not provide, is evaluated from its Taylor series at 1+z and the functional
+The exact law's gamma products, every polygamma value psi^(q) in the package
+(``_polygamma``, behind the public ``digamma`` and ``polygamma``) and the
+Barnes G-function are evaluated here.  Log-gammas and incomplete gammas
+elsewhere are not: exactlaw (its direct O(n) routes, linear term and radius
+law), distribution (centering constants, normal CDF) and delaunay2d call
+scipy.special themselves.  The gamma family is delegated to scipy.special;
+the Barnes G-function, which scipy does not provide, is evaluated from its
+Taylor series at 1+z (coefficients zeta(k-1) from a table) and the functional
 equation G(z+1) = Gamma(z) G(z) below x = 15, and from its Bernoulli
 asymptotic series, anchored at the Glaisher-Kinkelin constant, above.
 Weighted sums of gamma ratios log Gamma(x+cz)/Gamma(x), together with runs
@@ -12,8 +16,9 @@ sum_{j<k} log Gamma(b+j+a)/Gamma(b+j), are one ``GammaRatioSum``: prepared
 once per set of arguments, then called with arrays of real or complex z, or
 differentiated in z at 0.  At large arguments it takes Stirling's and the same
 Barnes series in shift form, with their large parts cancelled analytically, so
-a call costs the same at every run length.  All functions are pure and
-thread-safe.
+a call costs the same at every run length, and each point is reduced by its
+own dot product, so its value does not depend on the shape of the call.  All
+functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -49,13 +54,16 @@ _BARNES_TAIL = np.array([_BERNOULLI[2 * k + 2] / (4 * k * (k + 1)) for k in rang
 # B_(2k) / (2k(2k-1)), k = 1..7: the tail of log Gamma(w) in odd powers of 1/w
 _STIRLING_TAIL = np.array([1.0 / 12.0] + [_BERNOULLI[2 * k] / (2 * k * (2 * k - 1)) for k in range(2, 8)])
 _POWERS = np.arange(7.0)
+# the largest float whose square is finite
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
 #: real parts from which the shift forms are used: the first omitted terms
 #: of both series are below 4e-16 there
 SHIFT_MIN = 10.0
 # the Taylor series of log G(1+z) stops at the first term below 1e-14 in
-# magnitude (1% of an absolute tolerance of 1e-12), and fails past 10^6 terms
+# magnitude (1% of an absolute tolerance of 1e-12): by k = 42 on |z| <= 0.5,
+# inside its table of coefficients zeta(k-1), k = 3..62
 _SERIES_STOP = 0.01 * 1e-12
-_SERIES_MAX_TERMS = 10**6
+_SERIES_ZETA = sp.zeta(np.arange(2.0, 62.0)).tolist()
 
 
 def log_gamma(z):
@@ -80,12 +88,18 @@ def log_gamma(z):
     return float(out) if arr.ndim == 0 else out
 
 
+def _polygamma(q, x):
+    # psi^(q)(x) for an integer q >= 0 and x > 0, without the public checks:
+    # the package's one polygamma kernel
+    return sp.digamma(x) if q == 0 else (-1.0) ** (q + 1) * math.factorial(q) * sp.zeta(q + 1.0, x)
+
+
 def digamma(x):
     """psi(x) = d/dx log Gamma(x) for x > 0."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("digamma: argument must be positive")
-    out = sp.digamma(arr)
+    out = _polygamma(0, arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -96,7 +110,7 @@ def polygamma(m: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("polygamma: argument must be positive")
-    out = sp.polygamma(int(m), arr)
+    out = _polygamma(int(m), arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -105,13 +119,13 @@ def _log_barnes_g_series(z: float) -> float:
     #   z (log(2 pi) - 1)/2 - (1 + gamma) z^2/2 + sum_{k>=3} (-1)^(k-1) zeta(k-1) z^k / k
     total = z * (math.log(2.0 * math.pi) - 1.0) / 2.0 - (1.0 + np.euler_gamma) * z * z / 2.0
     zk = z * z
-    for k in range(3, _SERIES_MAX_TERMS):
+    for k, zeta in enumerate(_SERIES_ZETA, 3):
         zk *= z
-        term = ((-1.0) ** (k - 1)) * sp.zeta(k - 1) * zk / k
+        term = ((-1.0) ** (k - 1)) * zeta * zk / k
         total += term
         if abs(term) < _SERIES_STOP:
             return total
-    raise DomainError("log_barnes_g: series did not converge within max_terms")
+    raise DomainError(f"log_barnes_g: series did not converge within {len(_SERIES_ZETA)} terms")
 
 
 def _log_barnes_g_asymptotic(x: float) -> float:
@@ -166,11 +180,6 @@ def _barnes_tail(w):
     return v * (np.power.outer(v, _POWERS[: len(_BARNES_TAIL)]) @ _BARNES_TAIL)
 
 
-def _polygamma(q, x):
-    # psi^(q)(x) for an integer q >= 0 and x > 0, without polygamma()'s checks
-    return sp.digamma(x) if q == 0 else (-1.0) ** (q + 1) * math.factorial(q) * sp.zeta(q + 1.0, x)
-
-
 def _psi_difference(q, y, log, psi_top, psi_start):
     """psi^(q)(y+h) - psi^(q)(y) with log = log1p(h/y).  Below y = 20 + 2q it
     is the difference of the given values; from there on it is the (q+1)-th
@@ -221,6 +230,9 @@ class GammaRatioSum:
       Theta(x^2 log x) parts cancel and, with w = x+a, S(x) is
       (w^2/2 - 1/12) log1p(a/x) + a(2x+a)(log(x)/2 - 3/4) + a log sqrt(2 pi)
       plus the difference of the tails.
+
+    Arguments that overflow are refused when the plan is prepared: an x that
+    is not finite, or a Barnes end past the square root of the largest float.
     """
 
     def __init__(self, ratios, runs=(), run_coef=1.0):
@@ -242,6 +254,11 @@ class GammaRatioSum:
         self.x, self.coef, self.run_coef = np.array(x, dtype=float), np.array(coef, dtype=float), run_coef
         if not (self.x > 0.0).all():
             raise DomainError("GammaRatioSum: ratios need x > 0")
+        # the Barnes series squares its argument (w^2/2 and w^-2)
+        if not ((self.x < math.inf).all() and (np.array(ends) < _SQRT_MAX).all()):
+            raise DomainError(
+                f"GammaRatioSum: arguments overflow: x must be finite and a Barnes end below {_SQRT_MAX:.3g}"
+            )
         self.ratio_w, self.anchor_w = np.array(weight[: self.split]), np.array(weight[self.split :])
         self.log_gamma_x, self.log_gamma_xc = sp.gammaln(self.x), sp.loggamma(self.x.astype(complex))
         self.far = self.x >= SHIFT_MIN
@@ -270,14 +287,15 @@ class GammaRatioSum:
     def __call__(self, z):
         z = np.asarray(z)
         shifts = self._shifts(z[..., None] * self.coef)
-        # the runs' shift stays one column broadcast against the entries: on
-        # a pre-broadcast copy numpy's complex loops round some points
-        # differently depending on how many points the call has
+        # a point's value does not depend on its call's shape: the runs' shift
+        # stays one column (numpy's complex loops round a broadcast copy by
+        # call size), and each point is its own dot product, not a row of a
+        # matrix product (vecdot conjugates its first argument: weights first)
         a = z[..., None] * self.run_coef
-        row = shifts[..., self.split :] @ self.anchor_w + _log1p(a * self.inv_heads) @ self.head_w
+        row = np.vecdot(self.anchor_w, shifts[..., self.split :]) + np.vecdot(self.head_w, _log1p(a * self.inv_heads))
         if self.ends.size:
-            row = row + self._barnes_ends(a) @ self.signs
-        return shifts[..., : self.split] @ self.ratio_w + row
+            row = row + np.vecdot(self.signs, self._barnes_ends(a))
+        return np.vecdot(self.ratio_w, shifts[..., : self.split]) + row
 
     def derivative(self, m):
         """The m-th z-derivative at z = 0, m >= 1: the sum over ratios of

@@ -18,7 +18,7 @@ from pdvol.cumulants import (
     variance_expansion,
 )
 from pdvol.errors import DomainError
-from pdvol.exactlaw import ModelParams
+from pdvol.exactlaw import STRIP_GUARD, ModelParams, cgf, strip_edge
 from pdvol.sampling import RngStream, sample_volume
 
 
@@ -162,6 +162,40 @@ def test_cumulant_bound_value_and_domain():
     assert cumulant_bound(p, 3) == pytest.approx(expect, rel=1e-14)
     with pytest.raises(DomainError):
         cumulant_bound(p, 2)
+
+
+def per_point_fd_oracle(params, m):
+    """The Ridders oracle with one scalar cgf call per stencil point, each
+    row summed with math.fsum: the one-call oracle must give its bits."""
+    span = -strip_edge(params, extended=True) - STRIP_GUARD
+    h0 = min(0.45 * span / (m / 2.0 + 0.5), 0.6)
+
+    def stencil(h):
+        vals = [(-1.0) ** k * math.comb(m, k) * cgf(params, (m / 2.0 - k) * h, extended=True) for k in range(m + 1)]
+        return math.fsum(vals) / h**m
+
+    tableau = [[stencil(h0 / 1.5**j)] for j in range(8)]
+    best, err = tableau[0][0], math.inf
+    for col in range(1, 8):
+        f = 1.5 ** (2 * col)
+        for row in range(8 - col):
+            tableau[row].append((f * tableau[row + 1][col - 1] - tableau[row][col - 1]) / (f - 1.0))
+        est = abs(tableau[0][col] - tableau[0][col - 1])
+        if 8 - col > 1:
+            est += abs(tableau[1][col - 1] - tableau[0][col - 1])
+        if est < err:
+            err, best = est, tableau[0][col]
+    return best
+
+
+def test_fd_oracle_one_call_matches_per_point():
+    # the cumulant-oracle claim's grid
+    for n in (2, 3, 5, 10, 20, 35, 50):
+        for mu in (-1.5, -1.0, 0.0, 2.0):
+            for gamma in (0.5, 1.0):
+                p = ModelParams(n, mu, gamma)
+                for m in (1, 2, 3, 4):
+                    assert cumulant_fd_oracle(p, m).hex() == per_point_fd_oracle(p, m).hex()
 
 
 def test_fd_oracle_domain():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincinv, gammaln, loggamma
 
+from pdvol.cumulants import cumulant_exact
 from pdvol.errors import DomainError
 from pdvol.exactlaw import (
     ModelParams,
@@ -313,6 +314,48 @@ def test_cgf_independent_of_batching():
     whole = cgf(p, z, extended=True)
     chunks = np.concatenate([cgf(p, z[i : i + 100], extended=True) for i in range(0, z.size, 100)])
     assert whole.tobytes() == chunks.tobytes()
+    # and a scalar call gives the bits of its element of an array call, and
+    # of calls of 1 and of 7 points, for real and complex z
+    for n, mu in ((3, -1.0), (10, -1.0), (1000, -1.0), (10**4, 0.0)):
+        p = ModelParams(n, mu)
+        edge = strip_edge(p, extended=True)
+        re = gen.uniform(edge + 1e-5, 5.0, 100)
+        for z in (re, re + 1j * gen.uniform(-40.0, 40.0, 100)):
+            whole = cgf(p, z, extended=True)
+            scalars = np.array([cgf(p, v, extended=True) for v in z.tolist()])
+            ones = np.concatenate([cgf(p, z[i : i + 1], extended=True) for i in range(z.size)])
+            sevens = np.concatenate([cgf(p, z[i : i + 7], extended=True) for i in range(0, z.size, 7)])
+            for other in (scalars, ones, sevens):
+                assert whole.tobytes() == other.tobytes()
+        s = re[re > -(mu + 2.0)]
+        assert [log_volume_moment(p, v).hex() for v in s.tolist()] == [
+            float(cgf(p, np.array([v]))[0]).hex() for v in s.tolist()
+        ]
+
+
+# float.hex of cgf(p, 0.5), cgf(p, 0.3+2j) (real, imaginary) and
+# cumulant_exact(p, 2) just inside the float range
+NEAR_OVERFLOW = {
+    (23, 1e154): ("0x1.0b5fee801aca7p+6", "0x1.40d98499b9c08p+5", "0x1.0b5fee801aca7p+8", "0x1.573d68f903ea8p-512"),
+    (10**6, 1e154): ("-0x1.5f79fcb898a53p+26", "-0x1.a5c595aa50c64p+25", "-0x1.5f79fcb898a53p+28", "0x1.573d68f8782a5p-512"),
+    (10, 1e307): ("0x1.5a43a796116bbp+8", "0x1.9f8462b414e87p+7", "0x1.5a43a796116bbp+10", "0x1.1fa182c40c616p-1020"),
+}
+
+
+def test_overflowing_plans_refused_up_front():
+    # the plan's arguments overflow: a Barnes end ~ mu/2 squared from
+    # mu = 1e155 once a run outgrows its head (n >= 23), and the ratios'
+    # (n+1)(n+mu)/2 itself near the top of the float range.  These gave NaN
+    # and RuntimeWarnings (errors under this suite's filter); now DomainError
+    for n, mu in ((23, 1e155), (10**6, 1e155), (10, 2e307), (3, 1e308), (10, np.float64(2e307))):
+        p = ModelParams(n, mu)
+        for call in (lambda: cgf(p, 0.5), lambda: cgf(p, np.array([0.3 + 2j])), lambda: cumulant_exact(p, 2)):
+            with pytest.raises(DomainError, match="overflow"):
+                call()
+    for (n, mu), expect in NEAR_OVERFLOW.items():
+        p = ModelParams(n, mu)
+        c = cgf(p, 0.3 + 2j)
+        assert (cgf(p, 0.5).hex(), c.real.hex(), c.imag.hex(), float(cumulant_exact(p, 2)).hex()) == expect
 
 
 def test_cgf_memory_bounded_at_large_n():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -93,3 +94,16 @@ def test_grid_report_structure():
     assert alt_odd and not alt_odd[0]["holds"]
     main = [r for r in rows if r["proposition"] in ("digamma_sum", "trigamma_sum")]
     assert all(r["holds"] for r in main)
+
+
+def test_identity_grid_rows_pinned():
+    # sha256 of every row of the default sweep, floats as float.hex: the
+    # closed forms and bounds keep their bits however psi^(q) is routed
+    rows = identity_grid_report()
+    text = "\n".join(
+        f"{r['a']!r} {r['k']} {r['m']} {r['proposition']} {float(r['lhs']).hex()} {float(r['rhs']).hex()} "
+        f"{float(r['abs_diff']).hex()} {bool(r['holds'])}"
+        for r in rows
+    )
+    assert len(rows) == 280
+    assert hashlib.sha256(text.encode()).hexdigest() == "2da00387acf146f725f19523668ce3cd9f77ea19ad514d65f969f44f28aa8d4c"

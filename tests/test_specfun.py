@@ -3,12 +3,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from pdvol.errors import DomainError
 from pdvol.specfun import (
     RUN_HEAD,
     SHIFT_MIN,
     GammaRatioSum,
+    _log_barnes_g_series,
+    _polygamma,
     digamma,
     log_barnes_g,
     log_barnes_g_shift_asymptotic,
@@ -81,6 +84,21 @@ def test_polygamma_against_series_oracle():
             assert polygamma(m, x) == pytest.approx(polygamma_series_oracle(m, x), rel=1e-9)
 
 
+def test_polygamma_kernel_gives_scipy_bits():
+    # every psi^(q) in the package goes through _polygamma: its bits are
+    # scipy's digamma, polygamma and zeta(2, .), for arrays and scalars
+    gen = np.random.default_rng(5)
+    x = np.concatenate([gen.uniform(0.05, 50.0, 2000), 10.0 ** gen.uniform(-2.0, 8.0, 2000)])
+    assert _polygamma(0, x).tobytes() == sp.digamma(x).tobytes()
+    for q in range(1, 7):
+        assert _polygamma(q, x).tobytes() == sp.polygamma(q, x).tobytes()
+    assert _polygamma(1, x).tobytes() == sp.zeta(2.0, x).tobytes()
+    for v in x[::20].tolist():
+        assert digamma(v).hex() == float(sp.digamma(v)).hex()
+        assert polygamma(1, v).hex() == float(sp.polygamma(1, v)).hex()
+        assert polygamma(3, v).hex() == float(sp.polygamma(3, v)).hex()
+
+
 def test_polygamma_domain():
     with pytest.raises(DomainError):
         polygamma(0, 1.0)
@@ -133,6 +151,23 @@ def test_barnes_anchor_values():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             log_barnes_g(bad)
+
+
+def test_barnes_series_table_gives_per_term_zeta_bits():
+    # the Taylor series of log G(1+z) reads zeta(k-1) from a table: same
+    # arithmetic, in the same order, as calling scipy's zeta at every term
+    def per_term(z):
+        total = z * (math.log(2.0 * math.pi) - 1.0) / 2.0 - (1.0 + np.euler_gamma) * z * z / 2.0
+        zk = z * z
+        for k in range(3, 100):
+            zk *= z
+            term = ((-1.0) ** (k - 1)) * sp.zeta(k - 1) * zk / k
+            total += term
+            if abs(term) < 0.01 * 1e-12:
+                return float(total)
+
+    for z in np.linspace(-0.5, 0.5, 1001).tolist():
+        assert _log_barnes_g_series(z).hex() == per_term(z).hex()
 
 
 def test_barnes_functional_equation_random():
