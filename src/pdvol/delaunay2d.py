@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import lambertw
 
 from .errors import ConvergenceError, DomainError
 
@@ -164,18 +164,27 @@ def _check_input_points(points):
 
 def _toroidal_margin(n_points: int, side: float) -> float:
     # margin exceeding the largest circumradius among ~2N cells with high
-    # probability: solve 2N * P(R > r) = 1e-3 for the radius law of the
-    # typical cell at the empirical intensity, then pad by 30%
-    from scipy.optimize import brentq
-
+    # probability: the typical cell's radius law at the empirical intensity
+    # gamma gives P(R > r) = (1 + x) e^(-x) with x = gamma pi r^2, so
+    # 2N P(R > r) = 1e-3 has the closed form 1 + x = -W_{-1}(-1e-3 / (2N e));
+    # the radius is capped at side/4, then padded by 30%
     gamma_hat = max(n_points / side**2, 1e-12)
-
-    def excess(r):
-        return 2.0 * n_points * gammaincc(2.0, gamma_hat * math.pi * r * r) - 1e-3
-
-    hi = side / 4.0
-    r_star = brentq(excess, 1e-9, hi) if excess(hi) < 0 else hi
+    x = -lambertw(-1e-3 / (2.0 * n_points * math.e), -1).real - 1.0
+    r_star = min(math.sqrt(x / (gamma_hat * math.pi)), side / 4.0)
     return min(1.3 * r_star, side / 3.0)
+
+
+def _qhull(points):
+    """Qhull's Delaunay triangulation of points, each triangle's coordinates
+    (m, 3, 2), and their circumcenters, circumradii and areas."""
+    from scipy.spatial import Delaunay, QhullError
+
+    try:
+        tri = Delaunay(points)
+    except QhullError as exc:
+        raise DomainError(f"delaunay_triangulate: degenerate input ({exc})") from exc
+    coords = points[tri.simplices]
+    return tri, coords, *_circumdata(coords)
 
 
 def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = None) -> Triangulation:
@@ -185,26 +194,20 @@ def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = No
     mode='toroidal' treats [0, side)^2 as a torus by replicating a margin of
     points across the seam, keeping each torus triangle once (circumcenter in
     the fundamental domain) and verifying post hoc that every kept circumdisk
-    fits inside the replicated region.
+    fits inside the replicated region.  The margin comes in closed form from
+    the typical cell's circumradius law and doubles, up to three times, when
+    a circumdisk does not fit.
     """
-    from scipy.spatial import Delaunay, QhullError
-
     points = _check_input_points(points)
     if mode == "plain":
-        try:
-            tri = Delaunay(points)
-        except QhullError as exc:
-            raise DomainError(f"delaunay_triangulate: degenerate input ({exc})") from exc
-        simplices = tri.simplices
-        coords = points[simplices]
-        centers, radii, areas = _circumdata(coords)
+        tri, coords, centers, radii, areas = _qhull(points)
         if not np.all(np.isfinite(radii)):
             raise DomainError("delaunay_triangulate: exactly degenerate triangle in the output")
         return Triangulation(
             points=points,
             mode="plain",
             side=side,
-            vertices=simplices,
+            vertices=tri.simplices,
             coords=coords,
             centers=centers,
             radii=radii,
@@ -238,12 +241,7 @@ def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = No
                 orig.append(np.nonzero(inside)[0])
         ext_points = np.vstack(ext)
         mapping = np.concatenate(orig)
-        try:
-            tri = Delaunay(ext_points)
-        except QhullError as exc:
-            raise DomainError(f"delaunay_triangulate: degenerate input ({exc})") from exc
-        coords = ext_points[tri.simplices]
-        centers, radii, areas = _circumdata(coords)
+        tri, coords, centers, radii, areas = _qhull(ext_points)
         keep = (
             (centers[:, 0] >= 0.0)
             & (centers[:, 0] < side)

@@ -44,20 +44,36 @@ def test_package_reexports_are_public():
         assert all(getattr(pdvol, n) is getattr(mod, n) for n in names)
 
 
-# loaded on first use only: the KS tests need scipy.stats, the triangulation
-# scipy.optimize and scipy.spatial, and `delaunay2d --jobs` a process pool
+# loaded on first use only: the KS tests need scipy.stats, which brings
+# scipy.optimize, and the triangulation scipy.spatial; no path starts a
+# process pool
 DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.spatial", "concurrent.futures.process")
 # the paper's closed polygamma sums are claims under test, on no production
 # path; the CLI loads them through the claim report
 CLAIMS_ONLY = {"pdvol": ("pdvol.polygamma_sums",), "pdvol.cli": ()}
 
 
-@pytest.mark.parametrize("module", ["pdvol", "pdvol.cli"])
-def test_import_defers_heavy_modules(module):
+def _loaded_after(code, watched):
+    """Run code in a fresh interpreter and return the watched modules it left loaded."""
     src = str(Path(pdvol.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    deferred = DEFERRED + CLAIMS_ONLY[module]
-    code = f"import sys, {module}; print(*(m for m in {deferred!r} if m in sys.modules))"
+    code += f"\nimport sys; print(*(m for m in {watched!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [], f"import {module} loaded {proc.stdout.split()}"
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["pdvol", "pdvol.cli"])
+def test_import_defers_heavy_modules(module):
+    loaded = _loaded_after(f"import {module}", DEFERRED + CLAIMS_ONLY[module])
+    assert loaded == [], f"import {module} loaded {loaded}"
+
+
+def test_triangulation_loads_neither_optimize_nor_a_pool():
+    # the torus margin has a closed form and the replicates run in one process
+    code = (
+        "import os; from pdvol.cli import main\n"
+        "assert main(['delaunay2d', '--side', '30', '--mode', 'toroidal', '--replicates', '2', '-o', os.devnull]) == 0"
+    )
+    watched = ("scipy.optimize", "concurrent.futures.process", "scipy.spatial")
+    assert _loaded_after(code, watched) == ["scipy.spatial"]

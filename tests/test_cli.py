@@ -88,15 +88,11 @@ def test_delaunay_byte_identical_reports(tmp_path):
     assert abs(doc["estimate"] - 0.5) < 5.0 * doc["std_error"]
 
 
-def test_delaunay_pool_matches_serial(tmp_path):
-    args = ["delaunay2d", "--side", "40", "--guard", "4", "--seed", "5", "--replicates", "2"]
-    docs = []
-    for jobs in ("1", "2"):
-        path = tmp_path / f"jobs{jobs}.json"
-        assert main(args + ["--jobs", jobs, "--output", str(path)]) == 0
-        docs.append(json.loads(path.read_text()))
-    assert [d["config"].pop("jobs") for d in docs] == [1, 2]
-    assert docs[0] == docs[1]
+@pytest.mark.parametrize("mode, guard", [("plain", 10.0), ("toroidal", 0.0)])
+def test_delaunay_guard_default_follows_the_mode(mode, guard, capsys):
+    code, out = run_cli(capsys, "delaunay2d", "--side", "30", "--mode", mode)
+    assert code == 0
+    assert json.loads(out)["config"]["guard"] == guard
 
 
 def test_per_triangle_csv_embeds_the_document_config(tmp_path):
@@ -134,6 +130,8 @@ def test_exit_codes(capsys):
     ({}, ["specfun", "--function", "log_unit_ball_volume", "--x", "2.7"], 2),
     ({}, ["specfun", "--function", "log_unit_ball_volume", "--x", "inf"], 2),
     ({"PDVOL_JOBS": "abc"}, ["--version"], 0),  # the variable is not read any more
+    ({}, ["delaunay2d", "--jobs", "2"], 1),  # the replicates run in one process
+    ({}, ["delaunay2d", "--side", "30", "--mode", "toroidal", "--guard", "3"], 2),  # the torus has no guard
 ])
 def test_malformed_input_refused(env, args, code, monkeypatch, capsys):
     for var, value in env.items():
@@ -169,7 +167,7 @@ def _config_keys(out):
     (["sample", "--kind", "identity", "--count", "200"],
      ["subcommand", "kind", "n", "mu", "gamma", "count", "seed", "streams"]),
     (["delaunay2d", "--side", "30", "--guard", "3"],
-     ["subcommand", "gamma", "side", "guard", "mode", "mu", "s", "seed", "replicates", "jobs"]),
+     ["subcommand", "gamma", "side", "guard", "mode", "mu", "s", "seed", "replicates"]),
     (["report"], ["subcommand", "seed", "quick"]),
 ])
 def test_config_keys_in_order(args, keys, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -15,10 +16,11 @@ from pdvol.delaunay2d import (
     estimate_typical_moment,
     sample_poisson_points,
     tiling_defect,
+    _toroidal_margin,
 )
 from pdvol.errors import DomainError
 from pdvol.exactlaw import ModelParams, radius_cdf, volume_moment
-from pdvol.sampling import RngStream
+from pdvol.sampling import DEFAULT_SEED, RngStream
 
 
 def rng(sid=0):
@@ -122,6 +124,52 @@ def test_toroidal_edges_shared_exactly_twice():
     tri = delaunay_triangulate(pts, mode="toroidal", side=side)
     counts = edge_incidence_counts(tri)
     assert np.all(counts == 2)
+
+
+def _digest(tri):
+    h = hashlib.sha256()
+    for field, dtype in (("vertices", "<i8"), ("coords", "<f8"), ("centers", "<f8"), ("radii", "<f8"),
+                         ("areas", "<f8")):
+        h.update(np.ascontiguousarray(getattr(tri, field), dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode, side, seed, sid, digest", [
+    ("toroidal", math.sqrt(2.0e4), 20260810, 6, "022d77931c0e02d25be43522b6126ca8e9be6145d671dc74556d17e3270d4f1a"),
+    ("toroidal", 40.0, 20260810, 8, "3ba98f797c561e1574330497ba39b0e32324644d5d808cf8715e1c5a205566fe"),
+    ("toroidal", 30.0, 20260810, 17, "ea9a66f12b04a5bfb006a47e79b30bd12f4f1b3b3a69612842a6e7d9554d132a"),
+    ("toroidal", 30.0, 20260810, 19, "010cc8e63840e2713e86e482cf6f4271e6b7870c86fd896cd1f9a11fee3bfe6e"),
+    ("toroidal", 200.0, 20260810, 14, "85e9acda617bb4a5985930b52c10970926f541378b93373badb12b936b75472d"),
+    # the quick report's tessellation-invariants torus
+    ("toroidal", math.sqrt(2.0e4), DEFAULT_SEED, 50, "a4a5d50a347129f9dec5f7da839f71ae95e7a4e4e5f69691e40f28346782af33"),
+    ("plain", 60.0, 20260810, 5, "16a844e82274c746c9664c50ea9d36fefe674366a4cbb9de48e6c64b09e0d589"),
+    ("plain", 30.0, 20260810, 15, "764cb1f20d4394d0a1ff0360cbdbab506108f29326a3e9ebb5a53e736059fc43"),
+])
+def test_triangulations_pinned(mode, side, seed, sid, digest):
+    # sha256 of the triangles and their circumdata: a change to the margin,
+    # the Qhull call or the circumdata shows here bit for bit
+    pts = sample_poisson_points(1.0, SimWindow(side, 0.0, mode), RngStream(seed, sid).generator())
+    tri = delaunay_triangulate(pts, mode=mode, side=side if mode == "toroidal" else None)
+    assert _digest(tri) == digest
+
+
+@pytest.mark.parametrize("n", [100, 10**3, 10**5, 10**6])
+@pytest.mark.parametrize("side", [1.0, 300.0])
+def test_toroidal_margin_solves_the_tail_equation(n, side):
+    # 2N P(R > r) = 1e-3 at the unpadded radius, P(R > r) = (1 + x) e^(-x)
+    r = _toroidal_margin(n, side) / 1.3
+    assert r < side / 4.0
+    x = n / side**2 * math.pi * r * r
+    assert 2.0 * n * (1.0 + x) * math.exp(-x) == pytest.approx(1e-3, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [1.0, math.sqrt(3.0), 300.0])
+def test_toroidal_margin_caps(side):
+    # three points put the root beyond side/4, so the radius is capped there;
+    # padded by 30% it stays within side/3
+    margin = _toroidal_margin(3, side)
+    assert margin == 1.3 * (side / 4.0)
+    assert margin <= side / 3.0
 
 
 def _one_triangle(tri, j, extra_point=None):
