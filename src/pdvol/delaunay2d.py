@@ -170,8 +170,7 @@ def _toroidal_margin(n_points: int, side: float) -> float:
     # the radius is capped at side/4, then padded by 30%
     gamma_hat = max(n_points / side**2, 1e-12)
     x = -lambertw(-1e-3 / (2.0 * n_points * math.e), -1).real - 1.0
-    r_star = min(math.sqrt(x / (gamma_hat * math.pi)), side / 4.0)
-    return min(1.3 * r_star, side / 3.0)
+    return 1.3 * min(math.sqrt(x / (gamma_hat * math.pi)), side / 4.0)
 
 
 def _qhull(points):
@@ -185,6 +184,16 @@ def _qhull(points):
         raise DomainError(f"delaunay_triangulate: degenerate input ({exc})") from exc
     coords = points[tri.simplices]
     return tri, coords, *_circumdata(coords)
+
+
+def _images(points, side: float, margin: float):
+    """The points followed by their images under the 8 nonzero period offsets
+    (dx, dy), dx and dy in (-1, 0, 1) in that order, that fall within margin
+    of [0, side)^2; and each row's index into points."""
+    offsets = side * np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy], dtype=float)
+    shifted = points + offsets[:, None, :]
+    which, idx = np.nonzero(np.all((shifted > -margin) & (shifted < side + margin), axis=2))
+    return np.concatenate([points, shifted[which, idx]]), np.concatenate([np.arange(len(points)), idx])
 
 
 def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = None) -> Triangulation:
@@ -203,72 +212,61 @@ def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = No
         tri, coords, centers, radii, areas = _qhull(points)
         if not np.all(np.isfinite(radii)):
             raise DomainError("delaunay_triangulate: exactly degenerate triangle in the output")
-        return Triangulation(
-            points=points,
-            mode="plain",
-            side=side,
-            vertices=tri.simplices,
-            coords=coords,
-            centers=centers,
-            radii=radii,
-            areas=areas,
-            hull_size=len(np.unique(tri.convex_hull)),
-        )
-    if mode != "toroidal":
+        vertices = tri.simplices
+        hull_size = len(np.unique(tri.convex_hull))
+    elif mode == "toroidal":
+        if side is None or not side > 0:
+            raise DomainError("delaunay_triangulate: toroidal mode needs the window side")
+        if np.any(points < 0.0) or np.any(points >= side):
+            raise DomainError("delaunay_triangulate: toroidal points must lie in [0, side)")
+        margin = _toroidal_margin(len(points), side)
+        for _ in range(4):
+            ext_points, mapping = _images(points, side, margin)
+            tri, coords, centers, radii, areas = _qhull(ext_points)
+            keep = np.all((centers >= 0.0) & (centers < side), axis=1)
+            if np.max(radii[keep], initial=0.0) < margin:
+                break
+            margin = min(2.0 * margin, side / 2.001)
+        else:
+            raise ConvergenceError("delaunay_triangulate: replication margin failed to cover the circumdisks")
+        vertices, hull_size = mapping[tri.simplices[keep]], 0
+        coords, centers, radii, areas = coords[keep], centers[keep], radii[keep], areas[keep]
+    else:
         raise DomainError("delaunay_triangulate: mode must be 'plain' or 'toroidal'")
-    if side is None or not side > 0:
-        raise DomainError("delaunay_triangulate: toroidal mode needs the window side")
-    if np.any(points < 0.0) or np.any(points >= side):
-        raise DomainError("delaunay_triangulate: toroidal points must lie in [0, side)")
-
-    n = len(points)
-    margin = _toroidal_margin(n, side)
-    for _ in range(4):
-        ext = [points]
-        orig = [np.arange(n)]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if (dx, dy) == (0, 0):
-                    continue
-                shifted = points + np.array([dx * side, dy * side])
-                inside = (
-                    (shifted[:, 0] > -margin)
-                    & (shifted[:, 0] < side + margin)
-                    & (shifted[:, 1] > -margin)
-                    & (shifted[:, 1] < side + margin)
-                )
-                ext.append(shifted[inside])
-                orig.append(np.nonzero(inside)[0])
-        ext_points = np.vstack(ext)
-        mapping = np.concatenate(orig)
-        tri, coords, centers, radii, areas = _qhull(ext_points)
-        keep = (
-            (centers[:, 0] >= 0.0)
-            & (centers[:, 0] < side)
-            & (centers[:, 1] >= 0.0)
-            & (centers[:, 1] < side)
-        )
-        if np.max(radii[keep], initial=0.0) < margin:
-            return Triangulation(
-                points=points,
-                mode="toroidal",
-                side=side,
-                vertices=mapping[tri.simplices[keep]],
-                coords=coords[keep],
-                centers=centers[keep],
-                radii=radii[keep],
-                areas=areas[keep],
-            )
-        margin = min(2.0 * margin, side / 2.001)
-    raise ConvergenceError("delaunay_triangulate: replication margin failed to cover the circumdisks")
+    return Triangulation(
+        points=points,
+        mode=mode,
+        side=side,
+        vertices=vertices,
+        coords=coords,
+        centers=centers,
+        radii=radii,
+        areas=areas,
+        hull_size=hull_size,
+    )
 
 
-def _selected(tri: Triangulation, window: SimWindow):
+def _weighted_cells(tri: Triangulation, window: SimWindow, mu: float, caller: str):
+    """The cells that enter the estimators, as a mask over the triangles (all
+    of them on the torus, those with circumcenter in the guarded window in
+    plain mode), their weights W = V^(mu+1) and the effective sample size
+    (sum W)^2 / sum W^2.  Refuses a window of another mode than the
+    triangulation, or of another side on the torus, and fewer than 100
+    cells."""
+    if window.mode != tri.mode:
+        raise DomainError(f"{caller}: a {window.mode} window does not match a {tri.mode} triangulation")
     if tri.mode == "toroidal":
-        return np.ones(tri.n_triangles, dtype=bool)
-    g = window.guard
-    c = tri.centers
-    return (c[:, 0] >= g) & (c[:, 0] <= window.side - g) & (c[:, 1] >= g) & (c[:, 1] <= window.side - g)
+        if window.side != tri.side:
+            raise DomainError(f"{caller}: window side {window.side:g} is not the torus side {tri.side:g}")
+        sel = np.ones(tri.n_triangles, dtype=bool)
+    else:
+        lo, hi = window.guard, window.side - window.guard
+        c = tri.centers
+        sel = (c[:, 0] >= lo) & (c[:, 0] <= hi) & (c[:, 1] >= lo) & (c[:, 1] <= hi)
+    if sel.sum() < 100:
+        raise DomainError(f"{caller}: fewer than 100 cells in the guarded window")
+    w = tri.areas[sel] ** (mu + 1.0)
+    return sel, w, float(w.sum() ** 2 / np.sum(w * w))
 
 
 def estimate_typical_moment(tri: Triangulation, window: SimWindow, mu: float, s: float) -> TypicalCellEstimate:
@@ -279,17 +277,12 @@ def estimate_typical_moment(tri: Triangulation, window: SimWindow, mu: float, s:
     of spatial blocks (cells grouped by circumcenter); the effective sample
     size is (sum W)^2 / sum W^2 for the weights W = V^(mu+1).
     """
-    sel = _selected(tri, window)
-    if sel.sum() < 100:
-        raise DomainError("estimate_typical_moment: fewer than 100 cells in the guarded window")
-    v = tri.areas[sel]
+    sel, w, ess = _weighted_cells(tri, window, mu, "estimate_typical_moment")
     centers = tri.centers[sel]
-    w = v ** (mu + 1.0)
-    num = w * v**s
+    num = w * tri.areas[sel] ** s
     ratio = float(num.sum() / w.sum())
-    ess = float(w.sum() ** 2 / np.sum(w * w))
 
-    nblocks = int(np.clip(math.isqrt(int(sel.sum())) // 8, 2, 8))
+    nblocks = int(np.clip(math.isqrt(len(w)) // 8, 2, 8))
     lo, hi = window.guard, window.side - window.guard
     ix = np.clip(((centers[:, 0] - lo) / (hi - lo) * nblocks).astype(int), 0, nblocks - 1)
     iy = np.clip(((centers[:, 1] - lo) / (hi - lo) * nblocks).astype(int), 0, nblocks - 1)
@@ -304,7 +297,7 @@ def estimate_typical_moment(tri: Triangulation, window: SimWindow, mu: float, s:
         s=s,
         estimate=ratio,
         std_error=max(se, 1e-300),
-        n_cells=int(sel.sum()),
+        n_cells=len(w),
         effective_sample_size=ess,
     )
 
@@ -312,18 +305,14 @@ def estimate_typical_moment(tri: Triangulation, window: SimWindow, mu: float, s:
 def estimate_radius_cdf(tri: Triangulation, window: SimWindow, mu: float, t_grid):
     """Weighted empirical CDF of the circumradius with weights V^(mu+1),
     evaluated on t_grid.  Returns (values, effective_sample_size)."""
-    sel = _selected(tri, window)
-    if sel.sum() < 100:
-        raise DomainError("estimate_radius_cdf: fewer than 100 cells in the guarded window")
+    sel, w, ess = _weighted_cells(tri, window, mu, "estimate_radius_cdf")
     r = tri.radii[sel]
-    w = tri.areas[sel] ** (mu + 1.0)
     order = np.argsort(r)
     r_sorted = r[order]
     cum = np.cumsum(w[order])
     total = cum[-1]
     idx = np.searchsorted(r_sorted, np.asarray(t_grid, dtype=float), side="right")
     values = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
-    ess = float(w.sum() ** 2 / np.sum(w * w))
     return values, ess
 
 

@@ -196,17 +196,21 @@ def claim_berry_esseen(seed, quick):
     ]
 
 
+def _ks_runs(pvalues):
+    """Run count, runs at or below level 0.01 and the smallest p-value of a
+    batch of KS runs."""
+    pvalues = list(pvalues)
+    return len(pvalues), sum(p <= 0.01 for p in pvalues), min(1.0, *pvalues)
+
+
 def claim_product_identity(seed, quick):
     ndraws = 3 * 10**4 if quick else 10**5
-    fails = runs = 0
-    worst_p = 1.0
-    for k, (n, mu) in enumerate([(2, -1.0), (2, 0.0), (3, -1.0), (3, 0.0)]):
-        for j in range(3):
-            rng = sm.RngStream(seed + j, 10 + k).generator()
-            rep = sm.check_product_identity(ex.ModelParams(n, mu, 1.0), ndraws, rng)
-            runs += 1
-            worst_p = min(worst_p, rep.p_value)
-            fails += rep.p_value <= 0.01
+    runs, fails, worst_p = _ks_runs(
+        sm.check_product_identity(ex.ModelParams(n, mu, 1.0), ndraws,
+                                  sm.RngStream(seed + j, 10 + k).generator()).p_value
+        for k, (n, mu) in enumerate([(2, -1.0), (2, 0.0), (3, -1.0), (3, 0.0)])
+        for j in range(3)
+    )
     return [_row("product-identity-ks", _status(fails <= 1), worst_p,
                  f"{runs} KS runs at level 0.01, {fails} below level (budget 1); min p = {worst_p:.3f}",
                  "monte_carlo")]
@@ -215,17 +219,13 @@ def claim_product_identity(seed, quick):
 def claim_radius_law(seed, quick):
     ndraws = 3 * 10**4 if quick else 10**5
     combos = [(2, -1.0, 1.0), (2, 0.0, 1.0), (3, -1.0, 1.0), (3, 0.0, 2.0), (2, 1.0, 0.5), (4, 0.5, 1.0)]
-    fails = runs = 0
-    worst_p = 1.0
-    for k, (n, mu, gamma) in enumerate(combos):
-        p = ex.ModelParams(n, mu, gamma)
-        for j in range(3):
-            rng = sm.RngStream(seed + j, 30 + k).generator()
-            r = sm.sample_circumradius(p, rng, size=ndraws)
-            _, pv = sm.ks_statistic(r, lambda t: ex.radius_cdf(p, t))
-            runs += 1
-            worst_p = min(worst_p, pv)
-            fails += pv <= 0.01
+    params = [ex.ModelParams(n, mu, gamma) for n, mu, gamma in combos]
+    runs, fails, worst_p = _ks_runs(
+        sm.ks_statistic(sm.sample_circumradius(p, sm.RngStream(seed + j, 30 + k).generator(), size=ndraws),
+                        lambda t: ex.radius_cdf(p, t))[1]
+        for k, p in enumerate(params)
+        for j in range(3)
+    )
     return [_row("radius-law-ks", _status(fails <= 1), worst_p,
                  f"{runs} KS runs over 6 parameter sets, {fails} below level 0.01 (budget 1); "
                  f"min p = {worst_p:.3f}", "monte_carlo")]

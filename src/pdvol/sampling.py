@@ -68,6 +68,8 @@ MAX_TRIANGLE_AREA_IN_DISK = 3.0 * math.sqrt(3.0) / 4.0
 MAX_TETRAHEDRON_VOLUME_IN_BALL = 8.0 / (9.0 * math.sqrt(3.0))
 
 _PROPOSAL_BUDGET = 10**7
+#: fewest observations in each sample of a Kolmogorov-Smirnov test
+_KS_MIN = 25
 #: proposal tuples a kernel draws and reduces at a time, so that one block's
 #: arrays stay in cache whatever the batch size
 _BLOCK = 8192
@@ -107,12 +109,16 @@ def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
     return rng.beta(a, b, size=size)
 
 
+def _radial_power(params: ModelParams, rng: np.random.Generator, size):
+    """R^n draws: rho / (gamma kappa_n) with rho ~ Gamma(n+mu+1, 1)."""
+    rho = sample_gamma(params.n + params.mu + 1.0, 1.0, rng, size=size)
+    kappa = math.exp(log_unit_ball_volume(params.n))
+    return rho / (params.gamma * kappa)
+
+
 def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None):
     """Circumradius draws via R^n = rho / (gamma kappa_n), rho ~ Gamma(n+mu+1, 1)."""
-    n = params.n
-    rho = sample_gamma(n + params.mu + 1.0, 1.0, rng, size=size)
-    kappa = math.exp(log_unit_ball_volume(n))
-    return (rho / (params.gamma * kappa)) ** (1.0 / n)
+    return _radial_power(params, rng, size) ** (1.0 / params.n)
 
 
 def _uniform_circle(rng, count):
@@ -233,12 +239,9 @@ def sample_angular_simplex(n: int, mu: float, rng: np.random.Generator):
 
 def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     """Volume draws V = R^n * Delta with independent radial and angular parts."""
-    n, mu = params.n, params.mu
-    _check_proposal_budget(n, mu, size)
-    rho = sample_gamma(n + mu + 1.0, 1.0, rng, size=size)
-    kappa = math.exp(log_unit_ball_volume(n))
-    rn = rho / (params.gamma * kappa)
-    return rn * _rejection_batches(n, mu, rng, size, keep_directions=False)[1]
+    _check_proposal_budget(params.n, params.mu, size)
+    rn = _radial_power(params, rng, size)
+    return rn * _rejection_batches(params.n, params.mu, rng, size, keep_directions=False)[1]
 
 
 def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int):
@@ -264,28 +267,25 @@ def sample_lhs_product(params: ModelParams, rng: np.random.Generator, size: int)
 
 def check_product_identity(params: ModelParams, n_draws: int, rng: np.random.Generator) -> KsReport:
     """Two-sample KS test of the product identity (compared on the log scale,
-    which leaves the statistic unchanged)."""
+    which leaves the statistic unchanged); fewer than 25 draws per side are
+    refused before any is drawn."""
+    if n_draws < _KS_MIN:
+        raise DomainError(f"check_product_identity: need at least {_KS_MIN} draws")
     lhs = np.log(sample_lhs_product(params, rng, n_draws))
     rhs = np.log(sample_rhs_product(params, rng, n_draws))
-    from scipy import stats
-
-    res = stats.ks_2samp(lhs, rhs)
-    return KsReport(float(res.statistic), float(res.pvalue), n_draws, n_draws)
+    statistic, p_value = ks_statistic(lhs, rhs)
+    return KsReport(statistic, p_value, n_draws, n_draws)
 
 
 def ks_statistic(sample, reference):
     """One-sample (reference = CDF callable) or two-sample (reference = array)
     Kolmogorov-Smirnov statistic with asymptotic p-value."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.size < 25:
-        raise DomainError("ks_statistic: need at least 25 observations")
+    samples = [np.asarray(sample, dtype=float)]
+    if not callable(reference):
+        samples.append(np.asarray(reference, dtype=float))
+    if min(x.size for x in samples) < _KS_MIN:
+        raise DomainError(f"ks_statistic: need at least {_KS_MIN} observations")
     from scipy import stats
 
-    if callable(reference):
-        res = stats.kstest(sample, reference)
-    else:
-        reference = np.asarray(reference, dtype=float)
-        if reference.size < 25:
-            raise DomainError("ks_statistic: need at least 25 observations")
-        res = stats.ks_2samp(sample, reference)
+    res = stats.kstest(samples[0], reference) if callable(reference) else stats.ks_2samp(*samples)
     return float(res.statistic), float(res.pvalue)

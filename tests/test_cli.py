@@ -132,6 +132,7 @@ def test_exit_codes(capsys):
     ({"PDVOL_JOBS": "abc"}, ["--version"], 0),  # the variable is not read any more
     ({}, ["delaunay2d", "--jobs", "2"], 1),  # the replicates run in one process
     ({}, ["delaunay2d", "--side", "30", "--mode", "toroidal", "--guard", "3"], 2),  # the torus has no guard
+    ({}, ["sample", "--kind", "identity", "--count", "24"], 2),  # the KS test needs 25 draws a side
 ])
 def test_malformed_input_refused(env, args, code, monkeypatch, capsys):
     for var, value in env.items():

@@ -268,6 +268,30 @@ def test_regime_predictions():
     assert np.isfinite(mean)
 
 
+@pytest.mark.parametrize("regime, limit, cases", [
+    # n = mu^alpha, alpha < 1/2: the stated 3/(4 mu) measures as 1/mu, so the ratio tends to 4/3
+    (RegimeSpec("n_power", 0.25), 4.0 / 3.0, [(1e6, 6e-4), (1e8, 7e-5)]),
+    # alpha = 1/2: the stated 1/mu measures as 5/(4 mu)
+    (RegimeSpec("n_power", 0.5), 5.0 / 4.0, [(1e6, 2.2e-3), (1e8, 2.2e-4)]),
+    (RegimeSpec("n_power", 0.75), 1.0, [(1e6, 0.075), (1e8, 0.026)]),
+    # fixed mu = -1, driver n: (1/2) log n leading, approached like 1/log n
+    (RegimeSpec("fixed_mu"), 1.0, [(1e4, 0.15), (1e6, 0.1)]),
+])
+def test_regime_expansion_against_exact_variance(regime, limit, cases):
+    # exact / predicted variance, each bound near twice the measured gap to
+    # the ratio's limit; the gap shrinks as the driver grows
+    gaps = []
+    for driver, bound in cases:
+        if regime.tag == "n_power":
+            params = ModelParams(round(driver**regime.alpha), driver, 1.0)
+        else:
+            params = ModelParams(int(driver), -1.0, 1.0)
+        ratio = cumulant_exact(params, 2) / regime_expansion(regime, driver)[1]
+        gaps.append(abs(ratio - limit))
+        assert gaps[-1] < bound
+    assert gaps[1] < gaps[0]
+
+
 def test_fixed_n_measured_limit():
     # the exact variance settles at 1/mu, not the stated 3/(4 mu)
     for n, mu in [(3, 1e4), (5, 1e4), (3, 1e5)]:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pdvol.delaunay2d as dl
 from pdvol.delaunay2d import (
     SimWindow,
     Triangulation,
@@ -170,6 +171,45 @@ def test_toroidal_margin_caps(side):
     margin = _toroidal_margin(3, side)
     assert margin == 1.3 * (side / 4.0)
     assert margin <= side / 3.0
+
+
+def _vertex_triples(tri):
+    triples = np.sort(tri.vertices, axis=1)
+    return triples[np.lexsort(triples.T[::-1])]
+
+
+def test_toroidal_margin_retry(monkeypatch):
+    # a margin below the largest circumradius must fail the post hoc check
+    # and double until the circumdisks fit, giving the unpatched result
+    side = 30.0
+    pts = sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(17))
+    ref = delaunay_triangulate(pts, mode="toroidal", side=side)
+    calls = []
+    qhull = dl._qhull
+    monkeypatch.setattr(dl, "_toroidal_margin", lambda n, side: 0.3 * ref.radii.max())
+    monkeypatch.setattr(dl, "_qhull", lambda points: calls.append(len(points)) or qhull(points))
+    tri = delaunay_triangulate(pts, mode="toroidal", side=side)
+    assert len(calls) >= 2 and calls == sorted(calls)
+    assert np.array_equal(_vertex_triples(tri), _vertex_triples(ref))
+    assert tri.n_triangles == 2 * len(pts)
+    assert np.all(edge_incidence_counts(tri) == 2)
+    assert audit_empty_circumdisk(tri, tri.n_triangles, rng(18)) == 0
+
+
+def test_estimators_refuse_a_mismatched_window():
+    side = 40.0
+    torus = delaunay_triangulate(sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(8)),
+                                 mode="toroidal", side=side)
+    plain = delaunay_triangulate(sample_poisson_points(1.0, SimWindow(side), rng(5)))
+    for tri, win in [(torus, SimWindow(side, 10.0, "plain")), (torus, SimWindow(side / 2.0, 0.0, "toroidal")),
+                     (plain, SimWindow(side, 0.0, "toroidal"))]:
+        with pytest.raises(DomainError, match="estimate_typical_moment"):
+            estimate_typical_moment(tri, win, mu=-1.0, s=1.0)
+        with pytest.raises(DomainError, match="estimate_radius_cdf"):
+            estimate_radius_cdf(tri, win, -1.0, [1.0])
+    # the matching windows are accepted
+    estimate_typical_moment(torus, SimWindow(side, 0.0, "toroidal"), mu=-1.0, s=1.0)
+    estimate_radius_cdf(plain, SimWindow(side, 10.0, "plain"), -1.0, [1.0])
 
 
 def _one_triangle(tri, j, extra_point=None):

@@ -170,6 +170,23 @@ def test_ks_statistic_contract():
     assert stat >= 0.5
     with pytest.raises(DomainError):
         ks_statistic(u[:10], lambda t: t)
+    # two-sample form: either sample below 25 observations is refused
+    stat, p = ks_statistic(u[:5000], u[5000:])
+    assert 0.0 <= stat < 0.05 and p > 0.01
+    with pytest.raises(DomainError):
+        ks_statistic(u[:24], u)
+    with pytest.raises(DomainError):
+        ks_statistic(u, u[:24])
+
+
+def test_product_identity_refuses_too_few_draws_before_drawing():
+    rng = RngStream(77, 2).generator()
+    state = repr(rng.bit_generator.state)
+    with pytest.raises(DomainError, match="at least 25"):
+        check_product_identity(ModelParams(2, -1.0, 1.0), 24, rng)
+    assert repr(rng.bit_generator.state) == state
+    rep = check_product_identity(ModelParams(2, -1.0, 1.0), 25, rng)
+    assert (rep.n_lhs, rep.n_rhs) == (25, 25)
 
 
 def test_acceptance_starvation(monkeypatch):
