@@ -286,11 +286,10 @@ def cmd_delaunay2d(args):
     if args.guard is None:
         args.guard = 0.0 if args.mode == "toroidal" else 10.0
     win = dl.SimWindow(side=args.side, guard=args.guard, mode=args.mode)
-    side = args.side if args.mode == "toroidal" else None
     estimates, first = [], None
     for r in range(args.replicates):
         pts = dl.sample_poisson_points(args.gamma, win, sm.RngStream(args.seed, 100 + r).generator())
-        tri = dl.delaunay_triangulate(pts, mode=args.mode, side=side)
+        tri = dl.delaunay_triangulate(pts, mode=args.mode, side=args.side)
         estimates.append(dl.estimate_typical_moment(tri, win, mu=args.mu, s=args.s))
         if r == 0 and args.per_triangle:
             first = tri

@@ -199,7 +199,8 @@ def _images(points, side: float, margin: float):
 def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = None) -> Triangulation:
     """Delaunay triangulation with per-triangle circumdata.
 
-    mode='plain' triangulates the points as given (convex hull cover);
+    mode='plain' triangulates the points as given (convex hull cover) and,
+    given a side, refuses points outside [0, side)^2 and records the side;
     mode='toroidal' treats [0, side)^2 as a torus by replicating a margin of
     points across the seam, keeping each torus triangle once (circumcenter in
     the fundamental domain) and verifying post hoc that every kept circumdisk
@@ -208,17 +209,22 @@ def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = No
     a circumdisk does not fit.
     """
     points = _check_input_points(points)
+    if mode not in ("plain", "toroidal"):
+        raise DomainError("delaunay_triangulate: mode must be 'plain' or 'toroidal'")
+    if side is None and mode == "toroidal":
+        raise DomainError("delaunay_triangulate: toroidal mode needs the window side")
+    if side is not None:
+        if not side > 0:
+            raise DomainError("delaunay_triangulate: the window side must be positive")
+        if np.any(points < 0.0) or np.any(points >= side):
+            raise DomainError("delaunay_triangulate: points must lie in [0, side)")
     if mode == "plain":
         tri, coords, centers, radii, areas = _qhull(points)
         if not np.all(np.isfinite(radii)):
             raise DomainError("delaunay_triangulate: exactly degenerate triangle in the output")
         vertices = tri.simplices
         hull_size = len(np.unique(tri.convex_hull))
-    elif mode == "toroidal":
-        if side is None or not side > 0:
-            raise DomainError("delaunay_triangulate: toroidal mode needs the window side")
-        if np.any(points < 0.0) or np.any(points >= side):
-            raise DomainError("delaunay_triangulate: toroidal points must lie in [0, side)")
+    else:
         margin = _toroidal_margin(len(points), side)
         for _ in range(4):
             ext_points, mapping = _images(points, side, margin)
@@ -231,8 +237,6 @@ def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = No
             raise ConvergenceError("delaunay_triangulate: replication margin failed to cover the circumdisks")
         vertices, hull_size = mapping[tri.simplices[keep]], 0
         coords, centers, radii, areas = coords[keep], centers[keep], radii[keep], areas[keep]
-    else:
-        raise DomainError("delaunay_triangulate: mode must be 'plain' or 'toroidal'")
     return Triangulation(
         points=points,
         mode=mode,
@@ -251,13 +255,13 @@ def _weighted_cells(tri: Triangulation, window: SimWindow, mu: float, caller: st
     of them on the torus, those with circumcenter in the guarded window in
     plain mode), their weights W = V^(mu+1) and the effective sample size
     (sum W)^2 / sum W^2.  Refuses a window of another mode than the
-    triangulation, or of another side on the torus, and fewer than 100
-    cells."""
+    triangulation, or of another side than the one it records, and fewer
+    than 100 cells."""
     if window.mode != tri.mode:
         raise DomainError(f"{caller}: a {window.mode} window does not match a {tri.mode} triangulation")
+    if tri.side is not None and window.side != tri.side:
+        raise DomainError(f"{caller}: window side {window.side:g} is not the triangulation's side {tri.side:g}")
     if tri.mode == "toroidal":
-        if window.side != tri.side:
-            raise DomainError(f"{caller}: window side {window.side:g} is not the torus side {tri.side:g}")
         sel = np.ones(tri.n_triangles, dtype=bool)
     else:
         lo, hi = window.guard, window.side - window.guard

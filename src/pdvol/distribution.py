@@ -18,6 +18,7 @@ instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,8 +121,17 @@ def _find_t_max(params: ModelParams, law: StandardizedLaw) -> float:
     raise ConvergenceError("cdf inversion: |phi| did not fall below the tail tolerance")
 
 
-def _gl_grid(t_max: float, panels: int):
+@functools.cache
+def _gl_nodes():
+    """Gauss-Legendre nodes and weights of one panel on [-1, 1], read-only
+    since every inversion shares them."""
     x, w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_grid(t_max: float, panels: int):
+    x, w = _gl_nodes()
     edges = np.linspace(0.0, t_max, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -152,6 +162,17 @@ def _invert(params: ModelParams, law: StandardizedLaw, evaluate):
     raise ConvergenceError("cdf inversion: quadrature did not stabilize within the panel budget")
 
 
+def _cis_neg(y, tg):
+    """exp(-i y t) on the outer grid of y and t, formed as cos - i sin in one
+    complex array: the bits of np.exp(-1j * np.outer(y, t)) without its
+    complex temporaries."""
+    theta = np.multiply.outer(-y, tg)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _chunked_cdf(ys):
     """Evaluator of F at arbitrary points ys, 256 rows of exponentials at a time."""
 
@@ -159,7 +180,7 @@ def _chunked_cdf(ys):
         F = np.empty_like(ys)
         for lo in range(0, len(ys), 256):
             chunk = ys[lo : lo + 256]
-            osc = np.exp(-1j * np.outer(chunk, tg))
+            osc = _cis_neg(chunk, tg)
             F[lo : lo + 256] = 0.5 - (osc @ phi_w).imag / math.pi
         return F
 
@@ -174,8 +195,9 @@ def _factored_cdf(tg, phi_w):
     step = (_X_RANGE[1] - _X_RANGE[0]) / (_GRID_POINTS - 1)
     coarse = _X_RANGE[0] + n_fine * step * np.arange(n_coarse)
     fine = step * np.arange(n_fine)
-    E1 = np.exp(-1j * np.outer(coarse, tg)) * phi_w
-    E2 = np.exp(-1j * np.outer(fine, tg))
+    E1 = _cis_neg(coarse, tg)
+    E1 *= phi_w
+    E2 = _cis_neg(fine, tg)
     return 0.5 - (E1 @ E2.T).imag.ravel() / math.pi
 
 

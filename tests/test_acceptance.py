@@ -103,6 +103,17 @@ for _task, _ in rp.CLAIMS:
     globals()[EXPECTED[_task][0]] = _claim_test(_task)
 
 
+def test_triangulating_claims_run_back_to_back():
+    # the two claims that triangulate ~1e5 points run one after the other and
+    # before the KS claims: the torus's Qhull run then reuses the heap the
+    # planar-mean run released, instead of stacking on scipy.stats and the
+    # KS claims' heap (a report peak of about 175 MB instead of 141 MB)
+    order = [task for task, _ in rp.CLAIMS]
+    at = order.index("planar-mean")
+    assert order[at + 1] == "tessellation"
+    assert at + 1 < min(order.index("product-identity"), order.index("radius-law"))
+
+
 @pytest.mark.parametrize(
     "claim",
     [pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=why)) for c, why in AS_STATED.items()],

@@ -212,6 +212,35 @@ def test_estimators_refuse_a_mismatched_window():
     estimate_radius_cdf(plain, SimWindow(side, 10.0, "plain"), -1.0, [1.0])
 
 
+def test_plain_triangulation_keeps_its_side():
+    # a plain triangulation given its window's side records it, refuses points
+    # outside [0, side)^2, and refuses an estimator window of another side
+    # (a side-240 window read 23 785 cells, hull slivers included, off this
+    # side-120 triangulation, against 19 720 with its own window)
+    win = SimWindow(120.0, 10.0, "plain")
+    pts = sample_poisson_points(1.0, win, RngStream(3, 2).generator())
+    tri = delaunay_triangulate(pts, mode="plain", side=120.0)
+    assert tri.side == 120.0
+    assert delaunay_triangulate(pts, mode="plain").side is None
+    with pytest.raises(DomainError, match=r"\[0, side\)"):
+        delaunay_triangulate(pts, mode="plain", side=60.0)
+    with pytest.raises(DomainError, match="positive"):
+        delaunay_triangulate(pts, mode="plain", side=0.0)
+    wide = SimWindow(240.0, 10.0, "plain")
+    with pytest.raises(DomainError, match="estimate_typical_moment"):
+        estimate_typical_moment(tri, wide, mu=-1.0, s=1.0)
+    with pytest.raises(DomainError, match="estimate_radius_cdf"):
+        estimate_radius_cdf(tri, wide, -1.0, [1.0])
+    # its own window gives the values recorded before the side was kept
+    est = estimate_typical_moment(tri, win, mu=-1.0, s=1.0)
+    assert est.n_cells == 19720
+    assert est.estimate == 0.5073830669082765
+    assert est.std_error == 0.00486612893839602
+    values, ess = estimate_radius_cdf(tri, win, -1.0, [0.3, 0.6, 1.0])
+    assert values.tolist() == [0.03159229208924949, 0.30689655172413793, 0.8110040567951319]
+    assert ess == 19720.0
+
+
 def _one_triangle(tri, j, extra_point=None):
     """Triangle j alone, over the same points plus an optional extra point."""
     points = tri.points if extra_point is None else np.vstack([tri.points, extra_point])

@@ -119,6 +119,33 @@ def test_kolmogorov_distance_bitwise_equal_to_norm_cdf(n):
     assert kolmogorov_distance_to_normal(p) == float(np.max(np.abs(F - ndtr(ys))))
 
 
+@pytest.mark.parametrize("n, distance", [
+    (10, 0.03275352769376266),
+    (100, 0.013301376432336809),
+    (1000, 0.006911071666651669),
+    (10**4, 0.004349897982723616),
+    (10**6, 0.002295102337909749),
+])
+def test_kolmogorov_distance_pinned(n, distance):
+    # recorded before the exponentials e^(-iyt) were formed as cos - i sin:
+    # the inversion must keep every bit
+    assert kolmogorov_distance_to_normal(ModelParams(n, -1.0, 1.0)) == distance
+
+
+@pytest.mark.parametrize("n, mu, values", [
+    (2, -1.0, [0.009010832586360706, 0.1503895096005487, 0.4464800141567473, 0.6609673959572682,
+               0.9970654059283939]),
+    (3, 0.0, [0.006684630628455368, 0.1537586771509611, 0.46096427263459927, 0.6682706290117106,
+              0.9929705648832636]),
+    (50, 1.0, [0.0025096923294744555, 0.15795873028026208, 0.4896407412947641, 0.6850436552292191,
+               0.9814920109330504]),
+])
+def test_standardized_cdf_pinned(n, mu, values):
+    # recorded with rows of np.exp(-1j * np.outer(y, t)), as above
+    ys = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+    assert standardized_cdf(ModelParams(n, mu, 1.0), ys).tolist() == values
+
+
 @pytest.mark.parametrize("mu", [-1.0, 0.0])
 @pytest.mark.parametrize("n", [10, 1000, 10**6])
 def test_factored_cdf_matches_chunked_path(n, mu):
