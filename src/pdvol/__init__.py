@@ -11,7 +11,6 @@ with an independent numerical oracle somewhere in the test suite.
 """
 
 from .cumulants import (
-    CumulantReport,
     RegimeSpec,
     concentration_envelope,
     cumulant_bound,

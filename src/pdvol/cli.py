@@ -192,28 +192,13 @@ def cmd_identities(args):
 
 def cmd_cumulants(args):
     p = _params(args)
-    rep = cm.cumulant_report(p, max_order=args.max_order)
-    orders = [
-        {"m": m, "exact": e, "oracle": o, "abs_diff": d, "provenance": "closed_form+oracle_fd"}
-        for (m, e, o, d) in rep.orders
-    ]
+    orders = [{**row, "provenance": "closed_form+oracle_fd"}
+              for row in cm.cumulant_report(p, max_order=args.max_order)]
     return {"params": _params_doc(p), "orders": orders}
 
 
 def cmd_regimes(args):
-    # (label, regime, n, mu, driver): the driver is n, or mu for fixed_n
-    cases = [(f"mu_linear(alpha={a:g})", cm.RegimeSpec("mu_linear", a), n, a * n, n)
-             for a in (0.5, 1.0, 2.0) for n in args.sweep]
-    cases += [("near_equal_weight", cm.RegimeSpec("near_equal_weight"), n, float(n - math.isqrt(n)), n)
-              for n in args.sweep]
-    cases += [("fixed_n(n=3)", cm.RegimeSpec("fixed_n"), 3, float(mu), mu) for mu in args.sweep]
-    rows = []
-    for label, regime, n, mu, driver in cases:
-        pred = cm.regime_expansion(regime, driver, args.gamma)[1]
-        exact = cm.cumulant_exact(ex.ModelParams(n, mu, args.gamma), 2)
-        rows.append(dict(regime=label, driver=driver, exact_var=exact, predicted_var=pred,
-                         ratio=exact / pred, provenance="closed_form"))
-    return rows, ["regime", "driver", "exact_var", "predicted_var", "ratio", "provenance"]
+    return rp.regime_rows(args.sweep), ["regime", "driver", "exact_var", "predicted_var", "ratio", "provenance"]
 
 
 def cmd_cdf(args):
@@ -372,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_cumulants)
 
     p = sub.add_parser("regimes", help="regime variance predictions vs exact (CSV)")
-    p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--sweep", type=_int_list, default=[100, 1000, 10000])
     p.set_defaults(run=cmd_regimes)
 

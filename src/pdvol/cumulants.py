@@ -18,7 +18,7 @@ exponential concentration envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -29,7 +29,6 @@ from .exactlaw import STRIP_GUARD, ModelParams, _linear, _plan, cgf, strip_edge
 from .specfun import _polygamma
 
 __all__ = [
-    "CumulantReport",
     "RegimeSpec",
     "REGIME_TAGS",
     "cumulant_exact",
@@ -103,21 +102,15 @@ def cumulant_fd_oracle(params: ModelParams, m: int) -> float:
     return best
 
 
-@dataclass
-class CumulantReport:
-    """Exact cumulants next to their finite-difference oracle values."""
-
-    params: ModelParams
-    orders: list = field(default_factory=list)  # rows (m, exact, oracle, abs_diff)
-
-
-def cumulant_report(params: ModelParams, max_order: int = 4) -> CumulantReport:
-    rep = CumulantReport(params=params)
+def cumulant_report(params: ModelParams, max_order: int = 4) -> list:
+    """Exact cumulants next to their finite-difference oracle values: one row
+    {m, exact, oracle, abs_diff} per order m = 1..max_order."""
+    rows = []
     for m in range(1, max_order + 1):
         exact = cumulant_exact(params, m)
         oracle = cumulant_fd_oracle(params, m)
-        rep.orders.append((m, exact, oracle, abs(exact - oracle)))
-    return rep
+        rows.append(dict(m=m, exact=exact, oracle=oracle, abs_diff=abs(exact - oracle)))
+    return rows
 
 
 def mean_expansion(params: ModelParams) -> float:

@@ -118,19 +118,14 @@ def circumcircle(p, q, r):
     Raises for (near-)collinear input instead of returning a huge circle:
     the determinant is compared against a relative degeneracy tolerance.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
+    coords = np.array([p, q, r], dtype=float)
+    p, q, r = coords
     d = 2.0 * ((p[0] - r[0]) * (q[1] - r[1]) - (q[0] - r[0]) * (p[1] - r[1]))
-    scale = max(np.max(np.abs(np.vstack([p - r, q - r]))), 1e-300) ** 2
+    scale = max(np.max(np.abs(coords[:2] - r)), 1e-300) ** 2
     if abs(d) <= _DEGENERACY_TOL * scale:
         raise DomainError("circumcircle: points are collinear or nearly so")
-    p2 = np.dot(p - r, p - r)
-    q2 = np.dot(q - r, q - r)
-    cx = r[0] + ((q[1] - r[1]) * p2 - (p[1] - r[1]) * q2) / d
-    cy = r[1] + ((p[0] - r[0]) * q2 - (q[0] - r[0]) * p2) / d
-    center = np.array([cx, cy])
-    return center, float(np.linalg.norm(p - center))
+    centers, radii, _ = _circumdata(coords[None])
+    return centers[0], float(radii[0])
 
 
 def _circumdata(coords):

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr
 
-from .cumulants import cumulant_exact
+from .cumulants import concentration_envelope, cumulant_exact
 from .errors import ConvergenceError, DomainError
 from .exactlaw import ModelParams, cgf
 from .specfun import log_barnes_g
@@ -107,15 +107,15 @@ def char_fn(params: ModelParams, t):
     return complex(out) if arr.ndim == 0 else out
 
 
-def _log_phi_std(params: ModelParams, law: StandardizedLaw, t):
+def _log_phi_std(law: StandardizedLaw, t):
     """log CF of the standardized variable (Y - mean)/sd at real t."""
-    return cgf(params, 1j * np.asarray(t) / law.sd) - 1j * np.asarray(t) * law.mean / law.sd
+    return cgf(law.params, 1j * np.asarray(t) / law.sd) - 1j * np.asarray(t) * law.mean / law.sd
 
 
-def _find_t_max(params: ModelParams, law: StandardizedLaw) -> float:
+def _find_t_max(law: StandardizedLaw) -> float:
     t = 4.0
     for _ in range(60):
-        if math.exp(float(np.real(_log_phi_std(params, law, t)))) < _TAIL_TOL:
+        if math.exp(float(np.real(_log_phi_std(law, t)))) < _TAIL_TOL:
             return t
         t *= 1.4
     raise ConvergenceError("cdf inversion: |phi| did not fall below the tail tolerance")
@@ -140,7 +140,7 @@ def _gl_grid(t_max: float, panels: int):
     return tg, wg
 
 
-def _invert(params: ModelParams, law: StandardizedLaw, evaluate):
+def _invert(law: StandardizedLaw, evaluate):
     """Refine the Gil-Pelaez quadrature of the standardized CDF until it is stable.
 
     ``evaluate(tg, phi_w)`` returns F at the caller's points from the nodes tg
@@ -148,12 +148,12 @@ def _invert(params: ModelParams, law: StandardizedLaw, evaluate):
     max(32, 2 t_max) and doubles until successive refinements agree to 1e-8
     in sup norm (ConvergenceError past 1280 panels).  Returns (F, panels).
     """
-    t_max = _find_t_max(params, law)
+    t_max = _find_t_max(law)
     panels = max(32, int(t_max * 2))
     prev = None
     while panels <= _MAX_PANELS:
         tg, wg = _gl_grid(t_max, panels)
-        phi_w = np.exp(np.asarray(_log_phi_std(params, law, tg))) / tg * wg
+        phi_w = np.exp(np.asarray(_log_phi_std(law, tg))) / tg * wg
         F = evaluate(tg, phi_w)
         if prev is not None and np.max(np.abs(F - prev)) < 1e-8:
             return F, panels
@@ -201,11 +201,11 @@ def _factored_cdf(tg, phi_w):
     return 0.5 - (E1 @ E2.T).imag.ravel() / math.pi
 
 
-def _standardized_cdf(params: ModelParams, law: StandardizedLaw, y):
+def _standardized_cdf(law: StandardizedLaw, y):
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.isfinite(ys).all():
         raise DomainError("standardized_cdf: evaluation points must be finite")
-    F, _ = _invert(params, law, _chunked_cdf(ys))
+    F, _ = _invert(law, _chunked_cdf(ys))
     # the quadrature's rounding leaves F up to about 1e-11 outside [0, 1] in the tails
     F = np.clip(F, 0.0, 1.0)
     return F if np.ndim(y) else float(F[0])
@@ -217,27 +217,25 @@ def standardized_cdf(params: ModelParams, y):
     The panel count doubles until successive refinements agree to 1e-8 in
     sup norm (ConvergenceError past 1280 panels).
     """
-    return _standardized_cdf(params, StandardizedLaw.from_params(params), y)
+    return _standardized_cdf(StandardizedLaw.from_params(params), y)
 
 
 def cdf_inverted(params: ModelParams, x):
     """CDF of Y = log V at raw points x (inverted through the standardized CF)."""
     law = StandardizedLaw.from_params(params)
-    return _standardized_cdf(params, law, (np.asarray(x, dtype=float) - law.mean) / law.sd)
+    return _standardized_cdf(law, (np.asarray(x, dtype=float) - law.mean) / law.sd)
 
 
 def kolmogorov_distance_to_normal(params: ModelParams) -> float:
     """sup_y |F_std(y) - Phi(y)| over 2048 points on [-8, 8]."""
     ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
-    F, _ = _invert(params, StandardizedLaw.from_params(params), _factored_cdf)
+    F, _ = _invert(StandardizedLaw.from_params(params), _factored_cdf)
     return float(np.max(np.abs(F - ndtr(ys))))
 
 
 def centering(variant: CenteringVariant, params: ModelParams) -> float:
     """The centering sequence m_n for the given variant."""
     n, mu, gam = params.n, params.mu, params.gamma
-    from scipy.special import gammaln
-
     if variant.kind == "LDP":
         return (
             -(n / 2.0) * math.log(n)
@@ -297,7 +295,7 @@ def mod_gaussian_residual(params: ModelParams, z: float, adjusted: bool = True) 
     with the MODPHI centering and w_n = (1/2) log(n/2).  With
     ``adjusted=True`` (default) the limit carries the numerically adjudicated
     Gaussian normalization, limit = psi(z) exp(-z^2/4) (equivalently
-    w_n = (log(n/2)+1)/2 against psi itself), under which the residual decays
+    w_n = (log(n/2)-1)/2 against psi itself), under which the residual decays
     like O((1+|z|^3)/n).  ``adjusted=False`` compares against psi(z) alone;
     that residual converges to the constant |psi(z)| |1 - exp(-z^2/4)| and is
     kept for the adjudication report."""
@@ -326,8 +324,6 @@ def fit_envelope_coefficient(tails, ys, eps: float) -> float:
     """Smallest coefficient c on a fixed grid (0.01 to 100) for which every
     observed two-sided tail is below the concentration envelope
     2 exp(-y^2/(2 + c y/eps)).  Constants here are fitted, never asserted."""
-    from .cumulants import concentration_envelope
-
     for c in _ENVELOPE_C_GRID:
         if all(p <= concentration_envelope(y, float(c), eps) for p, y in zip(tails, ys)):
             return float(c)

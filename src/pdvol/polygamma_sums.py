@@ -40,11 +40,16 @@ def _check(a: float, k: int, kmin: int = 2):
         raise DomainError(f"polygamma sums: k must be an integer >= {kmin}")
 
 
+def _direct_sum(m: int, a: float, k: int) -> float:
+    """sum_{j=1..k} psi^(m)((j+a)/2), summed term by term."""
+    j = np.arange(1, int(k) + 1)
+    return float(np.sum(_polygamma(m, (j + a) / 2.0)))
+
+
 def digamma_sum_direct(a: float, k: int) -> float:
     """(1/2) sum_{j=1..k} psi((j+a)/2), summed term by term."""
     _check(a, k, kmin=1)
-    j = np.arange(1, int(k) + 1)
-    return 0.5 * float(np.sum(_polygamma(0, (j + a) / 2.0)))
+    return 0.5 * _direct_sum(0, a, k)
 
 
 def digamma_sum_closed(a: float, k: int) -> float:
@@ -91,8 +96,7 @@ def digamma_sum_offset(a: float, k: int) -> float:
 def trigamma_sum_direct(a: float, k: int) -> float:
     """(1/4) sum_{j=1..k} psi^(1)((j+a)/2)."""
     _check(a, k, kmin=1)
-    j = np.arange(1, int(k) + 1)
-    return 0.25 * float(np.sum(_polygamma(1, (j + a) / 2.0)))
+    return 0.25 * _direct_sum(1, a, k)
 
 
 def trigamma_sum_closed(a: float, k: int) -> float:
@@ -115,8 +119,7 @@ def polygamma_sum_bound_check(a: float, k: int, m: int):
     _check(a, k)
     if m < 2 or m != int(m):
         raise DomainError("polygamma_sum_bound_check: m must be an integer >= 2")
-    j = np.arange(1, int(k) + 1)
-    lhs_abs = abs(float(np.sum(_polygamma(int(m), (j + a) / 2.0))) / 2.0 ** (m + 1))
+    lhs_abs = abs(_direct_sum(int(m), a, k) / 2.0 ** (m + 1))
     bound = 4.0 * math.factorial(int(m)) / (a + 1.0) ** (m - 1)
     return lhs_abs, bound, bool(lhs_abs <= bound)
 
@@ -131,6 +134,10 @@ DEFAULT_K_GRID = (2, 3, 10, 11, 100, 101, 10**4)
 DEFAULT_M_GRID = (2, 3, 4, 5, 6)
 
 
+def _grid_row(a, k, m, proposition, lhs, rhs, abs_diff, holds):
+    return dict(a=a, k=k, m=m, proposition=proposition, lhs=lhs, rhs=rhs, abs_diff=abs_diff, holds=holds)
+
+
 def identity_grid_report(a_grid=DEFAULT_A_GRID, k_grid=DEFAULT_K_GRID, m_grid=DEFAULT_M_GRID):
     """Sweep the identity grids; yields dict rows
     {a, k, m, proposition, lhs, rhs, abs_diff, holds}."""
@@ -138,27 +145,18 @@ def identity_grid_report(a_grid=DEFAULT_A_GRID, k_grid=DEFAULT_K_GRID, m_grid=DE
     for a in a_grid:
         for k in k_grid:
             direct = digamma_sum_direct(a, k)
-            closed = digamma_sum_closed(a, k)
-            tol = identity_tolerance(k, direct)
-            rows.append(
-                dict(a=a, k=k, m="", proposition="digamma_sum", lhs=direct, rhs=closed,
-                     abs_diff=abs(direct - closed), holds=abs(direct - closed) <= tol)
-            )
-            alt = digamma_sum_closed_alt(a, k)
-            rows.append(
-                dict(a=a, k=k, m="", proposition="digamma_sum_alt", lhs=direct, rhs=alt,
-                     abs_diff=abs(direct - alt), holds=abs(direct - alt) <= tol)
-            )
             tdirect = trigamma_sum_direct(a, k)
-            tclosed = trigamma_sum_closed(a, k)
-            rows.append(
-                dict(a=a, k=k, m="", proposition="trigamma_sum", lhs=tdirect, rhs=tclosed,
-                     abs_diff=abs(tdirect - tclosed), holds=abs(tdirect - tclosed) <= identity_tolerance(k, tdirect))
-            )
+            tol = identity_tolerance(k, direct)
+            # (proposition, direct sum, closed form, tolerance)
+            identities = [
+                ("digamma_sum", direct, digamma_sum_closed(a, k), tol),
+                ("digamma_sum_alt", direct, digamma_sum_closed_alt(a, k), tol),
+                ("trigamma_sum", tdirect, trigamma_sum_closed(a, k), identity_tolerance(k, tdirect)),
+            ]
+            for prop, lhs, rhs, limit in identities:
+                rows.append(_grid_row(a, k, "", prop, lhs, rhs, abs(lhs - rhs), abs(lhs - rhs) <= limit))
             for m in m_grid:
                 lhs_abs, bound, holds = polygamma_sum_bound_check(a, k, m)
-                rows.append(
-                    dict(a=a, k=k, m=m, proposition="polygamma_sum_bound", lhs=lhs_abs, rhs=bound,
-                         abs_diff=max(0.0, lhs_abs - bound), holds=holds)
-                )
+                rows.append(_grid_row(a, k, m, "polygamma_sum_bound", lhs_abs, bound,
+                                      max(0.0, lhs_abs - bound), holds))
     return rows

@@ -112,13 +112,10 @@ def claim_cumulant_oracle(seed, quick):
     for n in (2, 3, 5, 10, 20, 35, 50):
         for mu in (-1.5, -1.0, 0.0, 2.0):
             for gamma in (0.5, 1.0):
-                p = ex.ModelParams(n, mu, gamma)
-                for m in (1, 2, 3, 4):
-                    e = cm.cumulant_exact(p, m)
-                    o = cm.cumulant_fd_oracle(p, m)
-                    rel = abs(e - o) / max(1.0, abs(e))
+                for row in cm.cumulant_report(ex.ModelParams(n, mu, gamma), max_order=4):
+                    rel = row["abs_diff"] / max(1.0, abs(row["exact"]))
                     if rel > worst:
-                        worst, at = rel, (n, mu, gamma, m)
+                        worst, at = rel, (n, mu, gamma, row["m"])
     ok = worst < 1e-6
     rows = [_row("cumulant-closed-form-vs-fd", _status(ok), worst,
                  f"worst relative gap {worst:.2e} at (n,mu,gamma,m)={at}", "closed_form+oracle_fd")]
@@ -156,29 +153,42 @@ def claim_expansions(seed, quick):
     ]
 
 
-def claim_regime_limits(seed, quick):
+def regime_rows(drivers):
+    """The regime case table: the exact variance of log V against the
+    regime's predicted leading term, for mu = alpha n with alpha in
+    (0.5, 1, 2) and mu = n - isqrt(n) at each n in ``drivers``, then n = 3
+    with each driver as mu.  Rows {regime, driver, exact_var, predicted_var,
+    ratio, provenance}; ``pdvol regimes`` prints them and the regime-limits
+    claim gates them at driver 1e4."""
+    # (label, regime, n, mu, driver): the driver is n, or mu for fixed_n
+    cases = [(f"mu_linear(alpha={a:g})", cm.RegimeSpec("mu_linear", a), n, a * n, n)
+             for a in (0.5, 1.0, 2.0) for n in drivers]
+    cases += [("near_equal_weight", cm.RegimeSpec("near_equal_weight"), n, float(n - math.isqrt(n)), n)
+              for n in drivers]
+    cases += [("fixed_n(n=3)", cm.RegimeSpec("fixed_n"), 3, float(mu), mu) for mu in drivers]
     rows = []
-    checks = []
-    for alpha in (0.5, 1.0, 2.0):
-        n = 10**4
-        p = ex.ModelParams(n, alpha * n, 1.0)
-        tgt = cm.regime_expansion(cm.RegimeSpec("mu_linear", alpha), n)[1]
-        checks.append(abs(cm.cumulant_exact(p, 2) / tgt - 1.0))
-    rows.append(_row("regime-limit-mu-linear", _status(max(checks) < 0.02), max(checks),
-                     f"worst relative gap {max(checks):.2%} at n = 1e4 over slopes (0.5, 1, 2)", "closed_form"))
-    n = 10**4
-    p = ex.ModelParams(n, float(n - math.isqrt(n)), 1.0)
-    tgt = cm.regime_expansion(cm.RegimeSpec("near_equal_weight"), n)[1]
-    gap = abs(cm.cumulant_exact(p, 2) / tgt - 1.0)
-    rows.append(_row("regime-limit-near-equal", _status(gap < 0.02), gap,
-                     f"relative gap {gap:.2%} at n = 1e4, n - mu = sqrt(n)", "closed_form"))
-    p = ex.ModelParams(3, 1e4, 1.0)
-    v = cm.cumulant_exact(p, 2)
-    stated = v * (4.0 * 1e4 / 3.0)
-    rows.append(_row("regime-limit-fixed-n", _status(abs(stated - 1.0) < 0.02, True), v * 1e4,
-                     f"stated check Var*(4mu/3) -> 1 measures {stated:.4f}; the exact variance satisfies "
-                     f"Var*mu = {v * 1e4:.4f} -> 1 (prediction 3/(4 mu) adjudicated to 1/mu)", "closed_form"))
+    for label, regime, n, mu, driver in cases:
+        pred = cm.regime_expansion(regime, driver)[1]
+        exact = cm.cumulant_exact(ex.ModelParams(n, mu), 2)
+        rows.append(dict(regime=label, driver=driver, exact_var=exact, predicted_var=pred,
+                         ratio=exact / pred, provenance="closed_form"))
     return rows
+
+
+def claim_regime_limits(seed, quick):
+    *linear, near, fixed = regime_rows([10**4])
+    worst = max(abs(r["ratio"] - 1.0) for r in linear)
+    gap = abs(near["ratio"] - 1.0)
+    v, stated = fixed["exact_var"], fixed["ratio"]
+    return [
+        _row("regime-limit-mu-linear", _status(worst < 0.02), worst,
+             f"worst relative gap {worst:.2%} at n = 1e4 over slopes (0.5, 1, 2)", "closed_form"),
+        _row("regime-limit-near-equal", _status(gap < 0.02), gap,
+             f"relative gap {gap:.2%} at n = 1e4, n - mu = sqrt(n)", "closed_form"),
+        _row("regime-limit-fixed-n", _status(abs(stated - 1.0) < 0.02, True), v * 1e4,
+             f"stated check Var*(4mu/3) -> 1 measures {stated:.4f}; the exact variance satisfies "
+             f"Var*mu = {v * 1e4:.4f} -> 1 (prediction 3/(4 mu) adjudicated to 1/mu)", "closed_form"),
+    ]
 
 
 def claim_berry_esseen(seed, quick):

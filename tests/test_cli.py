@@ -158,7 +158,7 @@ def _config_keys(out):
     (["cgf"], ["subcommand", "n", "mu", "gamma", "re", "im", "extended"]),
     (["identities", "--grid", "quick"], ["grid", "subcommand"]),
     (["cumulants", "--max-order", "2"], ["subcommand", "n", "mu", "gamma", "max_order"]),
-    (["regimes", "--sweep", "100"], ["gamma", "subcommand", "sweep"]),
+    (["regimes", "--sweep", "100"], ["subcommand", "sweep"]),
     (["cdf", "--x", "0"], ["gamma", "mu", "n", "subcommand", "x"]),
     (["berry-esseen", "--sweep", "10"], ["gamma", "mu", "subcommand", "sweep"]),
     (["ldp", "--sweep", "100", "--t", "1"], ["gamma", "mu", "subcommand", "sweep", "t", "variant"]),

@@ -115,7 +115,7 @@ def test_kolmogorov_distance_bitwise_equal_to_norm_cdf(n):
     ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
     assert np.array_equal(ndtr(ys), norm.cdf(ys))
     p = ModelParams(n, -1.0, 1.0)
-    F, _ = _invert(p, StandardizedLaw.from_params(p), _factored_cdf)
+    F, _ = _invert(StandardizedLaw.from_params(p), _factored_cdf)
     assert kolmogorov_distance_to_normal(p) == float(np.max(np.abs(F - ndtr(ys))))
 
 
@@ -155,8 +155,8 @@ def test_factored_cdf_matches_chunked_path(n, mu):
     p = ModelParams(n, mu, 1.0)
     law = StandardizedLaw.from_params(p)
     ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
-    F, panels = _invert(p, law, _factored_cdf)
-    chunked, chunked_panels = _invert(p, law, _chunked_cdf(ys))
+    F, panels = _invert(law, _factored_cdf)
+    chunked, chunked_panels = _invert(law, _chunked_cdf(ys))
     assert panels == chunked_panels
     assert np.max(np.abs(F - chunked)) < 1e-14
     assert np.array_equal(standardized_cdf(p, ys), np.clip(chunked, 0.0, 1.0))
@@ -178,7 +178,7 @@ def test_factored_cdf_matches_mpmath_quadrature():
         levels.append((tg, phi_w))
         return _factored_cdf(tg, phi_w)
 
-    F, _ = _invert(p, StandardizedLaw.from_params(p), capture)
+    F, _ = _invert(StandardizedLaw.from_params(p), capture)
     tg, phi_w = levels[-1]
     ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
     worst = int(np.argmax(np.abs(F - ndtr(ys))))
