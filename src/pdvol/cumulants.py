@@ -104,7 +104,11 @@ def cumulant_fd_oracle(params: ModelParams, m: int) -> float:
 
 def cumulant_report(params: ModelParams, max_order: int = 4) -> list:
     """Exact cumulants next to their finite-difference oracle values: one row
-    {m, exact, oracle, abs_diff} per order m = 1..max_order."""
+    {m, exact, oracle, abs_diff} per order m = 1..max_order, for an integer
+    max_order in [1, 6] (the oracle's orders), refused otherwise before any
+    cumulant is computed."""
+    if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)) or not 1 <= max_order <= 6:
+        raise DomainError(f"cumulant_report: max_order must be an integer in [1, 6], got {max_order!r}")
     rows = []
     for m in range(1, max_order + 1):
         exact = cumulant_exact(params, m)

@@ -26,6 +26,14 @@ any proposal kernel must keep so that a seed keeps giving the same draws.
   whole batch does, number for number.
 * The first ``size - got`` acceptances, in proposal order, are kept; the rest
   of the batch is consumed and discarded.
+* Only the calling thread draws.  A block's reduction to volumes (cosines,
+  sines and triangle areas at n = 2; normalisation and tetrahedron volumes at
+  n = 3) needs no random numbers, and may run on one helper thread while the
+  calling thread draws the next block.  The helper is started at the first
+  batch of more than one block, in a process that may run on two CPUs or
+  more; it touches no generator, and every element goes through the same
+  operations in the same order wherever it is reduced, so the volumes and
+  the generator state are the same bit for bit.
 
 All randomness flows through RngStream (counter-based Philox keyed by
 (seed, stream_id)): identical streams reproduce bit-identical draws, and
@@ -35,6 +43,7 @@ distinct stream ids are independent by construction.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +82,8 @@ _KS_MIN = 25
 #: proposal tuples a kernel draws and reduces at a time, so that one block's
 #: arrays stay in cache whatever the batch size
 _BLOCK = 8192
+#: (pid, executor) of the helper thread that reduces blocks, see ``_helper``
+_helper_pool = None
 
 
 @dataclass(frozen=True)
@@ -109,6 +120,12 @@ def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
     return rng.beta(a, b, size=size)
 
 
+def _check_size(name: str, size) -> None:
+    """Refuse a draw count that is not a nonnegative integer, before any draw."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+        raise DomainError(f"{name}: size must be a nonnegative integer, got {size!r}")
+
+
 def _radial_power(params: ModelParams, rng: np.random.Generator, size):
     """R^n draws: rho / (gamma kappa_n) with rho ~ Gamma(n+mu+1, 1)."""
     rho = sample_gamma(params.n + params.mu + 1.0, 1.0, rng, size=size)
@@ -117,44 +134,98 @@ def _radial_power(params: ModelParams, rng: np.random.Generator, size):
 
 
 def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None):
-    """Circumradius draws via R^n = rho / (gamma kappa_n), rho ~ Gamma(n+mu+1, 1)."""
+    """Circumradius draws via R^n = rho / (gamma kappa_n), rho ~ Gamma(n+mu+1, 1);
+    one draw for size None."""
+    if size is not None:
+        _check_size("sample_circumradius", size)
     return _radial_power(params, rng, size) ** (1.0 / params.n)
+
+
+def _helper():
+    """The one thread that reduces blocks next to the calling thread, started
+    on first use in each process (a forked child starts its own); None when
+    the process may run on one CPU only."""
+    global _helper_pool
+    pid = os.getpid()
+    if _helper_pool is None or _helper_pool[0] != pid:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            return None
+        from concurrent.futures import ThreadPoolExecutor
+
+        _helper_pool = (pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="pdvol-reduce"))
+    return _helper_pool[1]
+
+
+def _blocked(draw, reduce, count):
+    """Volumes of ``count`` >= 1 proposal tuples: ``draw(m)`` draws the next m
+    tuples and ``reduce(block, out)`` writes their volumes to ``out`` and
+    returns the block's points.  Every block is drawn on the calling thread,
+    in stream order; a block is reduced on the helper thread when it is idle
+    and inline otherwise, so at most two blocks are alive.  The points are
+    returned for a one-block batch only, which is reduced inline."""
+    out = np.empty(count)
+    if count <= _BLOCK:
+        return out, reduce(draw(count), out)
+    helper = _helper()
+    pending = None
+    try:
+        for lo in range(0, count, _BLOCK):
+            block = draw(min(count - lo, _BLOCK))
+            if pending is not None and pending.done():
+                pending, done = None, pending
+                done.result()
+            if helper is not None and pending is None:
+                pending = helper.submit(reduce, block, out[lo : lo + len(block)])
+            else:
+                reduce(block, out[lo : lo + len(block)])
+    finally:
+        if pending is not None:
+            pending.result()
+    return out, None
+
+
+def _triangle_areas(th, area):
+    """Areas of the triangles on the unit-circle angles ``th`` (m, 3) into
+    ``area``; returns the points as [cos, sin], each (m, 3)."""
+    x, y = np.cos(th), np.sin(th)
+    area[:] = 0.5 * np.abs(
+        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+    )
+    return [x, y]
+
+
+def _tetrahedron_volumes(g, vol):
+    """Volumes of the tetrahedra on the standard normals ``g`` (m, 4, 3),
+    each vertex scaled to the unit sphere, into ``vol``; returns the unit
+    vectors as [ux, uy, uz], each (m, 4)."""
+    m = len(g)
+    x, y, z = g.reshape(4 * m, 3).T
+    r = np.sqrt(x * x + y * y + z * z)
+    u = [np.divide(comp, r).reshape(m, 4) for comp in (x, y, z)]
+    # edge vectors u_j - u_0, one array per component
+    a, b, c = ([comp[:, j] - comp[:, 0] for comp in u] for j in (1, 2, 3))
+    det = (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+    vol[:] = np.abs(det) / 6.0
+    return u
 
 
 def _uniform_circle(rng, count):
     """Areas of ``count`` >= 1 triangles on three uniform points of the unit
-    circle each, drawn and reduced ``_BLOCK`` triangles at a time; for a
+    circle each, drawn ``_BLOCK`` triangles at a time (``_blocked``); for a
     one-block batch also the points as [cos, sin], each (count, 3)."""
-    area = np.empty(count)
-    for lo in range(0, count, _BLOCK):
-        m = min(count - lo, _BLOCK)
-        th = rng.uniform(0.0, 2.0 * math.pi, size=(m, 3))
-        x, y = np.cos(th), np.sin(th)
-        area[lo : lo + m] = 0.5 * np.abs(
-            (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
-        )
-    return area, ([x, y] if count <= _BLOCK else None)
+    return _blocked(lambda m: rng.uniform(0.0, 2.0 * math.pi, size=(m, 3)), _triangle_areas, count)
 
 
 def _uniform_sphere(rng, count):
     """Volumes of ``count`` >= 1 tetrahedra on four uniform points of the unit
-    sphere each, drawn and reduced ``_BLOCK`` tetrahedra at a time; for a
+    sphere each, drawn ``_BLOCK`` tetrahedra at a time (``_blocked``); for a
     one-block batch also the points as [ux, uy, uz], each (count, 4)."""
-    vol = np.empty(count)
-    for lo in range(0, count, _BLOCK):
-        m = min(count - lo, _BLOCK)
-        x, y, z = rng.standard_normal(size=(m, 4, 3)).reshape(4 * m, 3).T
-        r = np.sqrt(x * x + y * y + z * z)
-        u = [np.divide(comp, r).reshape(m, 4) for comp in (x, y, z)]
-        # edge vectors u_j - u_0, one array per component
-        a, b, c = ([comp[:, j] - comp[:, 0] for comp in u] for j in (1, 2, 3))
-        det = (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-        vol[lo : lo + m] = np.abs(det) / 6.0
-    return vol, (u if count <= _BLOCK else None)
+    return _blocked(lambda m: rng.standard_normal(size=(m, 4, 3)), _tetrahedron_volumes, count)
 
 
 def _angular_kernel(n: int, mu: float):
@@ -226,6 +297,7 @@ def angular_acceptance_rate(n: int, mu: float, rng: np.random.Generator, n_propo
 def sample_angular_delta(n: int, mu: float, rng: np.random.Generator, size: int):
     """Batch of simplex volumes Delta under the density proportional to
     Delta^(mu+2) on unit-sphere (n+1)-tuples, by rejection from uniform."""
+    _check_size("sample_angular_delta", size)
     _check_proposal_budget(n, mu, size)
     return _rejection_batches(n, mu, rng, size, keep_directions=False)[1]
 
@@ -239,6 +311,7 @@ def sample_angular_simplex(n: int, mu: float, rng: np.random.Generator):
 
 def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     """Volume draws V = R^n * Delta with independent radial and angular parts."""
+    _check_size("sample_volume", size)
     _check_proposal_budget(params.n, params.mu, size)
     rn = _radial_power(params, rng, size)
     return rn * _rejection_batches(params.n, params.mu, rng, size, keep_directions=False)[1]
@@ -247,6 +320,7 @@ def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
 def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int):
     """Right-hand side of the product identity:
     (rho/(gamma kappa_n))^2 prod_i Beta((i+mu+1)/2, (n-i+1)/2) draws."""
+    _check_size("sample_rhs_product", size)
     n, mu = params.n, params.mu
     kappa = math.exp(log_unit_ball_volume(n))
     rho = sample_gamma(n + mu + 1.0, 1.0, rng, size=size)
@@ -259,6 +333,7 @@ def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int)
 def sample_lhs_product(params: ModelParams, rng: np.random.Generator, size: int):
     """Left-hand side xi^n (1-xi) (n! V)^2 with xi ~ Beta(n(n+mu+1)/2, (mu+2)/2)
     independent of V; needs the volume sampler, so n in {2, 3}."""
+    _check_size("sample_lhs_product", size)
     n, mu = params.n, params.mu
     v = sample_volume(params, rng, size)
     xi = sample_beta(n * (n + mu + 1.0) / 2.0, (mu + 2.0) / 2.0, rng, size=size)

@@ -46,8 +46,10 @@ def test_package_reexports_are_public():
 
 # loaded on first use only: the KS tests need scipy.stats, which brings
 # scipy.optimize, and the triangulation scipy.spatial; no path starts a
-# process pool
-DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.spatial", "concurrent.futures.process")
+# process pool, and the sampler's helper thread starts at its first batch of
+# several blocks
+DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.spatial", "concurrent.futures.process",
+            "concurrent.futures.thread")
 # the paper's closed polygamma sums are claims under test, on no production
 # path; the CLI loads them through the claim report
 CLAIMS_ONLY = {"pdvol": ("pdvol.polygamma_sums",), "pdvol.cli": ()}

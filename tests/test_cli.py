@@ -133,6 +133,8 @@ def test_exit_codes(capsys):
     ({}, ["delaunay2d", "--jobs", "2"], 1),  # the replicates run in one process
     ({}, ["delaunay2d", "--side", "30", "--mode", "toroidal", "--guard", "3"], 2),  # the torus has no guard
     ({}, ["sample", "--kind", "identity", "--count", "24"], 2),  # the KS test needs 25 draws a side
+    ({}, ["cumulants", "--max-order", "7"], 2),  # the oracle stops at order 6, refused before order 1
+    ({}, ["cumulants", "--max-order", "0"], 2),  # no empty document
 ])
 def test_malformed_input_refused(env, args, code, monkeypatch, capsys):
     for var, value in env.items():

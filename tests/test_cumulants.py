@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, gammaln, polygamma
 
+import pdvol.cumulants as cumulants
 from pdvol.cumulants import (
     RegimeSpec,
     concentration_envelope,
@@ -211,6 +212,21 @@ def test_cumulant_report():
     rows = cumulant_report(ModelParams(10, 0.0, 1.0), max_order=3)
     assert [row["m"] for row in rows] == [1, 2, 3]
     assert all(row["abs_diff"] <= 1e-6 * max(1.0, abs(row["exact"])) for row in rows)
+
+
+@pytest.mark.parametrize("max_order", [0, 7, -1, 2.5, 4.0, "3", True, None])
+def test_cumulant_report_refuses_bad_order_before_any_cgf(max_order, monkeypatch):
+    calls = []
+    for name in ("cgf", "_plan"):
+        monkeypatch.setattr(cumulants, name, lambda *args, **kw: calls.append(args))
+    with pytest.raises(DomainError, match="max_order"):
+        cumulant_report(ModelParams(10, 0.0, 1.0), max_order=max_order)
+    assert calls == []
+
+
+def test_cumulant_report_accepts_numpy_orders():
+    rows = cumulant_report(ModelParams(10, 0.0, 1.0), max_order=np.int64(6))
+    assert [row["m"] for row in rows] == [1, 2, 3, 4, 5, 6]
 
 
 def test_mean_expansion_bounded_delta():

@@ -1,7 +1,13 @@
 import hashlib
+import itertools
 import math
+import os
+import select
+import signal
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -254,6 +260,32 @@ def test_angular_domain_errors():
             angular_acceptance_rate(2, mu, rng, 1000)
 
 
+SIZED_SAMPLERS = {
+    "sample_volume": lambda rng, size: sample_volume(ModelParams(2, -1.0, 1.0), rng, size),
+    "sample_angular_delta": lambda rng, size: sample_angular_delta(3, 0.0, rng, size),
+    "sample_rhs_product": lambda rng, size: sample_rhs_product(ModelParams(3, 0.0, 1.0), rng, size),
+    "sample_lhs_product": lambda rng, size: sample_lhs_product(ModelParams(3, 0.0, 1.0), rng, size),
+    "sample_circumradius": lambda rng, size: sample_circumradius(ModelParams(2, -1.0, 1.0), rng, size=size),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_SAMPLERS))
+def test_sampler_refuses_bad_size_before_drawing(name):
+    rng = RngStream(0, 0).generator()
+    before = repr(rng.bit_generator.state)
+    bad = [-1, 2.5, 3.0, np.float64(4.0), "10", True, (2, 3)]
+    for size in bad + ([] if name == "sample_circumradius" else [None]):
+        with pytest.raises(DomainError, match="size"):
+            SIZED_SAMPLERS[name](rng, size)
+    assert repr(rng.bit_generator.state) == before
+    for size in (0, np.int64(3)):
+        assert len(SIZED_SAMPLERS[name](rng, size)) == size
+
+
+def test_circumradius_without_size_is_one_draw():
+    assert np.ndim(sample_circumradius(ModelParams(2, -1.0, 1.0), RngStream(0, 0).generator())) == 0
+
+
 def test_acceptance_rate_refuses_bad_count_before_drawing():
     rng = RngStream(0, 0).generator()
     before = repr(rng.bit_generator.state)
@@ -362,3 +394,132 @@ def test_sampler_memory_peak_of_one_large_batch():
     # 1e6 draws at (3, -1) propose one batch of 2e6 tetrahedra: 476 MB when
     # the kernel drew the whole batch at once, 92 MB in blocks
     assert _sample_volume_peak(3, -1.0, 10**6) <= 150e6
+
+
+# batches of several kernel blocks, each ending in a partial block
+HELPER_COUNTS = (8193, 3 * 8192, 80_000, 123_457)
+
+
+def _kernel_bits(name, counts=HELPER_COUNTS):
+    """sha256 of the volumes and the generator state after each batch."""
+    h = hashlib.sha256()
+    for count in counts:
+        rng = RngStream(20261019, count).generator()
+        vol, points = getattr(sampling, name)(rng, count)
+        assert points is None and len(vol) == count
+        h.update(vol.tobytes())
+        h.update(repr(rng.bit_generator.state).encode())
+    return h.hexdigest()
+
+
+class _IdleHelper:
+    """A helper that is idle whenever asked: each block submitted to it is
+    reduced on its thread before ``submit`` returns."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.threads = set()
+
+    def submit(self, fn, *args):
+        def run():
+            self.threads.add(threading.get_ident())
+            return fn(*args)
+
+        future = self.pool.submit(run)
+        wait([future], timeout=60)
+        assert future.done()
+        return future
+
+
+def _refuse_helper():
+    raise AssertionError("a one-block batch asked for the helper")
+
+
+@pytest.mark.parametrize("name", ["_uniform_circle", "_uniform_sphere"])
+def test_helper_keeps_every_bit(name, monkeypatch):
+    natural = _kernel_bits(name)
+    monkeypatch.setattr(sampling, "_helper", lambda: None)  # helper always busy: every block inline
+    inline = _kernel_bits(name)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        idle = _IdleHelper(pool)
+        monkeypatch.setattr(sampling, "_helper", lambda: idle)  # every block on the helper
+        offloaded = _kernel_bits(name)
+    assert idle.threads and threading.get_ident() not in idle.threads
+    assert natural == inline == offloaded
+
+
+def test_one_block_batches_stay_inline(monkeypatch):
+    monkeypatch.setattr(sampling, "_helper", _refuse_helper)
+    for name in ("_uniform_circle", "_uniform_sphere"):
+        vol, points = getattr(sampling, name)(RngStream(5, 0).generator(), 8192)
+        assert len(vol) == 8192 and points is not None
+    for n in (2, 3):
+        u, _ = sample_angular_simplex(n, 1.0, RngStream(5, n).generator())
+        assert u.shape == (n + 1, n)
+
+
+@pytest.mark.parametrize("mode", ["inline", "idle", "started"])
+def test_failing_block_raises_from_kernel_call(mode, monkeypatch):
+    expected = _kernel_bits("_uniform_circle", (80_000,))
+    reduce = sampling._triangle_areas
+    blocks = itertools.count()
+
+    def failing(th, area):
+        if next(blocks) == 2:
+            raise FloatingPointError("third block")
+        return reduce(th, area)
+
+    monkeypatch.setattr(sampling, "_triangle_areas", failing)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if mode == "inline":
+            monkeypatch.setattr(sampling, "_helper", lambda: None)
+        elif mode == "idle":
+            idle = _IdleHelper(pool)
+            monkeypatch.setattr(sampling, "_helper", lambda: idle)
+        with pytest.raises(FloatingPointError, match="third block"):
+            sampling._uniform_circle(RngStream(20261019, 80_000).generator(), 80_000)
+    assert next(blocks) > 2
+    monkeypatch.undo()
+    # the helper is left usable
+    assert _kernel_bits("_uniform_circle", (80_000,)) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_reproduces_parent_bits(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    expected = _kernel_bits("_uniform_sphere")
+    parent_helper = sampling._helper()
+    assert parent_helper is not None
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: report its bits and whether it built its own helper, then leave at once
+        try:
+            os.close(read_fd)
+            bits = _kernel_bits("_uniform_sphere")
+            own = sampling._helper_pool[0] == os.getpid() and sampling._helper() is not parent_helper
+            os.write(write_fd, f"{bits} {own}".encode())
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        ready, _, _ = select.select([read_fd], [], [], 120)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        with os.fdopen(read_fd) as fh:
+            reply = fh.read() if ready else ""
+    finally:
+        os.waitpid(pid, 0)
+    assert reply == f"{expected} True"
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    expected = _kernel_bits("_uniform_circle")
+    monkeypatch.setattr(sampling, "_helper_pool", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    threads = set(threading.enumerate())
+    assert _kernel_bits("_uniform_circle") == expected
+    assert sample_volume(ModelParams(3, 2.0, 1.0), RngStream(2, 0).generator(), 20_000).size == 20_000
+    assert sampling._helper_pool is None
+    assert set(threading.enumerate()) == threads
