@@ -239,9 +239,10 @@ def regime_expansion(regime: RegimeSpec, driver: float, gamma: float = 1.0):
 def deviation_scale(regime: RegimeSpec, n: int) -> float:
     """epsilon_n governing the deviation bounds: sqrt(log n) for fixed mu,
     n^alpha sqrt(log n) for mu = n^alpha, and n for mu proportional to n or
-    n - mu = o(n).  Defined only for the n -> infinity regimes."""
-    if n < 3:
-        raise DomainError("deviation_scale: needs n >= 3")
+    n - mu = o(n).  Defined only for the n -> infinity regimes, at an integer
+    n >= 3."""
+    if not (n >= 3 and float(n).is_integer()):
+        raise DomainError(f"deviation_scale: needs an integer n >= 3, got {n!r}")
     tag = regime.tag
     if tag == "fixed_mu":
         return math.sqrt(math.log(n))

@@ -11,9 +11,13 @@ serves two evaluators of the quadrature sum: arbitrary points (the CDF and
 tail functions) take one row of exponentials e^{-iyt} per point, while the
 uniform 2048-point Kolmogorov grid, split as 32 coarse offsets c plus 64 fine
 steps f, uses e^{-i(c+f)t} = e^{-ict} e^{-ift}: 96 rows of exponentials and
-one matrix product.  Tail probabilities below the inversion floor (~1e-8)
-are out of scope; exponential-scale statements go through the scaled CGF
-instead.
+one matrix product.  The characteristic function at the nodes is one CGF
+call, which is split in two from 512 nodes (``specfun._split``); each table
+of exponentials of 8192 entries or more is split by rows the same way, its
+trailing rows computed on the package's helper thread.  Every entry gets
+the same cos and sin either way, so the CDF keeps its bits.  Tail
+probabilities below the inversion floor (~1e-8) are out of scope;
+exponential-scale statements go through the scaled CGF instead.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from scipy.special import gammaln, ndtr
 from .cumulants import concentration_envelope, cumulant_exact
 from .errors import ConvergenceError, DomainError
 from .exactlaw import ModelParams, cgf
-from .specfun import log_barnes_g
+from .specfun import _split, log_barnes_g
 
 __all__ = [
     "StandardizedLaw",
@@ -98,6 +102,10 @@ _X_RANGE = (-8.0, 8.0)
 _TAIL_TOL = 1e-12
 _NODES_PER_PANEL = 24
 _MAX_PANELS = 1280
+#: entries from which an exponential table is split by rows (``_cis_neg``):
+#: the split breaks even near 5000 entries and saves about 15% at 8192 and
+#: 30% at 24576 (2-vCPU Xeon)
+_CIS_SPLIT = 8192
 
 
 def char_fn(params: ModelParams, t):
@@ -165,11 +173,19 @@ def _invert(law: StandardizedLaw, evaluate):
 def _cis_neg(y, tg):
     """exp(-i y t) on the outer grid of y and t, formed as cos - i sin in one
     complex array: the bits of np.exp(-1j * np.outer(y, t)) without its
-    complex temporaries."""
+    complex temporaries.  A grid of at least ``_CIS_SPLIT`` entries is split
+    by rows with the helper thread (``specfun._split``)."""
     theta = np.multiply.outer(-y, tg)
     out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+
+    def rows(lo, hi):
+        np.cos(theta[lo:hi], out=out.real[lo:hi])
+        np.sin(theta[lo:hi], out=out.imag[lo:hi])
+
+    if theta.size < _CIS_SPLIT:
+        rows(0, len(theta))
+    else:
+        _split(rows, len(theta))
     return out
 
 

@@ -28,12 +28,13 @@ any proposal kernel must keep so that a seed keeps giving the same draws.
   of the batch is consumed and discarded.
 * Only the calling thread draws.  A block's reduction to volumes (cosines,
   sines and triangle areas at n = 2; normalisation and tetrahedron volumes at
-  n = 3) needs no random numbers, and may run on one helper thread while the
-  calling thread draws the next block.  The helper is started at the first
-  batch of more than one block, in a process that may run on two CPUs or
-  more; it touches no generator, and every element goes through the same
-  operations in the same order wherever it is reduced, so the volumes and
-  the generator state are the same bit for bit.
+  n = 3) needs no random numbers, and may run on the package's helper thread
+  (``specfun._helper``) while the calling thread draws the next block.  A
+  batch of one block never asks for the helper, which is started on first use
+  in a process that may run on two CPUs or more.  It touches no generator,
+  and every element goes through the same operations in the same order
+  wherever it is reduced, so the volumes and the generator state are the
+  same bit for bit.
 
 All randomness flows through RngStream (counter-based Philox keyed by
 (seed, stream_id)): identical streams reproduce bit-identical draws, and
@@ -43,11 +44,11 @@ distinct stream ids are independent by construction.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .errors import ConvergenceError, DomainError
 from .exactlaw import ModelParams, log_angular_simplex_moment
 from .specfun import log_unit_ball_volume
@@ -82,8 +83,6 @@ _KS_MIN = 25
 #: proposal tuples a kernel draws and reduces at a time, so that one block's
 #: arrays stay in cache whatever the batch size
 _BLOCK = 8192
-#: (pid, executor) of the helper thread that reduces blocks, see ``_helper``
-_helper_pool = None
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,11 @@ def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
     return rng.beta(a, b, size=size)
 
 
-def _check_size(name: str, size) -> None:
-    """Refuse a draw count that is not a nonnegative integer, before any draw."""
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
-        raise DomainError(f"{name}: size must be a nonnegative integer, got {size!r}")
+def _check_size(name: str, size, least: int = 0) -> None:
+    """Refuse a draw count that is not an integer >= least, before any draw;
+    ``name`` reads 'function: argument'."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {size!r}")
 
 
 def _radial_power(params: ModelParams, rng: np.random.Generator, size):
@@ -137,24 +137,8 @@ def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None
     """Circumradius draws via R^n = rho / (gamma kappa_n), rho ~ Gamma(n+mu+1, 1);
     one draw for size None."""
     if size is not None:
-        _check_size("sample_circumradius", size)
+        _check_size("sample_circumradius: size", size)
     return _radial_power(params, rng, size) ** (1.0 / params.n)
-
-
-def _helper():
-    """The one thread that reduces blocks next to the calling thread, started
-    on first use in each process (a forked child starts its own); None when
-    the process may run on one CPU only."""
-    global _helper_pool
-    pid = os.getpid()
-    if _helper_pool is None or _helper_pool[0] != pid:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        if (cpus or 1) < 2:
-            return None
-        from concurrent.futures import ThreadPoolExecutor
-
-        _helper_pool = (pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="pdvol-reduce"))
-    return _helper_pool[1]
 
 
 def _blocked(draw, reduce, count):
@@ -167,7 +151,7 @@ def _blocked(draw, reduce, count):
     out = np.empty(count)
     if count <= _BLOCK:
         return out, reduce(draw(count), out)
-    helper = _helper()
+    helper = specfun._helper()
     pending = None
     try:
         for lo in range(0, count, _BLOCK):
@@ -287,8 +271,7 @@ def angular_acceptance_rate(n: int, mu: float, rng: np.random.Generator, n_propo
     """Monte Carlo acceptance rate of the rejection sampler, i.e. the mean of
     (Delta/Delta_max)^(mu+2) over uniform proposals; equals the ratio of the
     (mu+2) angular moment to Delta_max^(mu+2)."""
-    if not n_proposals >= 1:
-        raise DomainError("angular_acceptance_rate: n_proposals must be at least 1")
+    _check_size("angular_acceptance_rate: n_proposals", n_proposals, least=1)
     propose, dmax = _angular_kernel(n, mu)
     vol, _ = propose(rng, n_proposals)
     return float(np.mean((vol / dmax) ** (mu + 2.0)))
@@ -297,7 +280,7 @@ def angular_acceptance_rate(n: int, mu: float, rng: np.random.Generator, n_propo
 def sample_angular_delta(n: int, mu: float, rng: np.random.Generator, size: int):
     """Batch of simplex volumes Delta under the density proportional to
     Delta^(mu+2) on unit-sphere (n+1)-tuples, by rejection from uniform."""
-    _check_size("sample_angular_delta", size)
+    _check_size("sample_angular_delta: size", size)
     _check_proposal_budget(n, mu, size)
     return _rejection_batches(n, mu, rng, size, keep_directions=False)[1]
 
@@ -311,7 +294,7 @@ def sample_angular_simplex(n: int, mu: float, rng: np.random.Generator):
 
 def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     """Volume draws V = R^n * Delta with independent radial and angular parts."""
-    _check_size("sample_volume", size)
+    _check_size("sample_volume: size", size)
     _check_proposal_budget(params.n, params.mu, size)
     rn = _radial_power(params, rng, size)
     return rn * _rejection_batches(params.n, params.mu, rng, size, keep_directions=False)[1]
@@ -320,7 +303,7 @@ def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
 def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int):
     """Right-hand side of the product identity:
     (rho/(gamma kappa_n))^2 prod_i Beta((i+mu+1)/2, (n-i+1)/2) draws."""
-    _check_size("sample_rhs_product", size)
+    _check_size("sample_rhs_product: size", size)
     n, mu = params.n, params.mu
     kappa = math.exp(log_unit_ball_volume(n))
     rho = sample_gamma(n + mu + 1.0, 1.0, rng, size=size)
@@ -333,7 +316,7 @@ def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int)
 def sample_lhs_product(params: ModelParams, rng: np.random.Generator, size: int):
     """Left-hand side xi^n (1-xi) (n! V)^2 with xi ~ Beta(n(n+mu+1)/2, (mu+2)/2)
     independent of V; needs the volume sampler, so n in {2, 3}."""
-    _check_size("sample_lhs_product", size)
+    _check_size("sample_lhs_product: size", size)
     n, mu = params.n, params.mu
     v = sample_volume(params, rng, size)
     xi = sample_beta(n * (n + mu + 1.0) / 2.0, (mu + 2.0) / 2.0, rng, size=size)

@@ -19,11 +19,24 @@ Barnes series in shift form, with their large parts cancelled analytically, so
 a call costs the same at every run length, and each point is reduced by its
 own dot product, so its value does not depend on the shape of the call.  All
 functions are pure and thread-safe.
+
+The package has one helper thread (``_helper``), started on first use in a
+process that may run on two CPUs or more; a forked child starts its own.  The
+sampler reduces proposal blocks on it, and ``_split`` runs the trailing half
+of a large call on it while the calling thread runs the leading half: a
+``GammaRatioSum`` call of at least ``_SPLIT_POINTS`` points, and the large
+Gil-Pelaez exponential tables of ``distribution``.  Only private code that
+never splits again runs there, and every element goes through the same
+operations wherever it is computed, so a split call gives the bits of an
+unsplit one.  Smaller calls never ask for the helper.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 
 import numpy as np
 from scipy import special as sp
@@ -64,6 +77,61 @@ SHIFT_MIN = 10.0
 # inside its table of coefficients zeta(k-1), k = 3..62
 _SERIES_STOP = 0.01 * 1e-12
 _SERIES_ZETA = sp.zeta(np.arange(2.0, 62.0)).tolist()
+#: points from which a GammaRatioSum call is split in two (``_split``): the
+#: split breaks even near 384 points and saves 5-9% at 512, 35% at 768, at
+#: every plan size measured (n = 10 to 1e6, 2-vCPU Xeon)
+_SPLIT_POINTS = 512
+#: (pid, executor) of the package's helper thread, see ``_helper``
+_helper_pool = None
+_helper_lock = threading.Lock()
+# marks the helper thread itself, whose work never splits again
+_on_helper = threading.local()
+
+
+def _enter_helper():
+    _on_helper.active = True
+
+
+def _helper():
+    """The package's one helper thread next to the calling thread, started on
+    first use in each process (a forked child starts its own); None when the
+    process may run on one CPU only, or when asked from the helper itself."""
+    global _helper_pool
+    if getattr(_on_helper, "active", False):
+        return None
+    pid = os.getpid()
+    if _helper_pool is None or _helper_pool[0] != pid:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            return None
+        from concurrent.futures import ThreadPoolExecutor
+
+        with _helper_lock:
+            if _helper_pool is None or _helper_pool[0] != pid:
+                pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pdvol-helper", initializer=_enter_helper)
+                _helper_pool = (pid, pool)
+    return _helper_pool[1]
+
+
+def _split(fn, count):
+    """[fn(0, half), fn(half, count)] with the trailing half run on the helper
+    thread while the calling thread runs the leading one, or [fn(0, count)]
+    when no helper is available.  Both halves are done when it returns or
+    raises: an exception from the leading half is raised after the helper's
+    half ends, and one from the helper's half is re-raised here.  The helper
+    runs in a copy of the caller's context, so numpy's error state holds for
+    both halves alike."""
+    helper = _helper()
+    if helper is None:
+        return [fn(0, count)]
+    half = count // 2
+    trailing = helper.submit(contextvars.copy_context().run, fn, half, count)
+    try:
+        leading = fn(0, half)
+    except BaseException:
+        trailing.exception()  # wait for the helper's half before leaving
+        raise
+    return [leading, trailing.result()]
 
 
 def log_gamma(z):
@@ -71,19 +139,21 @@ def log_gamma(z):
 
     Real arguments must be positive (the negative real axis is out of scope);
     complex arguments are accepted anywhere off the poles 0, -1, -2, ...
-    Satisfies log_gamma(z+1) = log_gamma(z) + log(z).
+    NaN is refused.  Satisfies log_gamma(z+1) = log_gamma(z) + log(z).
     """
     arr = np.asarray(z)
     if np.iscomplexobj(arr):
         carr = arr.astype(complex)
+        if np.isnan(carr).any():
+            raise DomainError("log_gamma: argument must not be NaN")
         real_axis = carr.imag == 0
         if np.any(real_axis & (carr.real <= 0) & (carr.real == np.rint(carr.real))):
             raise DomainError("log_gamma: argument is a pole of Gamma (0, -1, -2, ...)")
         out = sp.loggamma(carr)
         return complex(out) if arr.ndim == 0 else out
     farr = arr.astype(float)
-    if np.any(farr <= 0.0):
-        raise DomainError("log_gamma: real argument must be positive")
+    if not (farr > 0.0).all():
+        raise DomainError("log_gamma: real argument must be positive, not NaN")
     out = sp.gammaln(farr)
     return float(out) if arr.ndim == 0 else out
 
@@ -97,8 +167,8 @@ def _polygamma(q, x):
 def digamma(x):
     """psi(x) = d/dx log Gamma(x) for x > 0."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("digamma: argument must be positive")
+    if not (arr > 0.0).all():
+        raise DomainError("digamma: argument must be positive, not NaN")
     out = _polygamma(0, arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -108,8 +178,8 @@ def polygamma(m: int, x):
     if m < 1 or m != int(m):
         raise DomainError("polygamma: order m must be an integer >= 1 (use digamma for m = 0)")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("polygamma: argument must be positive")
+    if not (arr > 0.0).all():
+        raise DomainError("polygamma: argument must be positive, not NaN")
     out = _polygamma(int(m), arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -286,6 +356,14 @@ class GammaRatioSum:
 
     def __call__(self, z):
         z = np.asarray(z)
+        if z.size < _SPLIT_POINTS:
+            return self._evaluate(z)
+        # each point is its own dot product, so halves of the flattened
+        # points give the bits of the whole call
+        flat = z.reshape(-1)
+        return np.concatenate(_split(lambda lo, hi: self._evaluate(flat[lo:hi]), flat.size)).reshape(z.shape)
+
+    def _evaluate(self, z):
         shifts = self._shifts(z[..., None] * self.coef)
         # a point's value does not depend on its call's shape: the runs' shift
         # stays one column (numpy's complex loops round a broadcast copy by
@@ -372,8 +450,8 @@ def reg_lower_incomplete_gamma(a: float, x):
     if not a > 0:
         raise DomainError("reg_lower_incomplete_gamma: shape a must be positive")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("reg_lower_incomplete_gamma: x must be nonnegative")
+    if not (arr >= 0.0).all():
+        raise DomainError("reg_lower_incomplete_gamma: x must be nonnegative, not NaN")
     out = sp.gammainc(a, arr)
     return float(out) if arr.ndim == 0 else out
 

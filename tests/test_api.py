@@ -46,8 +46,9 @@ def test_package_reexports_are_public():
 
 # loaded on first use only: the KS tests need scipy.stats, which brings
 # scipy.optimize, and the triangulation scipy.spatial; no path starts a
-# process pool, and the sampler's helper thread starts at its first batch of
-# several blocks
+# process pool, and the package's one helper thread starts at its first large
+# call: a sampler batch of several blocks, a CGF call of 512 points or more,
+# or a Gil-Pelaez exponential table of 8192 entries or more
 DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.spatial", "concurrent.futures.process",
             "concurrent.futures.thread")
 # the paper's closed polygamma sums are claims under test, on no production

@@ -135,6 +135,12 @@ def test_exit_codes(capsys):
     ({}, ["sample", "--kind", "identity", "--count", "24"], 2),  # the KS test needs 25 draws a side
     ({}, ["cumulants", "--max-order", "7"], 2),  # the oracle stops at order 6, refused before order 1
     ({}, ["cumulants", "--max-order", "0"], 2),  # no empty document
+    # NaN is refused, not written as a bare NaN token, which is not JSON
+    ({}, ["specfun", "--function", "log_gamma", "--x", "nan"], 2),
+    ({}, ["specfun", "--function", "log_gamma", "--x", "2", "--im", "nan"], 2),
+    ({}, ["specfun", "--function", "digamma", "--x", "nan"], 2),
+    ({}, ["specfun", "--function", "polygamma", "--m", "1", "--x", "nan"], 2),
+    ({}, ["specfun", "--function", "reg_lower_incomplete_gamma", "--a", "1", "--x", "nan"], 2),
 ])
 def test_malformed_input_refused(env, args, code, monkeypatch, capsys):
     for var, value in env.items():

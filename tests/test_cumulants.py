@@ -323,6 +323,10 @@ def test_deviation_scale():
     assert deviation_scale(RegimeSpec("near_equal_weight"), 50) == 50.0
     with pytest.raises(DomainError):
         deviation_scale(RegimeSpec("fixed_n"), 50)
+    assert deviation_scale(RegimeSpec("fixed_mu"), np.int64(55)) == deviation_scale(RegimeSpec("fixed_mu"), 55)
+    for bad in (2, 0, -4, 3.5, math.nan, math.inf, True):
+        with pytest.raises(DomainError, match="integer n >= 3"):
+            deviation_scale(RegimeSpec("fixed_mu"), bad)
 
 
 def test_concentration_envelope():

@@ -1,19 +1,16 @@
 import hashlib
 import itertools
 import math
-import os
-import select
-import signal
 import struct
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import pdvol.sampling as sampling
+import pdvol.specfun as specfun
 from pdvol.errors import ConvergenceError, DomainError
 from pdvol.exactlaw import ModelParams, log_angular_simplex_moment, radius_cdf, volume_moment
 from pdvol.sampling import (
@@ -290,10 +287,11 @@ def test_acceptance_rate_refuses_bad_count_before_drawing():
     rng = RngStream(0, 0).generator()
     before = repr(rng.bit_generator.state)
     for n in (2, 3):
-        for count in (0, -5):
+        for count in (0, -5, 2.5, 10001.5, 3.0, True, "10", None):
             with pytest.raises(DomainError, match="n_proposals"):
                 angular_acceptance_rate(n, 0.0, rng, count)
     assert repr(rng.bit_generator.state) == before
+    assert 0.0 < angular_acceptance_rate(2, 0.0, rng, np.int64(7)) < 1.0
 
 
 # sha256 of every sampler output and generator state below, and the count
@@ -412,44 +410,23 @@ def _kernel_bits(name, counts=HELPER_COUNTS):
     return h.hexdigest()
 
 
-class _IdleHelper:
-    """A helper that is idle whenever asked: each block submitted to it is
-    reduced on its thread before ``submit`` returns."""
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.threads = set()
-
-    def submit(self, fn, *args):
-        def run():
-            self.threads.add(threading.get_ident())
-            return fn(*args)
-
-        future = self.pool.submit(run)
-        wait([future], timeout=60)
-        assert future.done()
-        return future
-
-
 def _refuse_helper():
     raise AssertionError("a one-block batch asked for the helper")
 
 
 @pytest.mark.parametrize("name", ["_uniform_circle", "_uniform_sphere"])
-def test_helper_keeps_every_bit(name, monkeypatch):
+def test_helper_keeps_every_bit(name, monkeypatch, idle_helper):
     natural = _kernel_bits(name)
-    monkeypatch.setattr(sampling, "_helper", lambda: None)  # helper always busy: every block inline
+    monkeypatch.setattr(specfun, "_helper", lambda: None)  # helper always busy: every block inline
     inline = _kernel_bits(name)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        idle = _IdleHelper(pool)
-        monkeypatch.setattr(sampling, "_helper", lambda: idle)  # every block on the helper
-        offloaded = _kernel_bits(name)
-    assert idle.threads and threading.get_ident() not in idle.threads
+    monkeypatch.setattr(specfun, "_helper", lambda: idle_helper)  # every block on the helper
+    offloaded = _kernel_bits(name)
+    assert idle_helper.threads and threading.get_ident() not in idle_helper.threads
     assert natural == inline == offloaded
 
 
 def test_one_block_batches_stay_inline(monkeypatch):
-    monkeypatch.setattr(sampling, "_helper", _refuse_helper)
+    monkeypatch.setattr(specfun, "_helper", _refuse_helper)
     for name in ("_uniform_circle", "_uniform_sphere"):
         vol, points = getattr(sampling, name)(RngStream(5, 0).generator(), 8192)
         assert len(vol) == 8192 and points is not None
@@ -459,7 +436,7 @@ def test_one_block_batches_stay_inline(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["inline", "idle", "started"])
-def test_failing_block_raises_from_kernel_call(mode, monkeypatch):
+def test_failing_block_raises_from_kernel_call(mode, monkeypatch, idle_helper):
     expected = _kernel_bits("_uniform_circle", (80_000,))
     reduce = sampling._triangle_areas
     blocks = itertools.count()
@@ -470,56 +447,13 @@ def test_failing_block_raises_from_kernel_call(mode, monkeypatch):
         return reduce(th, area)
 
     monkeypatch.setattr(sampling, "_triangle_areas", failing)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        if mode == "inline":
-            monkeypatch.setattr(sampling, "_helper", lambda: None)
-        elif mode == "idle":
-            idle = _IdleHelper(pool)
-            monkeypatch.setattr(sampling, "_helper", lambda: idle)
-        with pytest.raises(FloatingPointError, match="third block"):
-            sampling._uniform_circle(RngStream(20261019, 80_000).generator(), 80_000)
+    if mode == "inline":
+        monkeypatch.setattr(specfun, "_helper", lambda: None)
+    elif mode == "idle":
+        monkeypatch.setattr(specfun, "_helper", lambda: idle_helper)
+    with pytest.raises(FloatingPointError, match="third block"):
+        sampling._uniform_circle(RngStream(20261019, 80_000).generator(), 80_000)
     assert next(blocks) > 2
     monkeypatch.undo()
     # the helper is left usable
     assert _kernel_bits("_uniform_circle", (80_000,)) == expected
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_reproduces_parent_bits(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    expected = _kernel_bits("_uniform_sphere")
-    parent_helper = sampling._helper()
-    assert parent_helper is not None
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # child: report its bits and whether it built its own helper, then leave at once
-        try:
-            os.close(read_fd)
-            bits = _kernel_bits("_uniform_sphere")
-            own = sampling._helper_pool[0] == os.getpid() and sampling._helper() is not parent_helper
-            os.write(write_fd, f"{bits} {own}".encode())
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        ready, _, _ = select.select([read_fd], [], [], 120)
-        if not ready:
-            os.kill(pid, signal.SIGKILL)
-        with os.fdopen(read_fd) as fh:
-            reply = fh.read() if ready else ""
-    finally:
-        os.waitpid(pid, 0)
-    assert reply == f"{expected} True"
-
-
-def test_one_usable_cpu_starts_no_thread(monkeypatch):
-    expected = _kernel_bits("_uniform_circle")
-    monkeypatch.setattr(sampling, "_helper_pool", None)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    threads = set(threading.enumerate())
-    assert _kernel_bits("_uniform_circle") == expected
-    assert sample_volume(ModelParams(3, 2.0, 1.0), RngStream(2, 0).generator(), 20_000).size == 20_000
-    assert sampling._helper_pool is None
-    assert set(threading.enumerate()) == threads

@@ -1,12 +1,23 @@
+import hashlib
 import math
+import os
+import select
+import signal
+import threading
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
 
+import pdvol.distribution as distribution
+import pdvol.exactlaw as exactlaw
+import pdvol.sampling as sampling
+import pdvol.specfun as specfun
 from pdvol.errors import DomainError
+from pdvol.sampling import RngStream, sample_volume
 from pdvol.specfun import (
+    _SPLIT_POINTS,
     RUN_HEAD,
     SHIFT_MIN,
     GammaRatioSum,
@@ -67,6 +78,9 @@ def test_log_gamma_domain():
         log_gamma(-3.0)
     with pytest.raises(DomainError):
         log_gamma(complex(-2.0, 0.0))
+    for bad in (math.nan, np.array([1.0, math.nan]), complex(math.nan, 1.0), complex(1.0, math.nan)):
+        with pytest.raises(DomainError, match="NaN"):
+            log_gamma(bad)
 
 
 def test_digamma_against_series_oracle():
@@ -106,6 +120,11 @@ def test_polygamma_domain():
         polygamma(1, -1.0)
     with pytest.raises(DomainError):
         digamma(0.0)
+    for bad in (math.nan, np.array([2.0, math.nan])):
+        with pytest.raises(DomainError, match="NaN"):
+            digamma(bad)
+        with pytest.raises(DomainError, match="NaN"):
+            polygamma(2, bad)
 
 
 def test_recurrence_closure_random():
@@ -323,6 +342,11 @@ def test_reg_lower_incomplete_gamma():
         reg_lower_incomplete_gamma(-1.0, 1.0)
     with pytest.raises(DomainError):
         reg_lower_incomplete_gamma(1.0, -0.5)
+    for bad in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError, match="NaN"):
+            reg_lower_incomplete_gamma(1.0, bad)
+    with pytest.raises(DomainError):
+        reg_lower_incomplete_gamma(math.nan, 1.0)
 
 
 def test_unit_ball_volume():
@@ -335,3 +359,190 @@ def test_unit_ball_volume():
             log_unit_ball_volume(bad)
         with pytest.raises(DomainError):
             log_unit_sphere_area(bad)
+
+
+# ---------------------------------------------------------------------------
+# the package's helper thread and the split of large calls
+
+# GammaRatioSum call shapes: 0-d, small, either side of the split threshold,
+# large, and 2-D below and above it
+SPLIT_SHAPES = ((), (1,), (7,), (_SPLIT_POINTS - 1,), (_SPLIT_POINTS,), (40_000,), (7, 73), (40, 1001))
+
+
+def _split_points(shape, complex_):
+    gen = np.random.default_rng(sum(shape) + complex_)
+    z = gen.uniform(-0.9, 5.0, shape)  # inside the strip of the mu = -1 plans
+    return z + 1j * gen.uniform(-40.0, 40.0, shape) if complex_ else z
+
+
+def _split_bits():
+    """sha256 of every SPLIT_SHAPES call of two plans, real and complex: one
+    with Barnes ends (n = 1000) and one with near entries (n = 3)."""
+    h = hashlib.sha256()
+    for n in (1000, 3):
+        plan = exactlaw._plan(n, -1.0)
+        for shape in SPLIT_SHAPES:
+            for complex_ in (False, True):
+                out = np.asarray(plan(_split_points(shape, complex_)))
+                assert out.shape == shape and np.iscomplexobj(out) == complex_
+                h.update(out.tobytes())
+    return h.hexdigest()
+
+
+# exponential tables: odd row counts either side of the split threshold
+CIS_ROWS = (1, 3, 5, 33, 257)
+
+
+def _cis_bits():
+    h = hashlib.sha256()
+    gen = np.random.default_rng(11)
+    for nodes in (768, 1535):
+        tg = np.sort(gen.uniform(0.0, 60.0, nodes))
+        for rows in CIS_ROWS:
+            y = gen.uniform(-8.0, 8.0, rows)
+            out = distribution._cis_neg(y, tg)
+            theta = np.multiply.outer(-y, tg)
+            assert out.real.tobytes() == np.cos(theta).tobytes()
+            assert out.imag.tobytes() == np.sin(theta).tobytes()
+            h.update(out.tobytes())
+    return h.hexdigest()
+
+
+def _sphere_bits():
+    """sha256 of a sampler batch of several blocks and its generator state."""
+    rng = RngStream(20261019, 0).generator()
+    vol, _ = sampling._uniform_sphere(rng, 80_000)
+    return hashlib.sha256(vol.tobytes() + repr(rng.bit_generator.state).encode()).hexdigest()
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _refuse_helper():
+    raise AssertionError("a call below the split threshold asked for the helper")
+
+
+@pytest.mark.parametrize("bits", [_split_bits, _cis_bits], ids=["gamma-ratio-sum", "cis-neg"])
+def test_split_keeps_every_bit(bits, monkeypatch, idle_helper):
+    _two_cpus(monkeypatch)
+    assert specfun._helper() is not None
+    started = bits()
+    monkeypatch.setattr(specfun, "_helper", lambda: None)  # no helper: every call in one piece
+    inline = bits()
+    monkeypatch.setattr(specfun, "_helper", lambda: idle_helper)  # the trailing half on another thread
+    halves = bits()
+    assert idle_helper.threads and threading.get_ident() not in idle_helper.threads
+    assert started == inline == halves
+
+
+def test_small_calls_never_ask_for_the_helper(monkeypatch):
+    monkeypatch.setattr(specfun, "_helper", _refuse_helper)
+    plan = exactlaw._plan(200, 0.5)
+    for shape in ((), (1,), (8,), (_SPLIT_POINTS - 1,), (7, 73)):
+        plan(_split_points(shape, True))
+    p = exactlaw.ModelParams(200, 0.5)
+    exactlaw.cgf(p, np.linspace(-1.0, 1.0, 8))
+    exactlaw.log_volume_moment(p, 1.0)
+    rows = (distribution._CIS_SPLIT - 1) // 768
+    assert distribution._cis_neg(np.zeros(rows), np.linspace(0.0, 10.0, 768)).shape == (rows, 768)
+
+
+@pytest.mark.parametrize("failing", ["leading", "trailing"])
+@pytest.mark.parametrize("mode", ["idle", "started"])
+def test_failing_half_raises_from_call(failing, mode, monkeypatch, idle_helper):
+    _two_cpus(monkeypatch)
+    plan = exactlaw._plan(1000, -1.0)
+    z = _split_points((1001,), True)
+    expected = plan(z).tobytes()
+    evaluate = GammaRatioSum._evaluate
+    done = []
+
+    def half(self, points):
+        if points.size == (500 if failing == "leading" else 501):
+            raise FloatingPointError(f"{failing} half")
+        out = evaluate(self, points)
+        done.append(points.size)
+        return out
+
+    monkeypatch.setattr(GammaRatioSum, "_evaluate", half)
+    if mode == "idle":
+        monkeypatch.setattr(specfun, "_helper", lambda: idle_helper)
+    with pytest.raises(FloatingPointError, match=f"{failing} half"):
+        plan(z)
+    # the other half had ended before the call raised
+    assert done == [501 if failing == "leading" else 500]
+    monkeypatch.undo()
+    _two_cpus(monkeypatch)
+    # the helper is left usable
+    assert plan(z).tobytes() == expected
+
+
+def test_helper_half_keeps_the_callers_error_state(monkeypatch):
+    _two_cpus(monkeypatch)
+    with np.errstate(over="raise", invalid="ignore"):
+        halves = specfun._split(lambda lo, hi: (np.geterr()["over"], np.geterr()["invalid"]), 2)
+    assert halves == [("raise", "ignore")] * 2
+
+
+def test_sampler_and_cgf_share_one_helper_thread(monkeypatch):
+    _two_cpus(monkeypatch)
+    helper = specfun._helper()
+    names = set()
+
+    def record(fn):
+        def recorded(*args):
+            names.add(threading.current_thread().name)
+            return fn(*args)
+        return recorded
+
+    monkeypatch.setattr(sampling, "_tetrahedron_volumes", record(sampling._tetrahedron_volumes))
+    monkeypatch.setattr(GammaRatioSum, "_evaluate", record(GammaRatioSum._evaluate))
+    sampling._uniform_sphere(RngStream(3, 0).generator(), 5 * sampling._BLOCK)
+    exactlaw.cgf(exactlaw.ModelParams(10**4, 0.0), 1j * np.linspace(-12.0, 12.0, 2048))
+    ours = [t.name for t in threading.enumerate() if t.name.startswith("pdvol")]
+    assert len(ours) == 1 and names == {threading.current_thread().name, ours[0]}
+    assert specfun._helper() is helper
+    # work on the helper never splits again
+    assert helper.submit(specfun._helper).result(timeout=60) is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_reproduces_parent_bits(monkeypatch):
+    _two_cpus(monkeypatch)
+    expected = _split_bits() + _cis_bits() + _sphere_bits()
+    parent_helper = specfun._helper()
+    assert parent_helper is not None
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: report its bits and whether it built its own helper, then leave at once
+        try:
+            os.close(read_fd)
+            bits = _split_bits() + _cis_bits() + _sphere_bits()
+            own = specfun._helper_pool[0] == os.getpid() and specfun._helper() is not parent_helper
+            os.write(write_fd, f"{bits} {own}".encode())
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        ready, _, _ = select.select([read_fd], [], [], 120)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        with os.fdopen(read_fd) as fh:
+            reply = fh.read() if ready else ""
+    finally:
+        os.waitpid(pid, 0)
+    assert reply == f"{expected} True"
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    expected = _split_bits() + _cis_bits() + _sphere_bits()
+    monkeypatch.setattr(specfun, "_helper_pool", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    threads = set(threading.enumerate())
+    assert _split_bits() + _cis_bits() + _sphere_bits() == expected
+    assert sample_volume(exactlaw.ModelParams(3, 2.0, 1.0), RngStream(2, 0).generator(), 20_000).size == 20_000
+    assert specfun._helper_pool is None
+    assert set(threading.enumerate()) == threads
