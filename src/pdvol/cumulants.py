@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .exactlaw import STRIP_GUARD, ModelParams, _linear, _plan, cgf, strip_edge
 from .specfun import _polygamma
 
@@ -55,9 +55,7 @@ def cumulant_exact(params: ModelParams, m: int) -> float:
     4e-12 where mu >= 100 n, about n ulps of the moment formula's own
     cancellation.
     """
-    if m < 1 or m != int(m):
-        raise DomainError("cumulant_exact: order m must be an integer >= 1")
-    m = int(m)
+    m = check_integer("cumulant_exact", "m", m, 1)
     return _plan(params.n, params.mu).derivative(m) + (m == 1) * _linear(params)
 
 
@@ -77,9 +75,7 @@ def cumulant_fd_oracle(params: ModelParams, m: int) -> float:
     Relative accuracy on the tested ranges (m <= 4, n <= 50) is better than
     1e-6; orders 5 and 6 degrade to roughly 1e-4.
     """
-    if m < 1 or m > 6 or m != int(m):
-        raise DomainError("cumulant_fd_oracle: order m must be an integer in [1, 6]")
-    m = int(m)
+    m = check_integer("cumulant_fd_oracle", "m", m, 1, 6)
     span = -strip_edge(params, extended=True) - STRIP_GUARD
     h0 = min(0.45 * span / (m / 2.0 + 0.5), 0.6)
     if h0 < 1e-12:
@@ -107,8 +103,7 @@ def cumulant_report(params: ModelParams, max_order: int = 4) -> list:
     {m, exact, oracle, abs_diff} per order m = 1..max_order, for an integer
     max_order in [1, 6] (the oracle's orders), refused otherwise before any
     cumulant is computed."""
-    if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)) or not 1 <= max_order <= 6:
-        raise DomainError(f"cumulant_report: max_order must be an integer in [1, 6], got {max_order!r}")
+    max_order = check_integer("cumulant_report", "max_order", max_order, 1, 6)
     rows = []
     for m in range(1, max_order + 1):
         exact = cumulant_exact(params, m)
@@ -153,9 +148,7 @@ def variance_expansion(params: ModelParams) -> float:
 def cumulant_bound(params: ModelParams, m: int) -> float:
     """Explicit bound on |c_m| for m >= 3:
     (3n+4)(m-2)!/(2(n+mu)^(m-1)) + (2n+3)(m-1)!/(n+mu)^m + 4(m-1)!/(mu+3)^(m-2)."""
-    if m < 3 or m != int(m):
-        raise DomainError("cumulant_bound: stated only for m >= 3")
-    m = int(m)
+    m = check_integer("cumulant_bound", "m", m, 3)
     n, mu = params.n, params.mu
     return (
         (3.0 * n + 4.0) * math.factorial(m - 2) / (2.0 * (n + mu) ** (m - 1))
@@ -190,8 +183,8 @@ class RegimeSpec:
             raise DomainError(f"RegimeSpec: tag {self.tag!r} takes no alpha")
         if self.tag in ("mu_power", "n_power") and not (0.0 < self.alpha < 1.0):
             raise DomainError("RegimeSpec: exponent alpha must lie in (0, 1)")
-        if self.tag == "mu_linear" and not self.alpha > 0.0:
-            raise DomainError("RegimeSpec: slope alpha must be positive")
+        if self.tag == "mu_linear" and not 0.0 < self.alpha < math.inf:
+            raise DomainError("RegimeSpec: slope alpha must be finite and positive")
 
 
 def regime_expansion(regime: RegimeSpec, driver: float, gamma: float = 1.0):
@@ -202,8 +195,10 @@ def regime_expansion(regime: RegimeSpec, driver: float, gamma: float = 1.0):
     leading terms; these are predictions to be compared against the exact
     cumulants, not re-derivations.
     """
-    if not driver > 0:
-        raise DomainError("regime_expansion: driver must be positive")
+    if not 0.0 < driver < math.inf:
+        raise DomainError("regime_expansion: driver must be finite and positive")
+    if not 0.0 < gamma < math.inf:
+        raise DomainError("regime_expansion: intensity gamma must be finite and positive")
     lg = math.log(gamma)
     tag, alpha = regime.tag, regime.alpha
     if tag == "fixed_mu":
@@ -241,8 +236,7 @@ def deviation_scale(regime: RegimeSpec, n: int) -> float:
     n^alpha sqrt(log n) for mu = n^alpha, and n for mu proportional to n or
     n - mu = o(n).  Defined only for the n -> infinity regimes, at an integer
     n >= 3."""
-    if not (n >= 3 and float(n).is_integer()):
-        raise DomainError(f"deviation_scale: needs an integer n >= 3, got {n!r}")
+    n = check_integer("deviation_scale", "n", n, 3)
     tag = regime.tag
     if tag == "fixed_mu":
         return math.sqrt(math.log(n))
@@ -256,8 +250,8 @@ def deviation_scale(regime: RegimeSpec, n: int) -> float:
 def concentration_envelope(y: float, c: float, eps: float) -> float:
     """Exponential envelope 2 exp(-y^2 / (2 + c y / eps)) for the two-sided
     tail of the standardized log volume; nonincreasing in y."""
-    if not y >= 0:
-        raise DomainError("concentration_envelope: y must be nonnegative")
-    if not (c > 0 and eps > 0):
-        raise DomainError("concentration_envelope: c and eps must be positive")
+    if not 0.0 <= y < math.inf:
+        raise DomainError("concentration_envelope: y must be finite and nonnegative")
+    if not (0.0 < c < math.inf and 0.0 < eps < math.inf):
+        raise DomainError("concentration_envelope: c and eps must be finite and positive")
     return 2.0 * math.exp(-y * y / (2.0 + c * y / eps))

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import lambertw
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_integer
 
 __all__ = [
     "SimWindow",
@@ -328,6 +328,7 @@ def audit_empty_circumdisk(tri: Triangulation, n_audits: int, rng: np.random.Gen
     of Qhull's output; on the torus the tree is periodic, so distances are
     minimum-image.  A triangle's own vertices lie at distance radius and never
     count."""
+    n_audits = check_integer("audit_empty_circumdisk", "n_audits", n_audits, 0)
     from scipy.spatial import cKDTree
 
     tree = cKDTree(tri.points, boxsize=tri.side if tri.mode == "toroidal" else None)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .cumulants import concentration_envelope, cumulant_exact
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_integer
 from .exactlaw import ModelParams, cgf
 from .specfun import _split, log_barnes_g
 
@@ -102,7 +102,7 @@ _X_RANGE = (-8.0, 8.0)
 _TAIL_TOL = 1e-12
 _NODES_PER_PANEL = 24
 _MAX_PANELS = 1280
-#: entries from which an exponential table is split by rows (``_cis_neg``):
+#: entries from which an exponential table is split in two (``_cis_neg``):
 #: the split breaks even near 5000 entries and saves about 15% at 8192 and
 #: 30% at 24576 (2-vCPU Xeon)
 _CIS_SPLIT = 8192
@@ -174,18 +174,21 @@ def _cis_neg(y, tg):
     """exp(-i y t) on the outer grid of y and t, formed as cos - i sin in one
     complex array: the bits of np.exp(-1j * np.outer(y, t)) without its
     complex temporaries.  A grid of at least ``_CIS_SPLIT`` entries is split
-    by rows with the helper thread (``specfun._split``)."""
+    in two halves of its flattened entries, whatever its row count, with the
+    helper thread (``specfun._split``)."""
     theta = np.multiply.outer(-y, tg)
     out = np.empty(theta.shape, dtype=complex)
+    # views of the same memory: each entry is written where the table has it
+    flat, angles = out.reshape(-1), theta.reshape(-1)
 
-    def rows(lo, hi):
-        np.cos(theta[lo:hi], out=out.real[lo:hi])
-        np.sin(theta[lo:hi], out=out.imag[lo:hi])
+    def entries(lo, hi):
+        np.cos(angles[lo:hi], out=flat.real[lo:hi])
+        np.sin(angles[lo:hi], out=flat.imag[lo:hi])
 
     if theta.size < _CIS_SPLIT:
-        rows(0, len(theta))
+        entries(0, theta.size)
     else:
-        _split(rows, len(theta))
+        _split(entries, theta.size)
     return out
 
 
@@ -271,8 +274,8 @@ def centering(variant: CenteringVariant, params: ModelParams) -> float:
 
 
 def mod_gaussian_speed(n: int) -> float:
-    """The Gaussian variance parameter w_n = (1/2) log(n/2)."""
-    return 0.5 * math.log(n / 2.0)
+    """The Gaussian variance parameter w_n = (1/2) log(n/2), for an integer n >= 2."""
+    return 0.5 * math.log(check_integer("mod_gaussian_speed", "n", n, 2) / 2.0)
 
 
 def ldp_scaled_cgf(params: ModelParams, t: float, variant: CenteringVariant) -> float:

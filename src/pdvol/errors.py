@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule.
+
+Every integer argument (a dimension n, a cumulant or polygamma order m, a
+run length k, the sphere identity's weight mu, a draw or audit count) is
+checked by ``check_integer``: it accepts what ``operator.index`` accepts,
+except a bool, inside the stated range, and refuses everything else with
+``DomainError`` naming the function and the argument.  Integral floats (3.0,
+``np.float64(2.0)``) are refused like any other float.
+"""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -7,3 +17,18 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A numerical procedure failed to converge within its budget."""
+
+
+def check_integer(function: str, argument: str, value, least: int, most=None) -> int:
+    """``value`` as a Python int if it is an integer, not a bool, in
+    [least, most] (no top when ``most`` is None); DomainError otherwise."""
+    number = value
+    if type(value) is not int:  # a plain int skips the conversion
+        try:
+            number = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:
+            number = None
+    if number is None or number < least or (most is not None and number > most):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise DomainError(f"{function}: needs an integer {argument} {bound}, got {value!r}")
+    return number

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .specfun import GammaRatioSum, log_unit_ball_volume, log_unit_sphere_area
 
 # strip_edge, a helper of cgf and the cumulant oracle, stays out of __all__:
@@ -67,8 +67,8 @@ class ModelParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not 2 <= self.n < math.inf or self.n != int(self.n):
-            raise DomainError("ModelParams: dimension n must be an integer >= 2")
+        # stored as a Python int: n*n of a numpy integer can overflow
+        object.__setattr__(self, "n", check_integer("ModelParams", "n", self.n, 2))
         if not -2.0 < self.mu < math.inf:
             raise DomainError("ModelParams: weight mu must be finite and exceed -2")
         if not 0.0 < self.gamma < math.inf:
@@ -96,9 +96,7 @@ def log_angular_simplex_moment(n: int, s: float) -> float:
 
     Valid for every finite s > -1 (all gamma arguments positive there).
     """
-    if not 2 <= n < math.inf or n != int(n):
-        raise DomainError("log_angular_simplex_moment: n must be an integer >= 2")
-    n = int(n)
+    n = check_integer("log_angular_simplex_moment", "n", n, 2)
     if not -1.0 < s < math.inf:
         raise DomainError("log_angular_simplex_moment: requires finite s > -1")
     i = np.arange(1, n + 1)
@@ -120,9 +118,7 @@ def log_typical_cell_constant(n: int) -> float:
     """log of the normalizing constant entering the typical-cell moment
     formula: n^2 / (2^(n+1) pi^((n-1)/2)) * Gamma(n^2/2) / Gamma((n^2+1)/2)
     * [Gamma((n+1)/2) / Gamma(1 + n/2)]^n."""
-    if not 2 <= n < math.inf or n != int(n):
-        raise DomainError("log_typical_cell_constant: n must be an integer >= 2")
-    n = int(n)
+    n = check_integer("log_typical_cell_constant", "n", n, 2)
     return (
         2.0 * math.log(n)
         - (n + 1) * math.log(2.0)
@@ -140,6 +136,7 @@ def typical_volume_moment(n: int, gamma: float, s: float) -> float:
     Independent of the weighted moment formula; agreement of the two routes is
     one of the package's cross-checks.  Requires s > -1.
     """
+    n = check_integer("typical_volume_moment", "n", n, 2)
     if not 0.0 < gamma < math.inf:
         raise DomainError("typical_volume_moment: gamma must be finite and positive")
     if not s > -1.0:
@@ -172,7 +169,7 @@ def _plan(n: int, mu: float) -> GammaRatioSum:
     fixed (n, mu), so a few recent plans suffice.  Where the arguments
     overflow, GammaRatioSum refuses them (as plain numbers: numpy scalars
     would warn first)."""
-    n, mu = int(n), float(mu)
+    mu = float(mu)
     ratios = (
         ((n + 1) * (n + mu) / 2.0 + 1.0, (n + 1) / 2.0, 1.0),
         (n * (n + mu + 1.0) / 2.0, n / 2.0, -1.0),
@@ -276,12 +273,11 @@ def sphere_representation_gap(n: int, mu: int, s: float, gamma: float = 1.0) -> 
     of the simplex of n+1 uniform points on a sphere with Beta-type weight mu.
     Stated for integer mu >= -1; returns |lhs/rhs - 1|.
     """
-    if not -1 <= mu < math.inf or mu != int(mu):
-        raise DomainError("sphere_representation_gap: mu must be an integer >= -1")
+    mu = check_integer("sphere_representation_gap", "mu", mu, -1)
     if not 0.0 < s < math.inf:
         raise DomainError("sphere_representation_gap: requires finite s > 0")
     params = ModelParams(n, float(mu), gamma)
-    n = int(n)
+    n = params.n
     i = np.arange(1, n + 1)
     lkappa = log_unit_ball_volume(n)
     a = n * (n + mu + 1.0) / 2.0

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .specfun import _polygamma
 
 __all__ = [
@@ -33,31 +33,31 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 
-def _check(a: float, k: int, kmin: int = 2):
+def _check(function: str, a: float, k: int, kmin: int = 2) -> int:
+    """k as a Python int, once a > 0 and k is an integer >= kmin."""
     if not a > 0:
-        raise DomainError("polygamma sums: a must be positive")
-    if k < kmin or k != int(k):
-        raise DomainError(f"polygamma sums: k must be an integer >= {kmin}")
+        raise DomainError(f"{function}: a must be positive")
+    return check_integer(function, "k", k, kmin)
 
 
 def _direct_sum(m: int, a: float, k: int) -> float:
     """sum_{j=1..k} psi^(m)((j+a)/2), summed term by term."""
-    j = np.arange(1, int(k) + 1)
+    j = np.arange(1, k + 1)
     return float(np.sum(_polygamma(m, (j + a) / 2.0)))
 
 
 def digamma_sum_direct(a: float, k: int) -> float:
     """(1/2) sum_{j=1..k} psi((j+a)/2), summed term by term."""
-    _check(a, k, kmin=1)
+    k = _check("digamma_sum_direct", a, k, kmin=1)
     return 0.5 * _direct_sum(0, a, k)
 
 
 def digamma_sum_closed(a: float, k: int) -> float:
     """Closed form of digamma_sum_direct in terms of digamma at shifted
     arguments; exact for every k >= 2 (both parities)."""
-    _check(a, k)
-    c = int(k) % 2
-    q = (int(k) - c) // 2
+    k = _check("digamma_sum_closed", a, k)
+    c = k % 2
+    q = (k - c) // 2
     return (
         (q + a / 2.0 - 0.5) * _polygamma(0, a + k - c - 1.0)
         - (a / 2.0 - 0.5) * _polygamma(0, a + 1.0)
@@ -73,9 +73,9 @@ def digamma_sum_closed_alt(a: float, k: int) -> float:
     """Alternative closed form keeping the odd tail at doubled argument with
     the constant +1+2c.  Coincides with the direct sum for even k but is
     offset by exactly +3/2 for odd k; kept for diagnostic reporting."""
-    _check(a, k)
-    c = int(k) % 2
-    q = (int(k) - c) // 2
+    k = _check("digamma_sum_closed_alt", a, k)
+    c = k % 2
+    q = (k - c) // 2
     return (
         (q + a / 2.0 - 0.5) * _polygamma(0, a + k - c - 1.0)
         + (c / 2.0) * _polygamma(0, a + k - 1.0)
@@ -95,14 +95,14 @@ def digamma_sum_offset(a: float, k: int) -> float:
 
 def trigamma_sum_direct(a: float, k: int) -> float:
     """(1/4) sum_{j=1..k} psi^(1)((j+a)/2)."""
-    _check(a, k, kmin=1)
+    k = _check("trigamma_sum_direct", a, k, kmin=1)
     return 0.25 * _direct_sum(1, a, k)
 
 
 def trigamma_sum_closed(a: float, k: int) -> float:
     """Closed form of trigamma_sum_direct; exact for every k >= 2."""
-    _check(a, k)
-    c = int(k) % 2
+    k = _check("trigamma_sum_closed", a, k)
+    c = k % 2
     top = a + k - c + 1.0
     return (
         0.5 * (_polygamma(0, top) - _polygamma(0, a + 1.0))
@@ -116,11 +116,10 @@ def trigamma_sum_closed(a: float, k: int) -> float:
 def polygamma_sum_bound_check(a: float, k: int, m: int):
     """Evaluate |2^-(m+1) sum_{j=1..k} psi^(m)((j+a)/2)| against the bound
     4 m! / (a+1)^(m-1).  Returns (lhs_abs, bound, holds)."""
-    _check(a, k)
-    if m < 2 or m != int(m):
-        raise DomainError("polygamma_sum_bound_check: m must be an integer >= 2")
-    lhs_abs = abs(_direct_sum(int(m), a, k) / 2.0 ** (m + 1))
-    bound = 4.0 * math.factorial(int(m)) / (a + 1.0) ** (m - 1)
+    k = _check("polygamma_sum_bound_check", a, k)
+    m = check_integer("polygamma_sum_bound_check", "m", m, 2)
+    lhs_abs = abs(_direct_sum(m, a, k) / 2.0 ** (m + 1))
+    bound = 4.0 * math.factorial(m) / (a + 1.0) ** (m - 1)
     return lhs_abs, bound, bool(lhs_abs <= bound)
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_integer
 from .exactlaw import ModelParams, log_angular_simplex_moment
 from .specfun import log_unit_ball_volume
 
@@ -119,13 +119,6 @@ def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
     return rng.beta(a, b, size=size)
 
 
-def _check_size(name: str, size, least: int = 0) -> None:
-    """Refuse a draw count that is not an integer >= least, before any draw;
-    ``name`` reads 'function: argument'."""
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {size!r}")
-
-
 def _radial_power(params: ModelParams, rng: np.random.Generator, size):
     """R^n draws: rho / (gamma kappa_n) with rho ~ Gamma(n+mu+1, 1)."""
     rho = sample_gamma(params.n + params.mu + 1.0, 1.0, rng, size=size)
@@ -137,7 +130,7 @@ def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None
     """Circumradius draws via R^n = rho / (gamma kappa_n), rho ~ Gamma(n+mu+1, 1);
     one draw for size None."""
     if size is not None:
-        _check_size("sample_circumradius: size", size)
+        size = check_integer("sample_circumradius", "size", size, 0)
     return _radial_power(params, rng, size) ** (1.0 / params.n)
 
 
@@ -212,35 +205,37 @@ def _uniform_sphere(rng, count):
     return _blocked(lambda m: rng.standard_normal(size=(m, 4, 3)), _tetrahedron_volumes, count)
 
 
-def _angular_kernel(n: int, mu: float):
-    """The proposal kernel and Delta_max of the angular sampler at n in
-    {2, 3}, mu > -2.  The kernel is read from the module globals on each
-    call, so a wrapper bound over one of them sees every batch."""
+def _angular_kernel(function: str, n: int, mu: float):
+    """(n as a Python int, proposal kernel, Delta_max) of the angular sampler
+    at n in {2, 3}, mu > -2, refused otherwise in ``function``'s name.  The
+    kernel is read from the module globals on each call, so a wrapper bound
+    over one of them sees every batch."""
     if not mu > -2.0:
-        raise DomainError("angular sampler: mu must exceed -2")
+        raise DomainError(f"{function}: mu must exceed -2")
+    n = check_integer(function, "n", n, 2, 3)
     if n == 2:
-        return _uniform_circle, MAX_TRIANGLE_AREA_IN_DISK
-    if n == 3:
-        return _uniform_sphere, MAX_TETRAHEDRON_VOLUME_IN_BALL
-    raise DomainError("angular sampler: only n in {2, 3} is supported")
+        return n, _uniform_circle, MAX_TRIANGLE_AREA_IN_DISK
+    return n, _uniform_sphere, MAX_TETRAHEDRON_VOLUME_IN_BALL
 
 
-def _check_proposal_budget(n: int, mu: float, size: int) -> None:
-    """Refuse a rejection run whose expected proposal count exceeds the budget."""
-    _, dmax = _angular_kernel(n, mu)
-    rate = math.exp(log_angular_simplex_moment(n, mu + 2.0) - (mu + 2.0) * math.log(dmax))
+def _check_proposal_budget(function: str, n: int, mu: float, size: int):
+    """The kernel of a rejection run (``_angular_kernel``), refusing the run
+    when its expected proposal count exceeds the budget."""
+    kernel = _angular_kernel(function, n, mu)
+    rate = math.exp(log_angular_simplex_moment(n, mu + 2.0) - (mu + 2.0) * math.log(kernel[2]))
     expected = size / rate if rate > 0.0 else math.inf
     if expected > _PROPOSAL_BUDGET:
         raise ConvergenceError(
             f"angular sampler: {size} draws need about {expected:.3g} proposals at the exact "
             f"acceptance rate {rate:.3g} (mu = {mu:g}), above the budget of {_PROPOSAL_BUDGET} proposals"
         )
+    return kernel
 
 
-def _rejection_batches(n: int, mu: float, rng, size: int, keep_directions: bool):
-    """Accepted volumes (and unit vectors) of a run its caller has checked
-    against the proposal budget."""
-    propose, dmax = _angular_kernel(n, mu)
+def _rejection_batches(kernel, mu: float, rng, size: int, keep_directions: bool):
+    """Accepted volumes (and unit vectors) of a run whose kernel its caller
+    has taken from ``_check_proposal_budget``."""
+    n, propose, dmax = kernel
     deltas = np.empty(size)
     dirs = np.empty((size, n + 1, n)) if keep_directions else None
     got = 0
@@ -271,8 +266,8 @@ def angular_acceptance_rate(n: int, mu: float, rng: np.random.Generator, n_propo
     """Monte Carlo acceptance rate of the rejection sampler, i.e. the mean of
     (Delta/Delta_max)^(mu+2) over uniform proposals; equals the ratio of the
     (mu+2) angular moment to Delta_max^(mu+2)."""
-    _check_size("angular_acceptance_rate: n_proposals", n_proposals, least=1)
-    propose, dmax = _angular_kernel(n, mu)
+    n_proposals = check_integer("angular_acceptance_rate", "n_proposals", n_proposals, 1)
+    _, propose, dmax = _angular_kernel("angular_acceptance_rate", n, mu)
     vol, _ = propose(rng, n_proposals)
     return float(np.mean((vol / dmax) ** (mu + 2.0)))
 
@@ -280,30 +275,30 @@ def angular_acceptance_rate(n: int, mu: float, rng: np.random.Generator, n_propo
 def sample_angular_delta(n: int, mu: float, rng: np.random.Generator, size: int):
     """Batch of simplex volumes Delta under the density proportional to
     Delta^(mu+2) on unit-sphere (n+1)-tuples, by rejection from uniform."""
-    _check_size("sample_angular_delta: size", size)
-    _check_proposal_budget(n, mu, size)
-    return _rejection_batches(n, mu, rng, size, keep_directions=False)[1]
+    size = check_integer("sample_angular_delta", "size", size, 0)
+    kernel = _check_proposal_budget("sample_angular_delta", n, mu, size)
+    return _rejection_batches(kernel, mu, rng, size, keep_directions=False)[1]
 
 
 def sample_angular_simplex(n: int, mu: float, rng: np.random.Generator):
     """One accepted tuple of unit vectors (u_0..u_n) and its simplex volume."""
-    _check_proposal_budget(n, mu, 1)
-    dirs, deltas = _rejection_batches(n, mu, rng, 1, keep_directions=True)
+    kernel = _check_proposal_budget("sample_angular_simplex", n, mu, 1)
+    dirs, deltas = _rejection_batches(kernel, mu, rng, 1, keep_directions=True)
     return dirs[0], float(deltas[0])
 
 
 def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     """Volume draws V = R^n * Delta with independent radial and angular parts."""
-    _check_size("sample_volume: size", size)
-    _check_proposal_budget(params.n, params.mu, size)
+    size = check_integer("sample_volume", "size", size, 0)
+    kernel = _check_proposal_budget("sample_volume", params.n, params.mu, size)
     rn = _radial_power(params, rng, size)
-    return rn * _rejection_batches(params.n, params.mu, rng, size, keep_directions=False)[1]
+    return rn * _rejection_batches(kernel, params.mu, rng, size, keep_directions=False)[1]
 
 
 def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int):
     """Right-hand side of the product identity:
     (rho/(gamma kappa_n))^2 prod_i Beta((i+mu+1)/2, (n-i+1)/2) draws."""
-    _check_size("sample_rhs_product: size", size)
+    size = check_integer("sample_rhs_product", "size", size, 0)
     n, mu = params.n, params.mu
     kappa = math.exp(log_unit_ball_volume(n))
     rho = sample_gamma(n + mu + 1.0, 1.0, rng, size=size)
@@ -316,7 +311,7 @@ def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int)
 def sample_lhs_product(params: ModelParams, rng: np.random.Generator, size: int):
     """Left-hand side xi^n (1-xi) (n! V)^2 with xi ~ Beta(n(n+mu+1)/2, (mu+2)/2)
     independent of V; needs the volume sampler, so n in {2, 3}."""
-    _check_size("sample_lhs_product: size", size)
+    size = check_integer("sample_lhs_product", "size", size, 0)
     n, mu = params.n, params.mu
     v = sample_volume(params, rng, size)
     xi = sample_beta(n * (n + mu + 1.0) / 2.0, (mu + 2.0) / 2.0, rng, size=size)
@@ -327,8 +322,9 @@ def check_product_identity(params: ModelParams, n_draws: int, rng: np.random.Gen
     """Two-sample KS test of the product identity (compared on the log scale,
     which leaves the statistic unchanged); fewer than 25 draws per side are
     refused before any is drawn."""
+    n_draws = check_integer("check_product_identity", "n_draws", n_draws, 0)
     if n_draws < _KS_MIN:
-        raise DomainError(f"check_product_identity: need at least {_KS_MIN} draws")
+        raise DomainError(f"check_product_identity: need at least {_KS_MIN} draws, got n_draws = {n_draws}")
     lhs = np.log(sample_lhs_product(params, rng, n_draws))
     rhs = np.log(sample_rhs_product(params, rng, n_draws))
     statistic, p_value = ks_statistic(lhs, rhs)

@@ -41,7 +41,7 @@ import threading
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 __all__ = [
     "GammaRatioSum",
@@ -174,13 +174,13 @@ def digamma(x):
 
 
 def polygamma(m: int, x):
-    """psi^(m)(x), the m-th derivative of digamma, for m >= 1 and x > 0."""
-    if m < 1 or m != int(m):
-        raise DomainError("polygamma: order m must be an integer >= 1 (use digamma for m = 0)")
+    """psi^(m)(x), the m-th derivative of digamma, for an integer m >= 1
+    (``digamma`` is m = 0) and x > 0."""
+    m = check_integer("polygamma", "m", m, 1)
     arr = np.asarray(x, dtype=float)
     if not (arr > 0.0).all():
         raise DomainError("polygamma: argument must be positive, not NaN")
-    out = _polygamma(int(m), arr)
+    out = _polygamma(m, arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -310,9 +310,10 @@ class GammaRatioSum:
         self.split = len(x)
         heads, head_w, ends, spans = [], [], [], []
         for b, k in runs:
-            if not (b > 0 and k >= 1 and k == int(k)):
-                raise DomainError("GammaRatioSum: a run needs b > 0 and an integer k >= 1")
-            j = min(int(k), RUN_HEAD)
+            k = check_integer("GammaRatioSum", "k", k, 1)
+            if not b > 0:
+                raise DomainError("GammaRatioSum: a run needs b > 0")
+            j = min(k, RUN_HEAD)
             x.append(b + j)
             coef.append(run_coef)
             weight.append(float(j))
@@ -389,11 +390,10 @@ class GammaRatioSum:
           y >= 20 + 2q, D_q is the (q+1)-th derivative of Stirling's series in
           shift form (see _psi_difference), so no digits are lost when b >> k.
         """
+        m = check_integer("GammaRatioSum.derivative", "m", m, 1)
         if m in self.derivatives:
             return self.derivatives[m]
-        if not (m >= 1 and m == int(m)):
-            raise DomainError("GammaRatioSum.derivative: order m must be an integer >= 1")
-        q = int(m) - 1
+        q = m - 1
         psi = _polygamma(q, self.psi_x)
         weighted, r = len(self.psi_w), len(self.spans)
         total = (self.psi_w * self.psi_c**m) @ psi[:weighted]
@@ -458,13 +458,11 @@ def reg_lower_incomplete_gamma(a: float, x):
 
 def log_unit_ball_volume(n: int) -> float:
     """log of the n-dimensional unit-ball volume pi^(n/2) / Gamma(1 + n/2)."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise DomainError("log_unit_ball_volume: dimension must be an integer >= 1")
+    n = check_integer("log_unit_ball_volume", "n", n, 1)
     return (n / 2.0) * math.log(math.pi) - math.lgamma(1.0 + n / 2.0)
 
 
 def log_unit_sphere_area(n: int) -> float:
     """log of the surface area of the unit sphere in R^n (= n * ball volume)."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise DomainError("log_unit_sphere_area: dimension must be an integer >= 1")
+    n = check_integer("log_unit_sphere_area", "n", n, 1)
     return math.log(n) + log_unit_ball_volume(n)

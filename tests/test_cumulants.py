@@ -339,3 +339,19 @@ def test_concentration_envelope():
     for bad in (-1.0, math.nan):
         with pytest.raises(DomainError):
             concentration_envelope(bad, 1.0, 1.0)
+
+
+def test_non_finite_reals_refused():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="concentration_envelope: y"):
+            concentration_envelope(bad, 1.0, 10.0)
+        for c, eps in ((bad, 10.0), (1.0, bad)):
+            with pytest.raises(DomainError, match="concentration_envelope: c and eps"):
+                concentration_envelope(1.0, c, eps)
+        with pytest.raises(DomainError, match="regime_expansion: driver"):
+            regime_expansion(RegimeSpec("fixed_mu"), bad)
+        with pytest.raises(DomainError, match="RegimeSpec: slope"):
+            RegimeSpec("mu_linear", bad)
+    for gamma in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(DomainError, match="regime_expansion: intensity gamma"):
+            regime_expansion(RegimeSpec("fixed_mu"), 10.0, gamma=gamma)

@@ -316,10 +316,10 @@ def test_derivative_against_mpmath(ratios, runs):
 
 def test_derivative_domain():
     plan = GammaRatioSum([(2.0, 1.0, 1.0)], [(1.5, 20)])
-    for bad in (0, -1, 1.5, math.nan):
+    for bad in (0, -1, 1.5, math.nan, 2.0, True):
         with pytest.raises(DomainError):
             plan.derivative(bad)
-    assert plan.derivative(2) == plan.derivative(2.0)
+    assert plan.derivative(2) == plan.derivative(np.int64(2))
 
 
 def test_barnes_domain():
@@ -389,16 +389,18 @@ def _split_bits():
     return h.hexdigest()
 
 
-# exponential tables: odd row counts either side of the split threshold
+# exponential tables: odd row counts either side of the split threshold, and
+# one row above it (a single-point cdf at 342 panels or more)
 CIS_ROWS = (1, 3, 5, 33, 257)
+CIS_TABLES = ((768, CIS_ROWS), (1535, CIS_ROWS), (9000, (1,)))
 
 
 def _cis_bits():
     h = hashlib.sha256()
     gen = np.random.default_rng(11)
-    for nodes in (768, 1535):
+    for nodes, row_counts in CIS_TABLES:
         tg = np.sort(gen.uniform(0.0, 60.0, nodes))
-        for rows in CIS_ROWS:
+        for rows in row_counts:
             y = gen.uniform(-8.0, 8.0, rows)
             out = distribution._cis_neg(y, tg)
             theta = np.multiply.outer(-y, tg)
@@ -415,9 +417,21 @@ def _sphere_bits():
     return hashlib.sha256(vol.tobytes() + repr(rng.bit_generator.state).encode()).hexdigest()
 
 
-def _two_cpus(monkeypatch):
+def _fake_two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, faked.  A helper thread started under them is shut
+    down after the test, so on a one-CPU host it does not outlive the fake."""
+    _fake_two_cpus(monkeypatch)
+    before = specfun._helper_pool
+    yield
+    if specfun._helper_pool is not before:
+        specfun._helper_pool[1].shutdown(wait=True)
+        specfun._helper_pool = before
 
 
 def _refuse_helper():
@@ -425,8 +439,7 @@ def _refuse_helper():
 
 
 @pytest.mark.parametrize("bits", [_split_bits, _cis_bits], ids=["gamma-ratio-sum", "cis-neg"])
-def test_split_keeps_every_bit(bits, monkeypatch, idle_helper):
-    _two_cpus(monkeypatch)
+def test_split_keeps_every_bit(bits, monkeypatch, idle_helper, two_cpus):
     assert specfun._helper() is not None
     started = bits()
     monkeypatch.setattr(specfun, "_helper", lambda: None)  # no helper: every call in one piece
@@ -435,6 +448,19 @@ def test_split_keeps_every_bit(bits, monkeypatch, idle_helper):
     halves = bits()
     assert idle_helper.threads and threading.get_ident() not in idle_helper.threads
     assert started == inline == halves
+
+
+def test_one_row_table_splits_its_entries(monkeypatch, idle_helper):
+    monkeypatch.setattr(specfun, "_helper", lambda: idle_helper)
+    split, halves = distribution._split, []
+    monkeypatch.setattr(distribution, "_split", lambda fn, count: split(
+        lambda lo, hi: halves.append((lo, hi)) or fn(lo, hi), count))
+    y, tg = np.array([1.25]), np.linspace(0.0, 60.0, 9000)
+    out = distribution._cis_neg(y, tg)
+    assert sorted(halves) == [(0, 4500), (4500, 9000)] and idle_helper.threads
+    theta = np.multiply.outer(-y, tg)
+    assert out.real.tobytes() == np.cos(theta).tobytes()
+    assert out.imag.tobytes() == np.sin(theta).tobytes()
 
 
 def test_small_calls_never_ask_for_the_helper(monkeypatch):
@@ -451,8 +477,7 @@ def test_small_calls_never_ask_for_the_helper(monkeypatch):
 
 @pytest.mark.parametrize("failing", ["leading", "trailing"])
 @pytest.mark.parametrize("mode", ["idle", "started"])
-def test_failing_half_raises_from_call(failing, mode, monkeypatch, idle_helper):
-    _two_cpus(monkeypatch)
+def test_failing_half_raises_from_call(failing, mode, monkeypatch, idle_helper, two_cpus):
     plan = exactlaw._plan(1000, -1.0)
     z = _split_points((1001,), True)
     expected = plan(z).tobytes()
@@ -474,20 +499,18 @@ def test_failing_half_raises_from_call(failing, mode, monkeypatch, idle_helper):
     # the other half had ended before the call raised
     assert done == [501 if failing == "leading" else 500]
     monkeypatch.undo()
-    _two_cpus(monkeypatch)
+    _fake_two_cpus(monkeypatch)
     # the helper is left usable
     assert plan(z).tobytes() == expected
 
 
-def test_helper_half_keeps_the_callers_error_state(monkeypatch):
-    _two_cpus(monkeypatch)
+def test_helper_half_keeps_the_callers_error_state(two_cpus):
     with np.errstate(over="raise", invalid="ignore"):
         halves = specfun._split(lambda lo, hi: (np.geterr()["over"], np.geterr()["invalid"]), 2)
     assert halves == [("raise", "ignore")] * 2
 
 
-def test_sampler_and_cgf_share_one_helper_thread(monkeypatch):
-    _two_cpus(monkeypatch)
+def test_sampler_and_cgf_share_one_helper_thread(monkeypatch, two_cpus):
     helper = specfun._helper()
     names = set()
 
@@ -509,8 +532,7 @@ def test_sampler_and_cgf_share_one_helper_thread(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_reproduces_parent_bits(monkeypatch):
-    _two_cpus(monkeypatch)
+def test_forked_child_reproduces_parent_bits(two_cpus):
     expected = _split_bits() + _cis_bits() + _sphere_bits()
     parent_helper = specfun._helper()
     assert parent_helper is not None
@@ -534,6 +556,12 @@ def test_forked_child_reproduces_parent_bits(monkeypatch):
     finally:
         os.waitpid(pid, 0)
     assert reply == f"{expected} True"
+
+
+def test_helper_follows_the_usable_cpus():
+    # run under taskset -c 0 (a CI step), this is the real one-CPU path
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert (specfun._helper() is None) == ((cpus or 1) < 2)
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
