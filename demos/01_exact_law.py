@@ -7,7 +7,7 @@ tile with intensity 2, so the typical triangle has mean area exactly 1/2.
 
 import numpy as np
 
-from pdvol import ModelParams, radius_cdf, volume_moment, weighted_intensity_ratio
+from pdvol import ModelParams, radius_cdf, volume_moment
 
 print("Mean area of the typical planar cell (gamma = 1):",
       volume_moment(ModelParams(2, -1.0, 1.0), 1.0))
@@ -21,9 +21,10 @@ for n in (2, 3, 5, 10, 25, 50):
           f"{volume_moment(p, 0.5):>12.4e}")
 
 print("\nWeight changes the law: relative intensity of weighted selections")
+# gamma_mu / gamma_typical is the (mu+1)-st moment of the typical cell
+typical = ModelParams(2, -1.0, 1.0)
 for mu in (-1.5, -1.0, 0.0, 1.0, 3.0):
-    p = ModelParams(2, mu, 1.0)
-    print(f"  mu = {mu:+.1f}: gamma_mu / gamma_typical = {weighted_intensity_ratio(p):.6f}")
+    print(f"  mu = {mu:+.1f}: gamma_mu / gamma_typical = {volume_moment(typical, mu + 1.0):.6f}")
 
 print("\nCircumradius CDF of the typical planar cell (closed form):")
 p = ModelParams(2, -1.0, 1.0)

@@ -26,7 +26,6 @@ from .delaunay2d import (
     SimWindow,
     Triangulation,
     TypicalCellEstimate,
-    circumcircle,
     delaunay_triangulate,
     estimate_radius_cdf,
     estimate_typical_moment,
@@ -39,7 +38,6 @@ from .distribution import (
     StandardizedLaw,
     cdf_inverted,
     centering,
-    char_fn,
     kolmogorov_distance_to_normal,
     ldp_scaled_cgf,
     mod_gaussian_limit,
@@ -57,16 +55,13 @@ from .exactlaw import (
     sphere_representation_gap,
     typical_volume_moment,
     volume_moment,
-    weighted_intensity_ratio,
 )
 from .sampling import (
     RngStream,
     check_product_identity,
     ks_statistic,
     sample_angular_simplex,
-    sample_beta,
     sample_circumradius,
-    sample_gamma,
     sample_rhs_product,
     sample_volume,
 )

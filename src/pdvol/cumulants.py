@@ -30,7 +30,6 @@ from .specfun import _polygamma
 
 __all__ = [
     "RegimeSpec",
-    "REGIME_TAGS",
     "cumulant_exact",
     "cumulant_fd_oracle",
     "cumulant_report",
@@ -157,24 +156,24 @@ def cumulant_bound(params: ModelParams, m: int) -> float:
     )
 
 
-REGIME_TAGS = ("fixed_mu", "mu_power", "near_equal_weight", "mu_linear", "fixed_n", "n_power")
+_REGIME_TAGS = ("fixed_mu", "mu_power", "near_equal_weight", "mu_linear", "fixed_n", "n_power")
 
 
 @dataclass(frozen=True)
 class RegimeSpec:
     """Growth regime of the weight against the dimension.
 
-    tag: one of REGIME_TAGS; alpha is required for mu_power / n_power
-    (exponent in (0,1)) and mu_linear (slope > 0), and must be absent
-    otherwise.  The first four are n -> infinity regimes; fixed_n and
-    n_power drive mu -> infinity.
+    tag: fixed_mu, mu_power, near_equal_weight, mu_linear, fixed_n or
+    n_power; alpha is required for mu_power / n_power (exponent in (0,1))
+    and mu_linear (slope > 0), and must be absent otherwise.  The first four
+    are n -> infinity regimes; fixed_n and n_power drive mu -> infinity.
     """
 
     tag: str
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.tag not in REGIME_TAGS:
+        if self.tag not in _REGIME_TAGS:
             raise DomainError(f"RegimeSpec: unknown tag {self.tag!r}")
         needs_alpha = self.tag in ("mu_power", "mu_linear", "n_power")
         if needs_alpha and self.alpha is None:

@@ -33,7 +33,6 @@ __all__ = [
     "Triangulation",
     "TypicalCellEstimate",
     "sample_poisson_points",
-    "circumcircle",
     "delaunay_triangulate",
     "estimate_typical_moment",
     "estimate_radius_cdf",
@@ -41,9 +40,6 @@ __all__ = [
     "tiling_defect",
     "edge_incidence_counts",
 ]
-
-_DEGENERACY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SimWindow:
@@ -55,11 +51,11 @@ class SimWindow:
     mode: str = "plain"
 
     def __post_init__(self):
-        if not self.side > 0:
-            raise DomainError("SimWindow: side must be positive")
+        if not 0.0 < self.side < math.inf:
+            raise DomainError("SimWindow: side must be positive and finite")
         if self.mode not in ("plain", "toroidal"):
             raise DomainError("SimWindow: mode must be 'plain' or 'toroidal'")
-        if self.guard < 0 or self.guard >= self.side / 2.0:
+        if not 0.0 <= self.guard < self.side / 2.0:
             raise DomainError("SimWindow: guard must lie in [0, side/2)")
         if self.mode == "toroidal" and self.guard != 0.0:
             raise DomainError("SimWindow: toroidal mode has no guard")
@@ -110,22 +106,6 @@ def sample_poisson_points(gamma: float, window: SimWindow, rng: np.random.Genera
         raise DomainError("sample_poisson_points: expected count above 1e8 exceeds the resource budget")
     count = rng.poisson(expected)
     return rng.uniform(0.0, window.side, size=(count, 2))
-
-
-def circumcircle(p, q, r):
-    """Circumcenter and circumradius of the triangle (p, q, r).
-
-    Raises for (near-)collinear input instead of returning a huge circle:
-    the determinant is compared against a relative degeneracy tolerance.
-    """
-    coords = np.array([p, q, r], dtype=float)
-    p, q, r = coords
-    d = 2.0 * ((p[0] - r[0]) * (q[1] - r[1]) - (q[0] - r[0]) * (p[1] - r[1]))
-    scale = max(np.max(np.abs(coords[:2] - r)), 1e-300) ** 2
-    if abs(d) <= _DEGENERACY_TOL * scale:
-        raise DomainError("circumcircle: points are collinear or nearly so")
-    centers, radii, _ = _circumdata(coords[None])
-    return centers[0], float(radii[0])
 
 
 def _circumdata(coords):

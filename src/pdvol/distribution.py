@@ -39,7 +39,6 @@ __all__ = [
     "CenteringVariant",
     "LDP_CENTERING",
     "MODPHI_CENTERING",
-    "char_fn",
     "cdf_inverted",
     "standardized_cdf",
     "kolmogorov_distance_to_normal",
@@ -106,13 +105,6 @@ _MAX_PANELS = 1280
 #: the split breaks even near 5000 entries and saves about 15% at 8192 and
 #: 30% at 24576 (2-vCPU Xeon)
 _CIS_SPLIT = 8192
-
-
-def char_fn(params: ModelParams, t):
-    """Characteristic function phi(t) = E exp(i t log V) = exp(cgf(i t))."""
-    arr = np.asarray(t, dtype=float)
-    out = np.exp(cgf(params, 1j * arr))
-    return complex(out) if arr.ndim == 0 else out
 
 
 def _log_phi_std(law: StandardizedLaw, t):

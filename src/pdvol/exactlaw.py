@@ -50,7 +50,6 @@ __all__ = [
     "volume_moment",
     "cgf",
     "radius_cdf",
-    "weighted_intensity_ratio",
     "sphere_representation_gap",
 ]
 
@@ -134,13 +133,13 @@ def typical_volume_moment(n: int, gamma: float, s: float) -> float:
     route: constant * angular moment * Gamma(n+s) / (n kappa_n^(n+s) gamma^s).
 
     Independent of the weighted moment formula; agreement of the two routes is
-    one of the package's cross-checks.  Requires s > -1.
+    one of the package's cross-checks.  Requires finite s > -1.
     """
     n = check_integer("typical_volume_moment", "n", n, 2)
     if not 0.0 < gamma < math.inf:
         raise DomainError("typical_volume_moment: gamma must be finite and positive")
-    if not s > -1.0:
-        raise DomainError("typical_volume_moment: requires s > -1")
+    if not -1.0 < s < math.inf:
+        raise DomainError("typical_volume_moment: requires finite s > -1")
     lkappa = log_unit_ball_volume(n)
     logm = (
         log_typical_cell_constant(n)
@@ -255,13 +254,6 @@ def radius_cdf(params: ModelParams, t):
             x = np.where(far, np.exp(math.log(params.gamma) + log_kappa + n * np.log(arr)), x)
     out = gammainc(n + params.mu + 1.0, x)
     return float(out) if arr.ndim == 0 else out
-
-
-def weighted_intensity_ratio(params: ModelParams) -> float:
-    """Intensity of the weighted selection relative to the typical cell,
-    gamma_mu / gamma_(-1) = E V_n(Z_(-1))^(mu+1)."""
-    base = ModelParams(params.n, -1.0, params.gamma)
-    return volume_moment(base, params.mu + 1.0)
 
 
 def sphere_representation_gap(n: int, mu: int, s: float, gamma: float = 1.0) -> float:

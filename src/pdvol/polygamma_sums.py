@@ -7,7 +7,7 @@ closed forms here are the paper's claims, each kept next to its
 direct-summation counterpart and compared with it by the claim report.
 ``digamma_sum_closed_alt`` preserves an alternative grouping of the odd-k
 tail that carries a spurious constant; its offset against the direct sum is
-reported, not silently absorbed (see ``digamma_sum_offset``).
+reported by the claim report's identity grid, not silently absorbed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "digamma_sum_direct",
     "digamma_sum_closed",
     "digamma_sum_closed_alt",
-    "digamma_sum_offset",
     "trigamma_sum_direct",
     "trigamma_sum_closed",
     "polygamma_sum_bound_check",
@@ -34,9 +33,10 @@ _LOG2 = math.log(2.0)
 
 
 def _check(function: str, a: float, k: int, kmin: int = 2) -> int:
-    """k as a Python int, once a > 0 and k is an integer >= kmin."""
-    if not a > 0:
-        raise DomainError(f"{function}: a must be positive")
+    """k as a Python int, once a is finite and positive and k is an integer
+    >= kmin."""
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"{function}: a must be positive and finite")
     return check_integer(function, "k", k, kmin)
 
 
@@ -86,11 +86,6 @@ def digamma_sum_closed_alt(a: float, k: int) -> float:
         + 1.0
         + 2.0 * c
     )
-
-
-def digamma_sum_offset(a: float, k: int) -> float:
-    """Offset of the alternative closed form against the direct sum."""
-    return digamma_sum_closed_alt(a, k) - digamma_sum_direct(a, k)
 
 
 def trigamma_sum_direct(a: float, k: int) -> float:

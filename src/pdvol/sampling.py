@@ -58,8 +58,6 @@ __all__ = [
     "KsReport",
     "MAX_TRIANGLE_AREA_IN_DISK",
     "MAX_TETRAHEDRON_VOLUME_IN_BALL",
-    "sample_gamma",
-    "sample_beta",
     "sample_circumradius",
     "sample_angular_simplex",
     "sample_angular_delta",
@@ -105,23 +103,9 @@ class KsReport:
     n_rhs: int
 
 
-def sample_gamma(shape: float, rate: float, rng: np.random.Generator, size=None):
-    """Gamma(shape, rate) draws (density rate^shape/Gamma(shape) t^(shape-1) e^(-rate t))."""
-    if not (shape > 0 and rate > 0):
-        raise DomainError("sample_gamma: shape and rate must be positive")
-    return rng.gamma(shape, 1.0 / rate, size=size)
-
-
-def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
-    """Beta(a, b) draws on (0, 1)."""
-    if not (a > 0 and b > 0):
-        raise DomainError("sample_beta: both shapes must be positive")
-    return rng.beta(a, b, size=size)
-
-
 def _radial_power(params: ModelParams, rng: np.random.Generator, size):
     """R^n draws: rho / (gamma kappa_n) with rho ~ Gamma(n+mu+1, 1)."""
-    rho = sample_gamma(params.n + params.mu + 1.0, 1.0, rng, size=size)
+    rho = rng.gamma(params.n + params.mu + 1.0, 1.0, size=size)
     kappa = math.exp(log_unit_ball_volume(params.n))
     return rho / (params.gamma * kappa)
 
@@ -207,11 +191,11 @@ def _uniform_sphere(rng, count):
 
 def _angular_kernel(function: str, n: int, mu: float):
     """(n as a Python int, proposal kernel, Delta_max) of the angular sampler
-    at n in {2, 3}, mu > -2, refused otherwise in ``function``'s name.  The
+    at n in {2, 3}, finite mu > -2, refused otherwise in ``function``'s name.  The
     kernel is read from the module globals on each call, so a wrapper bound
     over one of them sees every batch."""
-    if not mu > -2.0:
-        raise DomainError(f"{function}: mu must exceed -2")
+    if not -2.0 < mu < math.inf:
+        raise DomainError(f"{function}: mu must be finite and exceed -2")
     n = check_integer(function, "n", n, 2, 3)
     if n == 2:
         return n, _uniform_circle, MAX_TRIANGLE_AREA_IN_DISK
@@ -301,10 +285,10 @@ def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int)
     size = check_integer("sample_rhs_product", "size", size, 0)
     n, mu = params.n, params.mu
     kappa = math.exp(log_unit_ball_volume(n))
-    rho = sample_gamma(n + mu + 1.0, 1.0, rng, size=size)
+    rho = rng.gamma(n + mu + 1.0, 1.0, size=size)
     log_out = 2.0 * (np.log(rho) - math.log(params.gamma * kappa))
     for i in range(1, n + 1):
-        log_out += np.log(sample_beta((i + mu + 1.0) / 2.0, (n - i + 1.0) / 2.0, rng, size=size))
+        log_out += np.log(rng.beta((i + mu + 1.0) / 2.0, (n - i + 1.0) / 2.0, size=size))
     return np.exp(log_out)
 
 
@@ -312,19 +296,20 @@ def sample_lhs_product(params: ModelParams, rng: np.random.Generator, size: int)
     """Left-hand side xi^n (1-xi) (n! V)^2 with xi ~ Beta(n(n+mu+1)/2, (mu+2)/2)
     independent of V; needs the volume sampler, so n in {2, 3}."""
     size = check_integer("sample_lhs_product", "size", size, 0)
-    n, mu = params.n, params.mu
+    n, mu = check_integer("sample_lhs_product", "n", params.n, 2, 3), params.mu
     v = sample_volume(params, rng, size)
-    xi = sample_beta(n * (n + mu + 1.0) / 2.0, (mu + 2.0) / 2.0, rng, size=size)
+    xi = rng.beta(n * (n + mu + 1.0) / 2.0, (mu + 2.0) / 2.0, size=size)
     return xi**n * (1.0 - xi) * (math.factorial(n) * v) ** 2
 
 
 def check_product_identity(params: ModelParams, n_draws: int, rng: np.random.Generator) -> KsReport:
     """Two-sample KS test of the product identity (compared on the log scale,
-    which leaves the statistic unchanged); fewer than 25 draws per side are
-    refused before any is drawn."""
+    which leaves the statistic unchanged); fewer than 25 draws per side, or
+    n outside {2, 3}, are refused before any is drawn."""
     n_draws = check_integer("check_product_identity", "n_draws", n_draws, 0)
     if n_draws < _KS_MIN:
         raise DomainError(f"check_product_identity: need at least {_KS_MIN} draws, got n_draws = {n_draws}")
+    check_integer("check_product_identity", "n", params.n, 2, 3)
     lhs = np.log(sample_lhs_product(params, rng, n_draws))
     rhs = np.log(sample_rhs_product(params, rng, n_draws))
     statistic, p_value = ks_statistic(lhs, rhs)

@@ -10,7 +10,6 @@ from pdvol.delaunay2d import (
     SimWindow,
     Triangulation,
     audit_empty_circumdisk,
-    circumcircle,
     delaunay_triangulate,
     edge_incidence_counts,
     estimate_radius_cdf,
@@ -41,20 +40,20 @@ def test_sim_window_validation():
         SimWindow(100.0, 0.0, "weird")
 
 
+@pytest.mark.parametrize("side, guard", [(math.inf, 0.0), (math.nan, 0.0), (100.0, math.nan), (100.0, math.inf)])
+def test_sim_window_refuses_non_finite(side, guard):
+    with pytest.raises(DomainError, match=r"^SimWindow: (side|guard)"):
+        SimWindow(side, guard)
+
+
 def test_circumcircle_known_triangles():
-    center, radius = circumcircle((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    assert np.allclose(center, [0.5, 0.5])
-    assert radius == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-14)
+    right = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     eq = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)]
-    _, radius = circumcircle(*eq)
-    assert radius == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
-
-
-def test_circumcircle_degenerate():
-    with pytest.raises(DomainError):
-        circumcircle((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))
-    with pytest.raises(DomainError):
-        circumcircle((0.0, 0.0), (1.0, 0.0), (2.0, 1e-15))
+    centers, radii, areas = dl._circumdata(np.array([right, eq]))
+    assert np.allclose(centers[0], [0.5, 0.5])
+    assert radii[0] == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-14)
+    assert areas[0] == pytest.approx(0.5, rel=1e-14)
+    assert radii[1] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
 
 
 def test_poisson_point_counts():

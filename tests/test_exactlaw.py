@@ -24,7 +24,6 @@ from pdvol.exactlaw import (
     strip_edge,
     typical_volume_moment,
     volume_moment,
-    weighted_intensity_ratio,
 )
 from pdvol.specfun import GammaRatioSum, log_unit_ball_volume
 
@@ -262,9 +261,10 @@ def test_radius_cdf_quadrature_oracle():
 
 
 def test_weighted_intensity_ratio():
-    assert weighted_intensity_ratio(ModelParams(2, -1.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
-    assert weighted_intensity_ratio(ModelParams(2, 0.0, 1.0)) == pytest.approx(0.5, rel=1e-12)
-    assert weighted_intensity_ratio(ModelParams(2, 0.0, 2.0)) == pytest.approx(0.25, rel=1e-12)
+    # gamma_mu / gamma_(-1) = E V(Z_(-1))^(mu+1): the moment at s = mu+1
+    assert volume_moment(ModelParams(2, -1.0, 1.0), 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert volume_moment(ModelParams(2, -1.0, 1.0), 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert volume_moment(ModelParams(2, -1.0, 2.0), 1.0) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_sphere_representation_identity():

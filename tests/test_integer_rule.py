@@ -4,7 +4,8 @@ weight and every draw or audit count accepts a Python or numpy integer in
 range, gives the same bits for both, and refuses anything else (NaN,
 infinities, fractional and integral floats, bools, strings, None, values out
 of range) with a DomainError naming the function and the argument.  A
-sampler refuses before it draws."""
+sampler refuses before it draws.  A function that passes an argument on to
+a callee refuses it in its own name, before the callee sees it."""
 
 import math
 import pickle
@@ -120,6 +121,28 @@ SITES = [
          sampler=True),
 ]
 IDS = [f"{site.function}-{site.argument}" for site in SITES]
+
+
+# (function, argument, call(value, rng), bad values): each bad value would
+# otherwise be refused by a callee, in the callee's name
+CALLER_SITES = [
+    ("sample_lhs_product", "n", lambda v, rng: sample_lhs_product(ModelParams(v), rng, 10), [4, np.int64(5), 10]),
+    ("check_product_identity", "n", lambda v, rng: check_product_identity(ModelParams(v), 30, rng),
+     [4, np.int64(5), 10]),
+    ("typical_volume_moment", "s", lambda v, rng: typical_volume_moment(3, 1.0, v), [math.inf, math.nan]),
+    ("sample_angular_delta", "mu", lambda v, rng: sample_angular_delta(2, v, rng, 3),
+     [math.inf, math.nan, -math.inf]),
+]
+
+
+@pytest.mark.parametrize("function, argument, call, bad", CALLER_SITES, ids=[s[0] for s in CALLER_SITES])
+def test_refused_in_the_callers_name(function, argument, call, bad):
+    rng = RngStream(3, 1).generator()
+    before = repr(rng.bit_generator.state)
+    for value in bad:
+        with pytest.raises(DomainError, match=rf"^{function}: .*\b{argument}\b"):
+            call(value, rng)
+    assert repr(rng.bit_generator.state) == before
 
 
 def _refused(site):

@@ -9,7 +9,6 @@ from pdvol.polygamma_sums import (
     digamma_sum_closed,
     digamma_sum_closed_alt,
     digamma_sum_direct,
-    digamma_sum_offset,
     identity_grid_report,
     polygamma_sum_bound_check,
     trigamma_sum_closed,
@@ -43,10 +42,23 @@ def test_digamma_closed_form_grid():
 def test_digamma_alt_offset_is_three_halves_odd():
     for a in A_GRID:
         for k in K_GRID:
-            off = digamma_sum_offset(a, k)
+            off = digamma_sum_closed_alt(a, k) - digamma_sum_direct(a, k)
             assert off == pytest.approx(1.5 * (k % 2), abs=2e-8)
             if k % 2 == 0:
                 assert digamma_sum_closed_alt(a, k) == pytest.approx(digamma_sum_direct(a, k), abs=2e-8)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [digamma_sum_direct, digamma_sum_closed, digamma_sum_closed_alt, trigamma_sum_direct, trigamma_sum_closed,
+     lambda a, k: polygamma_sum_bound_check(a, k, 3)],
+    ids=["digamma_sum_direct", "digamma_sum_closed", "digamma_sum_closed_alt", "trigamma_sum_direct",
+         "trigamma_sum_closed", "polygamma_sum_bound_check"],
+)
+def test_non_finite_a_refused(function):
+    for a in (math.inf, math.nan, -math.inf):
+        with pytest.raises(DomainError, match=r"a must be positive and finite"):
+            function(a, 3)
 
 
 def test_trigamma_smallest_case():

@@ -22,9 +22,7 @@ from pdvol.sampling import (
     ks_statistic,
     sample_angular_delta,
     sample_angular_simplex,
-    sample_beta,
     sample_circumradius,
-    sample_gamma,
     sample_lhs_product,
     sample_rhs_product,
     sample_volume,
@@ -52,21 +50,6 @@ def test_stream_independence_dispersion():
     pooled_var = np.concatenate(allv).var()
     stat = np.var(means, ddof=1) * per / pooled_var  # ~ chi2_63 / 63
     assert 0.5 < stat < 1.7
-
-
-def test_gamma_beta_moments():
-    rng = RngStream(7, 0).generator()
-    g = sample_gamma(1.0, 1.0, rng, size=10**5)
-    assert abs(g.mean() - 1.0) < 4.0 * g.std() / math.sqrt(len(g))
-    g = sample_gamma(2.5, 3.0, rng, size=10**5)
-    assert abs(g.mean() - 2.5 / 3.0) < 4.0 * g.std() / math.sqrt(len(g))
-    b = sample_beta(1.0, 1.0, rng, size=10**4)
-    _, p = ks_statistic(b, lambda t: np.clip(t, 0.0, 1.0))
-    assert p > 0.01
-    with pytest.raises(DomainError):
-        sample_gamma(-1.0, 1.0, rng)
-    with pytest.raises(DomainError):
-        sample_beta(0.0, 1.0, rng)
 
 
 def test_circumradius_moments_and_law():
