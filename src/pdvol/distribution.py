@@ -278,6 +278,8 @@ def ldp_scaled_cgf(params: ModelParams, t: float, variant: CenteringVariant) -> 
     is an empirical output, reported by the claim suite.  Needs n >= 3 (the
     speed vanishes at n = 2).
     """
+    if not math.isfinite(t):
+        raise DomainError("ldp_scaled_cgf: t must be finite")
     w = mod_gaussian_speed(params.n)
     if w <= 0.0:
         raise DomainError("ldp_scaled_cgf: the speed log(n/2)/2 vanishes; needs n >= 3")
@@ -310,6 +312,8 @@ def mod_gaussian_residual(params: ModelParams, z: float, adjusted: bool = True) 
     like O((1+|z|^3)/n).  ``adjusted=False`` compares against psi(z) alone;
     that residual converges to the constant |psi(z)| |1 - exp(-z^2/4)| and is
     kept for the adjudication report."""
+    if not math.isfinite(z):
+        raise DomainError("mod_gaussian_residual: z must be finite")
     w = mod_gaussian_speed(params.n)
     m_n = centering(MODPHI_CENTERING, params)
     value = math.exp(float(cgf(params, float(z), extended=True)) - z * m_n - z * z / 2.0 * w)

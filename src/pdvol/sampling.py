@@ -318,13 +318,23 @@ def check_product_identity(params: ModelParams, n_draws: int, rng: np.random.Gen
 
 def ks_statistic(sample, reference):
     """One-sample (reference = CDF callable) or two-sample (reference = array)
-    Kolmogorov-Smirnov statistic with asymptotic p-value."""
+    Kolmogorov-Smirnov statistic with asymptotic p-value.  Observations and
+    reference CDF values must be finite."""
     samples = [np.asarray(sample, dtype=float)]
     if not callable(reference):
         samples.append(np.asarray(reference, dtype=float))
     if min(x.size for x in samples) < _KS_MIN:
         raise DomainError(f"ks_statistic: need at least {_KS_MIN} observations")
+    if not all(np.isfinite(x).all() for x in samples):
+        raise DomainError("ks_statistic: observations must be finite")
+    if callable(reference):
+        # the CDF at the sorted sample, as scipy evaluates it, checked once
+        # and handed to kstest
+        samples[0] = np.sort(samples[0])
+        cdf = np.asarray(reference(samples[0]), dtype=float)
+        if not np.isfinite(cdf).all():
+            raise DomainError("ks_statistic: the reference CDF must return finite values")
     from scipy import stats
 
-    res = stats.kstest(samples[0], reference) if callable(reference) else stats.ks_2samp(*samples)
+    res = stats.kstest(samples[0], lambda _: cdf) if callable(reference) else stats.ks_2samp(*samples)
     return float(res.statistic), float(res.pvalue)

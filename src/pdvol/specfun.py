@@ -17,8 +17,14 @@ once per set of arguments, then called with arrays of real or complex z, or
 differentiated in z at 0.  At large arguments it takes Stirling's and the same
 Barnes series in shift form, with their large parts cancelled analytically, so
 a call costs the same at every run length, and each point is reduced by its
-own dot product, so its value does not depend on the shape of the call.  All
-functions are pure and thread-safe.
+own dot product, so its value does not depend on the shape of the call.  The
+series' Bernoulli tails are summed in one of two forms, chosen by the dtype of
+the call: as power sums for real z, which keeps their bits and is the cheaper
+form on the few entries of a scalar call, and by Horner's rule for complex z,
+where a power sum runs one scalar complex pow per entry and power.  A plan
+prepares its tails at its own arguments in the form of each dtype it is
+called with, so a call is exactly 0 at z = 0 in either.  All functions are
+pure and thread-safe.
 
 The package has one helper thread (``_helper``), started on first use in a
 process that may run on two CPUs or more; a forked child starts its own.  The
@@ -77,9 +83,11 @@ SHIFT_MIN = 10.0
 # inside its table of coefficients zeta(k-1), k = 3..62
 _SERIES_STOP = 0.01 * 1e-12
 _SERIES_ZETA = sp.zeta(np.arange(2.0, 62.0)).tolist()
-#: points from which a GammaRatioSum call is split in two (``_split``): the
-#: split breaks even near 384 points and saves 5-9% at 512, 35% at 768, at
-#: every plan size measured (n = 10 to 1e6, 2-vCPU Xeon)
+#: points from which a GammaRatioSum call is split in two (``_split``).  With
+#: the Horner tails a complex call breaks even near 450-512 points and saves
+#: 0-9% at 512, 10-17% at 768 and 20-35% at 1024, at every plan size measured
+#: (n = 10 to 1e6, 2-vCPU Xeon VM).  A real call, cheaper per point, loses by
+#: splitting up to about 1500 points (10-50% at 512-1024)
 _SPLIT_POINTS = 512
 #: (pid, executor) of the package's helper thread, see ``_helper``
 _helper_pool = None
@@ -232,22 +240,45 @@ def log_barnes_g(x: float) -> float:
     return _log_barnes_g_series(b - 1.0) + shift + math.fsum(climbs)
 
 
-def _log1p(u):
-    # log(1+u) for Re(1+u) > 0 to full relative accuracy near 0: numpy's
-    # complex log1p loses ~1e-5 absolute at |u| ~ 1e-5, 2 atanh(u/(2+u)) not
-    if not np.iscomplexobj(u):
+def _log1p(u, cplx):
+    # log(1+u) for Re(1+u) > 0 to full relative accuracy near 0, cplx telling
+    # whether u is complex: numpy's complex log1p loses ~1e-5 absolute at
+    # |u| ~ 1e-5, 2 atanh(u/(2+u)) not
+    if not cplx:
         return np.log1p(u)
     return 2.0 * np.arctanh(u / (2.0 + u))
 
 
-def _stirling_tail(w):
+def _tail_sum(u, coefs, horner):
+    # sum_k coefs[k] u^k as a power sum, or by Horner's rule in place, 6-11x
+    # faster on 2048 x 6 complex entries (see the module docstring for which
+    # call takes which); at a real point the complex Horner gives the bits of
+    # the real one
+    if not horner:
+        return np.power.outer(u, _POWERS[: len(coefs)]) @ coefs
+    coefs = coefs.tolist()  # numpy scalars slow the in-place steps
+    acc = u * coefs[-1]
+    for c in coefs[-2:0:-1]:
+        acc += c
+        acc *= u
+    acc += coefs[0]
+    return acc
+
+
+def _stirling_tail(w, horner=False):
     v = 1.0 / w
-    return v * (np.power.outer(v * v, _POWERS[: len(_STIRLING_TAIL)]) @ _STIRLING_TAIL)
+    return v * _tail_sum(v * v, _STIRLING_TAIL, horner)
 
 
-def _barnes_tail(w):
+def _barnes_tail(w, horner=False):
     v = 1.0 / (w * w)
-    return v * (np.power.outer(v, _POWERS[: len(_BARNES_TAIL)]) @ _BARNES_TAIL)
+    return v * _tail_sum(v, _BARNES_TAIL, horner)
+
+
+def _horner_at(tail, x):
+    # a tail's Horner form at a plan's real points, in Python floats (cheaper
+    # than numpy on a plan's few entries): the bits of a complex call at x + 0j
+    return np.array([tail(v, True) for v in x.tolist()])
 
 
 def _psi_difference(q, y, log, psi_top, psi_start):
@@ -301,6 +332,12 @@ class GammaRatioSum:
       (w^2/2 - 1/12) log1p(a/x) + a(2x+a)(log(x)/2 - 3/4) + a log sqrt(2 pi)
       plus the difference of the tails.
 
+    Both series end in a Bernoulli tail.  A real call sums it as a power sum,
+    a complex call by Horner's rule (``_tail_sum``).  The tails at the
+    prepared x and ends, which each call differences against, are prepared in
+    the same form: the power sums with the plan, Horner on its first complex
+    call.
+
     Arguments that overflow are refused when the plan is prepared: an x that
     is not finite, or a Barnes end past the square root of the largest float.
     """
@@ -337,13 +374,11 @@ class GammaRatioSum:
         self.x_far = np.where(self.far, self.x, SHIFT_MIN)
         self.inv = 1.0 / self.x_far
         self.log_m1 = np.log(self.x_far) - 1.0
-        self.tail = _stirling_tail(self.x_far)
         self.heads, self.head_w = np.array(heads), np.array(head_w)
         self.inv_heads = 1.0 / self.heads
         self.ends = np.array(ends)
         self.inv_ends, self.two_ends = 1.0 / self.ends, 2.0 * self.ends
         self.log_c = 0.5 * np.log(self.ends) - 0.75
-        self.ends_tail = _barnes_tail(self.ends)
         self.signs = np.array([1.0, -1.0] * (len(ends) // 2))
         # derivative(m): a Barnes end spans the h = k-J terms from y = b+J on;
         # psi^(m-1) is taken at the ratios, the anchors, the ends' tops y+h
@@ -354,9 +389,17 @@ class GammaRatioSum:
         self.psi_c = np.array(coef + [run_coef] * len(spans), dtype=float)
         #: derivative(m) by m: the value depends on the arguments and m alone
         self.derivatives = {}
+        #: the Stirling tails at x_far and the Barnes tails at the ends, keyed
+        #: by whether z is complex, in the form those calls take, so that a
+        #: call at z = 0 is exactly 0; the complex form on the first complex call
+        self.tails = {False: (_stirling_tail(self.x_far), _barnes_tail(self.ends))}
 
     def __call__(self, z):
         z = np.asarray(z)
+        cplx = z.dtype.kind == "c"
+        if cplx not in self.tails:
+            # before any split, so the helper thread only reads them
+            self.tails[cplx] = (_horner_at(_stirling_tail, self.x_far), _horner_at(_barnes_tail, self.ends))
         if z.size < _SPLIT_POINTS:
             return self._evaluate(z)
         # each point is its own dot product, so halves of the flattened
@@ -365,15 +408,20 @@ class GammaRatioSum:
         return np.concatenate(_split(lambda lo, hi: self._evaluate(flat[lo:hi]), flat.size)).reshape(z.shape)
 
     def _evaluate(self, z):
-        shifts = self._shifts(z[..., None] * self.coef)
+        # one dtype decision per evaluation: complex z takes loggamma's
+        # complex loop, the arctanh log1p and the Horner tails, real z the
+        # real loops and the power sums
+        cplx = z.dtype.kind == "c"
+        shifts = self._shifts(z[..., None] * self.coef, cplx)
         # a point's value does not depend on its call's shape: the runs' shift
         # stays one column (numpy's complex loops round a broadcast copy by
         # call size), and each point is its own dot product, not a row of a
         # matrix product (vecdot conjugates its first argument: weights first)
         a = z[..., None] * self.run_coef
-        row = np.vecdot(self.anchor_w, shifts[..., self.split :]) + np.vecdot(self.head_w, _log1p(a * self.inv_heads))
+        heads = _log1p(a * self.inv_heads, cplx)
+        row = np.vecdot(self.anchor_w, shifts[..., self.split :]) + np.vecdot(self.head_w, heads)
         if self.ends.size:
-            row = row + np.vecdot(self.signs, self._barnes_ends(a))
+            row = row + np.vecdot(self.signs, self._barnes_ends(a, cplx))
         return np.vecdot(self.ratio_w, shifts[..., : self.split]) + row
 
     def derivative(self, m):
@@ -407,33 +455,34 @@ class GammaRatioSum:
         value = self.derivatives[m] = float(total + self.run_coef**m * row)
         return value
 
-    def _shifts(self, h):
+    def _shifts(self, h, cplx):
         w = self.x + h
         far = self.far & (w.real >= SHIFT_MIN)
         if far.all():
-            return self._series(h, w)
-        if np.iscomplexobj(h):
+            return self._series(h, w, cplx)
+        if cplx:
             out = sp.loggamma(w) - self.log_gamma_xc
         else:
             out = sp.gammaln(w) - self.log_gamma_x
         if far.any():
             # near entries run the series at h = 0, where it is exactly 0
             h = np.where(far, h, 0.0)
-            out = np.where(far, self._series(h, self.x_far + h), out)
+            out = np.where(far, self._series(h, self.x_far + h, cplx), out)
         return out
 
-    def _series(self, h, w):
-        return (w - 0.5) * _log1p(h * self.inv) + h * self.log_m1 + (_stirling_tail(w) - self.tail)
+    def _series(self, h, w, cplx):
+        tail = _stirling_tail(w, cplx) - self.tails[cplx][0]
+        return (w - 0.5) * _log1p(h * self.inv, cplx) + h * self.log_m1 + tail
 
-    def _barnes_ends(self, a):
+    def _barnes_ends(self, a, cplx):
         w = self.ends + a
         if (w.real < SHIFT_MIN).any():
             raise DomainError("GammaRatioSum: a run longer than RUN_HEAD needs Re(b + run_coef z) >= 0")
         return (
-            (0.5 * w * w - 1.0 / 12.0) * _log1p(a * self.inv_ends)
+            (0.5 * w * w - 1.0 / 12.0) * _log1p(a * self.inv_ends, cplx)
             + a * (self.two_ends + a) * self.log_c
             + a * _LN_SQRT_2PI
-            + (_barnes_tail(w) - self.ends_tail)
+            + (_barnes_tail(w, cplx) - self.tails[cplx][1])
         )
 
 

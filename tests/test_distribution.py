@@ -142,11 +142,13 @@ def test_kolmogorov_distance_pinned(n, distance):
                0.9970654059283939]),
     (3, 0.0, [0.006684630628455368, 0.1537586771509611, 0.46096427263459927, 0.6682706290117106,
               0.9929705648832636]),
-    (50, 1.0, [0.0025096923294744555, 0.15795873028026208, 0.4896407412947641, 0.6850436552292191,
-               0.9814920109330504]),
+    (50, 1.0, [0.0025096923294745666, 0.15795873028026208, 0.4896407412947641, 0.6850436552292191,
+               0.9814920109330505]),
 ])
 def test_standardized_cdf_pinned(n, mu, values):
-    # recorded with rows of np.exp(-1j * np.outer(y, t)), as above
+    # recorded with rows of np.exp(-1j * np.outer(y, t)), as above; the n = 50
+    # row's first and last values re-recorded with the Horner tails of
+    # complex CGF calls (one step of 0.5 - s/pi each, 1.1e-16)
     ys = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
     assert standardized_cdf(ModelParams(n, mu, 1.0), ys).tolist() == values
 
@@ -231,6 +233,18 @@ def test_mod_gaussian_limit_values():
     assert mod_gaussian_limit(0.0, 2.0) == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-11)
     with pytest.raises(DomainError):
         mod_gaussian_limit(-1.0, -2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ldp_scaled_cgf_refuses_non_finite_t(bad):
+    with pytest.raises(DomainError, match="ldp_scaled_cgf: t must be finite"):
+        ldp_scaled_cgf(ModelParams(5), bad, LDP_CENTERING)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_mod_gaussian_residual_refuses_non_finite_z(bad):
+    with pytest.raises(DomainError, match="mod_gaussian_residual: z must be finite"):
+        mod_gaussian_residual(ModelParams(5), bad)
 
 
 def test_mod_gaussian_residual_decays():

@@ -165,6 +165,37 @@ def test_ks_statistic_contract():
         ks_statistic(u, u[:24])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ks_statistic_refuses_non_finite_observations(bad):
+    # refused in its own name, in the one- and the two-sample form and in
+    # either sample, before scipy sees them (NaN gave (nan, nan), and +-inf a
+    # scipy RuntimeWarning)
+    u = RngStream(1, 0).generator().uniform(size=100)
+    v = u.copy()
+    v[17] = bad
+    for args in ((v, lambda t: np.clip(t, 0.0, 1.0)), (v, u), (u, v)):
+        with pytest.raises(DomainError, match="ks_statistic: observations must be finite"):
+            ks_statistic(*args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ks_statistic_refuses_a_non_finite_reference_cdf(bad):
+    u = RngStream(1, 0).generator().uniform(size=100)
+    with pytest.raises(DomainError, match="ks_statistic: the reference CDF must return finite values"):
+        ks_statistic(u, lambda t: np.where(t > 0.5, bad, t))
+
+
+def test_ks_statistic_keeps_scipy_bits():
+    # the CDF is evaluated once, at the sorted sample, and handed to kstest:
+    # the statistic and p-value are those of kstest with the callable itself
+    from scipy import stats
+
+    p = ModelParams(2, -1.0, 1.0)
+    r = sample_circumradius(p, RngStream(3, 30).generator(), size=2000)
+    res = stats.kstest(r, lambda t: radius_cdf(p, t))
+    assert ks_statistic(r, lambda t: radius_cdf(p, t)) == (float(res.statistic), float(res.pvalue))
+
+
 def test_product_identity_refuses_too_few_draws_before_drawing():
     rng = RngStream(77, 2).generator()
     state = repr(rng.bit_generator.state)

@@ -362,6 +362,61 @@ def test_unit_ball_volume():
 
 
 # ---------------------------------------------------------------------------
+# the two forms of the Bernoulli tails: power sums for real calls, Horner for
+# complex ones
+
+# (tail, coefficients, v from w, u from v): the tail is v * sum_k c_k u^k
+TAILS = (
+    (specfun._stirling_tail, specfun._STIRLING_TAIL, lambda w: 1.0 / w, lambda v: v * v),
+    (specfun._barnes_tail, specfun._BARNES_TAIL, lambda w: 1.0 / (w * w), lambda v: v),
+)
+
+
+def _power_sum_tail(coefs, v, u):
+    return v * (np.power.outer(u, specfun._POWERS[: len(coefs)]) @ coefs)
+
+
+@pytest.mark.parametrize("tail, coefs, v_of, u_of", TAILS, ids=["stirling", "barnes"])
+def test_real_tails_keep_the_power_sum_bits(tail, coefs, v_of, u_of):
+    gen = np.random.default_rng(21)
+    for w in (SHIFT_MIN, 10.0 ** gen.uniform(1.0, 7.0, 7), 10.0 ** gen.uniform(1.0, 12.0, (40, 6))):
+        v = v_of(np.asarray(w))
+        assert np.asarray(tail(w)).tobytes() == _power_sum_tail(coefs, v, u_of(v)).tobytes()
+
+
+@pytest.mark.parametrize("tail, coefs, v_of, u_of", TAILS, ids=["stirling", "barnes"])
+def test_complex_tails_within_two_ulps_of_the_power_sum(tail, coefs, v_of, u_of):
+    # Horner moves last bits only: each part within 2 ulps of |tail| (the
+    # measured worst, over Re w = 10 to 1e7 and |Im w| up to 1e6)
+    gen = np.random.default_rng(22)
+    for im in (1e-3, 1.0, 30.0, 1e3, 1e6):
+        w = 10.0 ** gen.uniform(1.0, 7.0, 20000) + 1j * gen.uniform(-im, im, 20000)
+        v = v_of(w)
+        ref, got = _power_sum_tail(coefs, v, u_of(v)), tail(w, True)
+        ulp = np.spacing(np.abs(ref))
+        assert np.all(np.abs(got.real - ref.real) <= 2.0 * ulp) and np.all(np.abs(got.imag - ref.imag) <= 2.0 * ulp)
+    # at real points the complex Horner gives the bits of the real Horner
+    # that a plan prepares in Python floats, so a complex call is 0 at z = 0
+    x = 10.0 ** gen.uniform(1.0, 7.0, 200)
+    prepared = specfun._horner_at(tail, x)
+    assert tail(x + 0j, True).real.tobytes() == prepared.tobytes() == tail(x, True).tobytes()
+
+
+@pytest.mark.parametrize("size", [_SPLIT_POINTS - 1, _SPLIT_POINTS, _SPLIT_POINTS + 1])
+def test_complex_call_at_the_split_gives_pointwise_bits(size, monkeypatch, idle_helper):
+    # just below the threshold a call runs whole, from it on the trailing
+    # half runs on another thread: either way each point has the bits of a
+    # call of that point alone
+    monkeypatch.setattr(specfun, "_helper", lambda: idle_helper)
+    for n in (1000, 3):
+        plan = exactlaw._plan(n, -1.0)
+        z = _split_points((size,), True)
+        alone = np.array([plan(v) for v in z])
+        assert plan(z).tobytes() == alone.tobytes()
+    assert bool(idle_helper.threads) == (size >= _SPLIT_POINTS)
+
+
+# ---------------------------------------------------------------------------
 # the package's helper thread and the split of large calls
 
 # GammaRatioSum call shapes: 0-d, small, either side of the split threshold,
