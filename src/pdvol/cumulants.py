@@ -52,10 +52,12 @@ def cumulant_exact(params: ModelParams, m: int) -> float:
     dwarfs the dimension: against 50-digit mpmath over n <= 1e6, mu <= 1e8
     and m <= 8 the relative error is below 2.5e-14 where mu < 100 n and below
     4e-12 where mu >= 100 n, about n ulps of the moment formula's own
-    cancellation.
+    cancellation.  An order at which (m-1)! or a gamma ratio's coefficient
+    to the m-th power overflows a double (m >= 172, or m >= 84 at
+    n = 1e4) is refused with DomainError.
     """
     m = check_integer("cumulant_exact", "m", m, 1)
-    return _plan(params.n, params.mu).derivative(m) + (m == 1) * _linear(params)
+    return _plan(params.n, params.mu).derivative(m, "cumulant_exact") + (m == 1) * _linear(params)
 
 
 #: the oracle's Ridders tableau: 8 steps, each 1.5 times smaller than the last

@@ -12,10 +12,11 @@ tail functions) take one row of exponentials e^{-iyt} per point, while the
 uniform 2048-point Kolmogorov grid, split as 32 coarse offsets c plus 64 fine
 steps f, uses e^{-i(c+f)t} = e^{-ict} e^{-ift}: 96 rows of exponentials and
 one matrix product.  The characteristic function at the nodes is one CGF
-call, which is split in two from 512 nodes (``specfun._split``); each table
-of exponentials of 8192 entries or more is split by rows the same way, its
-trailing rows computed on the package's helper thread.  Every entry gets
-the same cos and sin either way, so the CDF keeps its bits.  Tail
+call, which is split in two from 1536 nodes (``specfun._SPLIT_POINTS``): a
+first pass of 32 panels (768 nodes) runs whole, the refined passes split.
+Each table of exponentials of 8192 entries or more is split by rows the same
+way, its trailing rows computed on the package's helper thread.  Every entry
+gets the same cos and sin either way, so the CDF keeps its bits.  Tail
 probabilities below the inversion floor (~1e-8) are out of scope;
 exponential-scale statements go through the scaled CGF instead.
 """

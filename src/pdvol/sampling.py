@@ -44,6 +44,7 @@ distinct stream ids are independent by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +104,23 @@ class KsReport:
     n_rhs: int
 
 
-def _radial_power(params: ModelParams, rng: np.random.Generator, size):
-    """R^n draws: rho / (gamma kappa_n) with rho ~ Gamma(n+mu+1, 1)."""
-    rho = rng.gamma(params.n + params.mu + 1.0, 1.0, size=size)
-    kappa = math.exp(log_unit_ball_volume(params.n))
-    return rho / (params.gamma * kappa)
+def _radial_scale(function: str, params: ModelParams) -> float:
+    """gamma kappa_n, the divisor of rho ~ Gamma(n+mu+1, 1) in R^n, refused
+    in ``function``'s name where it is below the smallest normal float (from
+    n = 436 at gamma = 1, or a subnormal gamma): the draws would overflow."""
+    scale = params.gamma * math.exp(log_unit_ball_volume(params.n))
+    if not scale >= sys.float_info.min:
+        raise DomainError(
+            f"{function}: gamma kappa_n = {scale:.3g} (n = {params.n}, gamma = {params.gamma:.3g}) is below "
+            f"the smallest normal float, so R^n = rho / (gamma kappa_n) overflows"
+        )
+    return scale
+
+
+def _radial_power(scale: float, params: ModelParams, rng: np.random.Generator, size):
+    """R^n draws: rho / scale with rho ~ Gamma(n+mu+1, 1) and scale = gamma
+    kappa_n from ``_radial_scale``."""
+    return rng.gamma(params.n + params.mu + 1.0, 1.0, size=size) / scale
 
 
 def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None):
@@ -115,7 +128,8 @@ def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None
     one draw for size None."""
     if size is not None:
         size = check_integer("sample_circumradius", "size", size, 0)
-    return _radial_power(params, rng, size) ** (1.0 / params.n)
+    scale = _radial_scale("sample_circumradius", params)
+    return _radial_power(scale, params, rng, size) ** (1.0 / params.n)
 
 
 def _blocked(draw, reduce, count):
@@ -275,7 +289,7 @@ def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     """Volume draws V = R^n * Delta with independent radial and angular parts."""
     size = check_integer("sample_volume", "size", size, 0)
     kernel = _check_proposal_budget("sample_volume", params.n, params.mu, size)
-    rn = _radial_power(params, rng, size)
+    rn = _radial_power(_radial_scale("sample_volume", params), params, rng, size)
     return rn * _rejection_batches(kernel, params.mu, rng, size, keep_directions=False)[1]
 
 
@@ -284,9 +298,9 @@ def sample_rhs_product(params: ModelParams, rng: np.random.Generator, size: int)
     (rho/(gamma kappa_n))^2 prod_i Beta((i+mu+1)/2, (n-i+1)/2) draws."""
     size = check_integer("sample_rhs_product", "size", size, 0)
     n, mu = params.n, params.mu
-    kappa = math.exp(log_unit_ball_volume(n))
+    scale = _radial_scale("sample_rhs_product", params)
     rho = rng.gamma(n + mu + 1.0, 1.0, size=size)
-    log_out = 2.0 * (np.log(rho) - math.log(params.gamma * kappa))
+    log_out = 2.0 * (np.log(rho) - math.log(scale))
     for i in range(1, n + 1):
         log_out += np.log(rng.beta((i + mu + 1.0) / 2.0, (n - i + 1.0) / 2.0, size=size))
     return np.exp(log_out)
@@ -297,6 +311,7 @@ def sample_lhs_product(params: ModelParams, rng: np.random.Generator, size: int)
     independent of V; needs the volume sampler, so n in {2, 3}."""
     size = check_integer("sample_lhs_product", "size", size, 0)
     n, mu = check_integer("sample_lhs_product", "n", params.n, 2, 3), params.mu
+    _radial_scale("sample_lhs_product", params)
     v = sample_volume(params, rng, size)
     xi = rng.beta(n * (n + mu + 1.0) / 2.0, (mu + 2.0) / 2.0, size=size)
     return xi**n * (1.0 - xi) * (math.factorial(n) * v) ** 2
@@ -310,6 +325,7 @@ def check_product_identity(params: ModelParams, n_draws: int, rng: np.random.Gen
     if n_draws < _KS_MIN:
         raise DomainError(f"check_product_identity: need at least {_KS_MIN} draws, got n_draws = {n_draws}")
     check_integer("check_product_identity", "n", params.n, 2, 3)
+    _radial_scale("check_product_identity", params)
     lhs = np.log(sample_lhs_product(params, rng, n_draws))
     rhs = np.log(sample_rhs_product(params, rng, n_draws))
     statistic, p_value = ks_statistic(lhs, rhs)

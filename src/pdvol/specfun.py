@@ -26,6 +26,14 @@ prepares its tails at its own arguments in the form of each dtype it is
 called with, so a call is exactly 0 at z = 0 in either.  All functions are
 pure and thread-safe.
 
+The log1p in the shift forms is taken in real arithmetic for complex z, as
+atan2 for its imaginary part and log1p(|1+u|^2 - 1)/2 for its real part:
+2.3-3.7x faster than 2 atanh(u/(2+u)) on the 768-1536 x 28 entries of a
+large call, and accurate next to u = -1, where that form loses digits.  Only
+the Barnes ends keep the atanh form: their log1p is multiplied by w^2/2 and
+the two ends cancel, so any change of its last bits would redraw the
+large-mu errors of the CGF ratchet.
+
 The package has one helper thread (``_helper``), started on first use in a
 process that may run on two CPUs or more; a forked child starts its own.  The
 sampler reduces proposal blocks on it, and ``_split`` runs the trailing half
@@ -73,8 +81,11 @@ _BARNES_TAIL = np.array([_BERNOULLI[2 * k + 2] / (4 * k * (k + 1)) for k in rang
 # B_(2k) / (2k(2k-1)), k = 1..7: the tail of log Gamma(w) in odd powers of 1/w
 _STIRLING_TAIL = np.array([1.0 / 12.0] + [_BERNOULLI[2 * k] / (2 * k * (2 * k - 1)) for k in range(2, 8)])
 _POWERS = np.arange(7.0)
-# the largest float whose square is finite
+# the largest float whose square is finite, and that float's log
 _SQRT_MAX = math.sqrt(np.finfo(float).max)
+_LOG_MAX = math.log(np.finfo(float).max)
+# the largest q whose factorial is a finite float (170! = 7.3e306)
+_FACTORIAL_MAX = 170
 #: real parts from which the shift forms are used: the first omitted terms
 #: of both series are below 4e-16 there
 SHIFT_MIN = 10.0
@@ -83,12 +94,13 @@ SHIFT_MIN = 10.0
 # inside its table of coefficients zeta(k-1), k = 3..62
 _SERIES_STOP = 0.01 * 1e-12
 _SERIES_ZETA = sp.zeta(np.arange(2.0, 62.0)).tolist()
-#: points from which a GammaRatioSum call is split in two (``_split``).  With
-#: the Horner tails a complex call breaks even near 450-512 points and saves
-#: 0-9% at 512, 10-17% at 768 and 20-35% at 1024, at every plan size measured
-#: (n = 10 to 1e6, 2-vCPU Xeon VM).  A real call, cheaper per point, loses by
-#: splitting up to about 1500 points (10-50% at 512-1024)
-_SPLIT_POINTS = 512
+#: points from which a GammaRatioSum call is split in two (``_split``), one
+#: threshold for both dtypes, where both pay.  Split in two, a complex call
+#: took 1.19-1.84x the time of a whole one at 512-768 points, 0.69-1.39x at
+#: 1024, 0.67-0.97x at 1536 and 0.53-0.87x at 2048; a real call 1.06-1.33x
+#: at 1024 and 0.81-1.16x at 1536 (three series of paired timings at n = 10,
+#: 1e3 and 1e6, 2-vCPU VM)
+_SPLIT_POINTS = 1536
 #: (pid, executor) of the package's helper thread, see ``_helper``
 _helper_pool = None
 _helper_lock = threading.Lock()
@@ -240,10 +252,39 @@ def log_barnes_g(x: float) -> float:
     return _log_barnes_g_series(b - 1.0) + shift + math.fsum(climbs)
 
 
-def _log1p(u, cplx):
-    # log(1+u) for Re(1+u) > 0 to full relative accuracy near 0, cplx telling
-    # whether u is complex: numpy's complex log1p loses ~1e-5 absolute at
-    # |u| ~ 1e-5, 2 atanh(u/(2+u)) not
+def _log1p_complex(u):
+    # log(1+u) for complex u with Re(1+u) > 0, in real arithmetic: the
+    # argument atan2(y, 1+x) and the log-modulus log1p(x(2+x) + y^2)/2, or
+    # log hypot(1+x, y) where 1+u is near 0 and x(2+x) + y^2 near -1 has
+    # lost its digits.  Exactly 0 at u = 0, to full relative accuracy near 0
+    # (numpy's complex log1p loses ~1e-5 absolute at |u| ~ 1e-5) and near
+    # u = -1, where 2 atanh(u/(2+u)) reads 1.7e-3 off at -1 + 1e-15.  It
+    # overwrites u with the result: a large call's fresh temporaries cost
+    # page faults
+    x, y = u.real, u.imag
+    t = x + 2.0
+    t *= x
+    x1 = y * y
+    t += x1
+    np.add(x, 1.0, out=x1)  # y^2's buffer takes 1 + x
+    low = None
+    if np.minimum.reduce(t, None, initial=0.0) < -0.5:
+        low = t < -0.5
+        near = np.log(np.hypot(x1[low], y[low]))
+        t[low] = 0.0
+    np.arctan2(y, x1, out=y)
+    np.log1p(t, out=t)
+    np.multiply(t, 0.5, out=x)
+    if low is not None:
+        x[low] = near
+    return u
+
+
+def _log1p_ends(u, cplx):
+    # log(1+u) at the Barnes ends, as 2 atanh(u/(2+u)) for complex u.  Its
+    # value is multiplied by w^2/2 and the two ends of a run cancel, so a
+    # last-bit change here redraws the large-mu errors that the CGF ratchet
+    # records; ROADMAP item 10's difference form replaces this expression
     if not cplx:
         return np.log1p(u)
     return 2.0 * np.arctanh(u / (2.0 + u))
@@ -336,7 +377,10 @@ class GammaRatioSum:
     a complex call by Horner's rule (``_tail_sum``).  The tails at the
     prepared x and ends, which each call differences against, are prepared in
     the same form: the power sums with the plan, Horner on its first complex
-    call.
+    call.  The log1p of the shifts and the heads is numpy's for a real call;
+    a complex call takes it in real arithmetic (``_log1p_complex``), in one
+    call over both blocks.  The Barnes ends keep 2 atanh(u/(2+u)) for
+    complex z (``_log1p_ends``).
 
     Arguments that overflow are refused when the plan is prepared: an x that
     is not finite, or a Barnes end past the square root of the largest float.
@@ -370,11 +414,15 @@ class GammaRatioSum:
         self.ratio_w, self.anchor_w = np.array(weight[: self.split]), np.array(weight[self.split :])
         self.log_gamma_x, self.log_gamma_xc = sp.gammaln(self.x), sp.loggamma(self.x.astype(complex))
         self.far = self.x >= SHIFT_MIN
+        self.all_far, self.any_far = min(x, default=SHIFT_MIN) >= SHIFT_MIN, max(x, default=0.0) >= SHIFT_MIN
         # the series is prepared at SHIFT_MIN where x is below it
         self.x_far = np.where(self.far, self.x, SHIFT_MIN)
         self.inv = 1.0 / self.x_far
         self.log_m1 = np.log(self.x_far) - 1.0
         self.heads, self.head_w = np.array(heads), np.array(head_w)
+        # the columns of the shifts' and the heads' log1p arguments in _series
+        self.log_cols = (len(x) + len(heads),)
+        self.shift_cols, self.head_cols = (..., slice(None, len(x))), (..., slice(len(x), None))
         self.inv_heads = 1.0 / self.heads
         self.ends = np.array(ends)
         self.inv_ends, self.two_ends = 1.0 / self.ends, 2.0 * self.ends
@@ -387,6 +435,11 @@ class GammaRatioSum:
         self.psi_x = np.array(x + [y + h for y, h in spans] + [y for y, _ in spans])
         self.psi_w = np.array(weight + [h for _, h in spans])
         self.psi_c = np.array(coef + [run_coef] * len(spans), dtype=float)
+        # the highest order m whose (m-1)! and c^m at the largest |c| are
+        # finite floats (c^m cannot overflow where |c| <= 1)
+        c_max = max(1.0, abs(run_coef) if spans else 1.0, *map(abs, coef))
+        power_max = int(_LOG_MAX / math.log(c_max)) if c_max > 1.0 else _FACTORIAL_MAX + 1
+        self.max_order = min(_FACTORIAL_MAX + 1, power_max)
         #: derivative(m) by m: the value depends on the arguments and m alone
         self.derivatives = {}
         #: the Stirling tails at x_far and the Barnes tails at the ends, keyed
@@ -409,22 +462,36 @@ class GammaRatioSum:
 
     def _evaluate(self, z):
         # one dtype decision per evaluation: complex z takes loggamma's
-        # complex loop, the arctanh log1p and the Horner tails, real z the
-        # real loops and the power sums
+        # complex loop, the real-arithmetic log1p and the Horner tails, real
+        # z the real loops, numpy's log1p and the power sums
         cplx = z.dtype.kind == "c"
-        shifts = self._shifts(z[..., None] * self.coef, cplx)
+        h = z[..., None] * self.coef
+        a = z[..., None] * self.run_coef
+        w = self.x + h
+        # one reduction when every entry is far (initial: an empty z is too)
+        if self.all_far and np.minimum.reduce(w.real, None, initial=SHIFT_MIN) >= SHIFT_MIN:
+            shifts, heads = self._series(h, w, a, cplx)
+        else:
+            far = self.far & (w.real >= SHIFT_MIN)
+            near = sp.loggamma(w) - self.log_gamma_xc if cplx else sp.gammaln(w) - self.log_gamma_x
+            if self.any_far:
+                # near entries run the series at h = 0, where it is exactly 0
+                h = np.where(far, h, 0.0)
+                shifts, heads = self._series(h, self.x_far + h, a, cplx)
+                shifts = np.where(far, shifts, near)
+            else:
+                heads = a * self.inv_heads
+                shifts, heads = near, _log1p_complex(heads) if cplx else np.log1p(heads)
         # a point's value does not depend on its call's shape: the runs' shift
         # stays one column (numpy's complex loops round a broadcast copy by
         # call size), and each point is its own dot product, not a row of a
         # matrix product (vecdot conjugates its first argument: weights first)
-        a = z[..., None] * self.run_coef
-        heads = _log1p(a * self.inv_heads, cplx)
         row = np.vecdot(self.anchor_w, shifts[..., self.split :]) + np.vecdot(self.head_w, heads)
         if self.ends.size:
             row = row + np.vecdot(self.signs, self._barnes_ends(a, cplx))
         return np.vecdot(self.ratio_w, shifts[..., : self.split]) + row
 
-    def derivative(self, m):
+    def derivative(self, m, caller="GammaRatioSum.derivative"):
         """The m-th z-derivative at z = 0, m >= 1: the sum over ratios of
         w c^m psi^(m-1)(x) plus run_coef^m times the sum over runs of
         sum_{j<k} psi^(m-1)(b+j), from the same three blocks:
@@ -437,10 +504,19 @@ class GammaRatioSum:
           y = b+J, h = k-J and D_q = psi^(q)(y+h) - psi^(q)(y).  Where
           y >= 20 + 2q, D_q is the (q+1)-th derivative of Stirling's series in
           shift form (see _psi_difference), so no digits are lost when b >> k.
+
+        An order whose (m-1)! (the factorial of psi^(m-1)) or c^m at the
+        largest |c| overflows a double is refused with DomainError, in
+        ``caller``'s name, before any polygamma is taken.
         """
-        m = check_integer("GammaRatioSum.derivative", "m", m, 1)
+        m = check_integer(caller, "m", m, 1)
         if m in self.derivatives:
             return self.derivatives[m]
+        if m > self.max_order:
+            raise DomainError(
+                f"{caller}: order m = {m} overflows a double in (m-1)! or a coefficient's m-th power; "
+                f"the highest order here is {self.max_order}"
+            )
         q = m - 1
         psi = _polygamma(q, self.psi_x)
         weighted, r = len(self.psi_w), len(self.spans)
@@ -455,31 +531,27 @@ class GammaRatioSum:
         value = self.derivatives[m] = float(total + self.run_coef**m * row)
         return value
 
-    def _shifts(self, h, cplx):
-        w = self.x + h
-        far = self.far & (w.real >= SHIFT_MIN)
-        if far.all():
-            return self._series(h, w, cplx)
+    def _series(self, h, w, a, cplx):
+        # the Stirling shifts at h, w = x_far + h, and the heads' log1p: the
+        # arguments h/x and a/(b+i) are written side by side into one array,
+        # whose log1p is one call in place
+        logs = np.empty(h.shape[:-1] + self.log_cols, h.dtype)
+        log, heads = logs[self.shift_cols], logs[self.head_cols]
+        np.multiply(h, self.inv, out=log)
+        np.multiply(a, self.inv_heads, out=heads)
         if cplx:
-            out = sp.loggamma(w) - self.log_gamma_xc
+            _log1p_complex(logs)
         else:
-            out = sp.gammaln(w) - self.log_gamma_x
-        if far.any():
-            # near entries run the series at h = 0, where it is exactly 0
-            h = np.where(far, h, 0.0)
-            out = np.where(far, self._series(h, self.x_far + h, cplx), out)
-        return out
-
-    def _series(self, h, w, cplx):
+            np.log1p(logs, out=logs)
         tail = _stirling_tail(w, cplx) - self.tails[cplx][0]
-        return (w - 0.5) * _log1p(h * self.inv, cplx) + h * self.log_m1 + tail
+        return (w - 0.5) * log + h * self.log_m1 + tail, heads
 
     def _barnes_ends(self, a, cplx):
         w = self.ends + a
-        if (w.real < SHIFT_MIN).any():
+        if np.minimum.reduce(w.real, None, initial=SHIFT_MIN) < SHIFT_MIN:
             raise DomainError("GammaRatioSum: a run longer than RUN_HEAD needs Re(b + run_coef z) >= 0")
         return (
-            (0.5 * w * w - 1.0 / 12.0) * _log1p(a * self.inv_ends, cplx)
+            (0.5 * w * w - 1.0 / 12.0) * _log1p_ends(a * self.inv_ends, cplx)
             + a * (self.two_ends + a) * self.log_c
             + a * _LN_SQRT_2PI
             + (_barnes_tail(w, cplx) - self.tails[cplx][1])

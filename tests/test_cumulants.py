@@ -6,6 +6,7 @@ import pytest
 from scipy.special import digamma, gammaln, polygamma
 
 import pdvol.cumulants as cumulants
+import pdvol.specfun as specfun
 from pdvol.cumulants import (
     RegimeSpec,
     concentration_envelope,
@@ -355,3 +356,24 @@ def test_non_finite_reals_refused():
     for gamma in (math.nan, math.inf, -1.0, 0.0):
         with pytest.raises(DomainError, match="regime_expansion: intensity gamma"):
             regime_expansion(RegimeSpec("fixed_mu"), 10.0, gamma=gamma)
+
+
+@pytest.mark.parametrize("n, mu, last", [(50, -1.0, 171), (10**4, -1.0, 83), (1000, 1e6, 114)])
+def test_overflowing_orders_refused_before_any_polygamma(n, mu, last, monkeypatch):
+    # the last finite order keeps the bits it had before the refusal was added;
+    # one order more, (m-1)! (m = 172) or 5000.5^m and 500.5^m overflow a
+    # double, and the order is refused in cumulant_exact's name before any
+    # polygamma is taken (an OverflowError and overflow RuntimeWarnings before)
+    p = ModelParams(n, mu)
+    kept = {(50, -1.0): -2.4246705428834072e+255, (10**4, -1.0): -4.915152009211139e+97, (1000, 1e6): 0.0}
+    assert cumulant_exact(p, last) == kept[(n, mu)]
+
+    def no_polygamma(q, x):
+        raise AssertionError("a polygamma was taken")
+
+    monkeypatch.setattr(specfun, "_polygamma", no_polygamma)
+    for m in (last + 1, last + 50, 10**9):
+        with pytest.raises(DomainError, match=rf"^cumulant_exact: order m = {m} overflows a double"):
+            cumulant_exact(p, m)
+    # a cached order is returned without the check or any polygamma
+    assert cumulant_exact(p, last) == kept[(n, mu)]

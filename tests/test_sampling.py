@@ -293,6 +293,38 @@ def test_sampler_refuses_bad_size_before_drawing(name):
         assert len(SIZED_SAMPLERS[name](rng, size)) == size
 
 
+@pytest.mark.parametrize("params", [ModelParams(500, -1.0), ModelParams(436, 0.0), ModelParams(2, -1.0, 1e-320),
+                                    ModelParams(3, 1.0, 5e-309)], ids=["n500", "n436", "gamma1e-320", "gamma5e-309"])
+def test_samplers_refuse_a_subnormal_radial_scale_before_drawing(params):
+    # gamma kappa_n below the smallest normal float: R^n = rho / (gamma kappa_n)
+    # divided by zero (n = 500), overflowed (gamma = 1e-320) or raised a math
+    # domain error (sample_rhs_product at n = 500); now refused in the
+    # sampler's own name, the generator untouched
+    samplers = {
+        "sample_circumradius": lambda rng: sample_circumradius(params, rng, 3),
+        "sample_rhs_product": lambda rng: sample_rhs_product(params, rng, 3),
+    }
+    if params.n <= 3:
+        samplers.update({
+            "sample_volume": lambda rng: sample_volume(params, rng, 3),
+            "sample_lhs_product": lambda rng: sample_lhs_product(params, rng, 3),
+            "check_product_identity": lambda rng: check_product_identity(params, 30, rng),
+        })
+    rng = RngStream(5, 0).generator()
+    before = repr(rng.bit_generator.state)
+    for name, call in samplers.items():
+        with pytest.raises(DomainError, match=rf"^{name}: gamma kappa_n = .* below the smallest normal float"):
+            call(rng)
+    assert repr(rng.bit_generator.state) == before
+
+
+def test_a_tiny_normal_radial_scale_still_draws():
+    # gamma kappa_n = 3.1e-300 is a normal float: drawn as before
+    p = ModelParams(2, -1.0, 1e-300)
+    r = sample_circumradius(p, RngStream(5, 1).generator(), 4)
+    assert np.all(np.isfinite(r)) and np.all(r > 0)
+
+
 def test_circumradius_without_size_is_one_draw():
     assert np.ndim(sample_circumradius(ModelParams(2, -1.0, 1.0), RngStream(0, 0).generator())) == 0
 

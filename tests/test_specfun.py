@@ -402,6 +402,33 @@ def test_complex_tails_within_two_ulps_of_the_power_sum(tail, coefs, v_of, u_of)
     assert tail(x + 0j, True).real.tobytes() == prepared.tobytes() == tail(x, True).tobytes()
 
 
+# u for the complex log1p of the Stirling shifts and the run heads: next to
+# -1 (where 2 atanh(u/(2+u)) read 1.65e-3 relative off at -1 + 1e-15), at
+# |u| ~ 1e-5 (where numpy's complex log1p loses ~1e-5 absolute), on the
+# imaginary axis, and spread over the strip
+LOG1P_POINTS = [
+    -1.0 + 1e-15, -1.0 + 1e-12, -0.999 + 1e-3j, -1.0 + 1e-15 + 1e-15j,
+    1e-5, -1e-5, 1e-5j, -1e-5 + 3e-6j, 7e-6 - 7e-6j,
+    1e-300j, 1e-3j, 1j, -30j, 1e4j,
+    -0.5 + 0.5j, -0.71 + 0.01j, 0.5 + 2j, 3.0 - 1e-9j,
+]
+
+
+def test_complex_log1p_against_mpmath():
+    gen = np.random.default_rng(23)
+    u = np.array(LOG1P_POINTS + (gen.uniform(-1.0, 3.0, 200) + 1j * gen.uniform(-5.0, 5.0, 200)).tolist())
+    got = specfun._log1p_complex(u.copy())  # it overwrites its argument
+    with mp.workdps(30):
+        for v, g in zip(u.tolist(), got.tolist()):
+            ref = mp.log1p(mp.mpc(v.real, v.imag))
+            # measured worst 1.3e-16
+            assert abs(mp.mpc(g) - ref) <= 2.5e-16 * abs(ref), v
+    # exactly 0 at u = 0, so a complex call is exactly 0 at z = 0
+    zero = specfun._log1p_complex(np.zeros((2, 3), complex))
+    assert zero.shape == (2, 3) and not np.any(zero.real) and not np.any(zero.imag)
+    assert specfun._log1p_complex(np.zeros(1, complex)).tolist() == [0j]
+
+
 @pytest.mark.parametrize("size", [_SPLIT_POINTS - 1, _SPLIT_POINTS, _SPLIT_POINTS + 1])
 def test_complex_call_at_the_split_gives_pointwise_bits(size, monkeypatch, idle_helper):
     # just below the threshold a call runs whole, from it on the trailing
@@ -533,14 +560,16 @@ def test_small_calls_never_ask_for_the_helper(monkeypatch):
 @pytest.mark.parametrize("failing", ["leading", "trailing"])
 @pytest.mark.parametrize("mode", ["idle", "started"])
 def test_failing_half_raises_from_call(failing, mode, monkeypatch, idle_helper, two_cpus):
-    plan = exactlaw._plan(1000, -1.0)
-    z = _split_points((1001,), True)
+    # an odd size just above the threshold, so the two halves differ in size
+    plan, size = exactlaw._plan(1000, -1.0), _SPLIT_POINTS + 1
+    leading, trailing = size // 2, size - size // 2
+    z = _split_points((size,), True)
     expected = plan(z).tobytes()
     evaluate = GammaRatioSum._evaluate
     done = []
 
     def half(self, points):
-        if points.size == (500 if failing == "leading" else 501):
+        if points.size == (leading if failing == "leading" else trailing):
             raise FloatingPointError(f"{failing} half")
         out = evaluate(self, points)
         done.append(points.size)
@@ -552,7 +581,7 @@ def test_failing_half_raises_from_call(failing, mode, monkeypatch, idle_helper, 
     with pytest.raises(FloatingPointError, match=f"{failing} half"):
         plan(z)
     # the other half had ended before the call raised
-    assert done == [501 if failing == "leading" else 500]
+    assert done == [trailing if failing == "leading" else leading]
     monkeypatch.undo()
     _fake_two_cpus(monkeypatch)
     # the helper is left usable
