@@ -54,7 +54,8 @@ def cumulant_exact(params: ModelParams, m: int) -> float:
     4e-12 where mu >= 100 n, about n ulps of the moment formula's own
     cancellation.  An order at which (m-1)! or a gamma ratio's coefficient
     to the m-th power overflows a double (m >= 172, or m >= 84 at
-    n = 1e4) is refused with DomainError.
+    n = 1e4) is refused with DomainError, and so, without a warning, is one
+    whose weighted polygamma sum overflows (m >= 154 at mu = -1.9).
     """
     m = check_integer("cumulant_exact", "m", m, 1)
     return _plan(params.n, params.mu).derivative(m, "cumulant_exact") + (m == 1) * _linear(params)

@@ -350,9 +350,9 @@ CLAIMS = (
     ("moment-normalization", claim_moment_normalization),
     ("planar-mean", claim_planar_mean_three_ways),
     # the two claims that triangulate ~1e5 points run back to back, before the
-    # KS claims load scipy.stats: the torus's Qhull run (about 54 MB) then
-    # reuses the heap planar-mean released, and the full report peaks at
-    # about 141 MB RSS instead of 175 MB
+    # KS claims load scipy.stats: the torus's strips then reuse the heap
+    # planar-mean released (the helper thread runs only their Qhull calls),
+    # and the full report peaks at 138.5-140.6 MB RSS instead of 175 MB
     ("tessellation", claim_tessellation),
     ("summation-identities", claim_summation_identities),
     ("cumulant-oracle", claim_cumulant_oracle),

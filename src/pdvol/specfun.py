@@ -38,10 +38,11 @@ The package has one helper thread (``_helper``), started on first use in a
 process that may run on two CPUs or more; a forked child starts its own.  The
 sampler reduces proposal blocks on it, and ``_split`` runs the trailing half
 of a large call on it while the calling thread runs the leading half: a
-``GammaRatioSum`` call of at least ``_SPLIT_POINTS`` points, and the large
-Gil-Pelaez exponential tables of ``distribution``.  Only private code that
-never splits again runs there, and every element goes through the same
-operations wherever it is computed, so a split call gives the bits of an
+``GammaRatioSum`` call of at least ``_SPLIT_POINTS`` points, the large
+Gil-Pelaez exponential tables of ``distribution``, and the Qhull calls of a
+torus triangulation's trailing strips in ``delaunay2d``.  Only private
+code that never splits again runs there, and every element goes through the
+same operations wherever it is computed, so a split call gives the bits of an
 unsplit one.  Smaller calls never ask for the helper.
 """
 
@@ -507,7 +508,9 @@ class GammaRatioSum:
 
         An order whose (m-1)! (the factorial of psi^(m-1)) or c^m at the
         largest |c| overflows a double is refused with DomainError, in
-        ``caller``'s name, before any polygamma is taken.
+        ``caller``'s name, before any polygamma is taken; one whose weighted
+        sum overflows (m >= 154 at mu = -1.9) is refused after it, without
+        a warning.
         """
         m = check_integer(caller, "m", m, 1)
         if m in self.derivatives:
@@ -518,17 +521,22 @@ class GammaRatioSum:
                 f"the highest order here is {self.max_order}"
             )
         q = m - 1
-        psi = _polygamma(q, self.psi_x)
-        weighted, r = len(self.psi_w), len(self.spans)
-        total = (self.psi_w * self.psi_c**m) @ psi[:weighted]
-        row = (-1.0) ** q * math.factorial(q) * (self.head_w @ self.heads ** -float(m))
-        # psi^(q), then psi^(q-1), at the ends' tops and starts
-        ends = psi[weighted - r :].tolist()
-        lower = _polygamma(q - 1, self.psi_x[weighted - r :]).tolist() if q and r else None
-        for i, (y, h, log) in enumerate(self.spans):
-            row += (y - 1.0) * _psi_difference(q, y, log, ends[i], ends[r + i])
-            row += q * _psi_difference(q - 1, y, log, lower[i], lower[r + i]) if q else -h
-        value = self.derivatives[m] = float(total + self.run_coef**m * row)
+        # an overflow anywhere leaves the sum inf or nan, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = _polygamma(q, self.psi_x)
+            weighted, r = len(self.psi_w), len(self.spans)
+            total = (self.psi_w * self.psi_c**m) @ psi[:weighted]
+            row = (-1.0) ** q * math.factorial(q) * (self.head_w @ self.heads ** -float(m))
+            # psi^(q), then psi^(q-1), at the ends' tops and starts
+            ends = psi[weighted - r :].tolist()
+            lower = _polygamma(q - 1, self.psi_x[weighted - r :]).tolist() if q and r else None
+            for i, (y, h, log) in enumerate(self.spans):
+                row += (y - 1.0) * _psi_difference(q, y, log, ends[i], ends[r + i])
+                row += q * _psi_difference(q - 1, y, log, lower[i], lower[r + i]) if q else -h
+            value = float(total + self.run_coef**m * row)
+        if not math.isfinite(value):
+            raise DomainError(f"{caller}: order m = {m} overflows a double in the weighted polygamma sum")
+        self.derivatives[m] = value
         return value
 
     def _series(self, h, w, a, cplx):

@@ -1,7 +1,10 @@
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
+
+import pdvol.specfun as specfun
 
 
 class IdleHelper:
@@ -28,3 +31,16 @@ class IdleHelper:
 def idle_helper():
     with ThreadPoolExecutor(max_workers=1) as pool:
         yield IdleHelper(pool)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, faked.  A helper thread started under them is shut
+    down after the test, so on a one-CPU host it does not outlive the fake."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = specfun._helper_pool
+    yield
+    if specfun._helper_pool is not before:
+        specfun._helper_pool[1].shutdown(wait=True)
+        specfun._helper_pool = before

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -377,3 +378,20 @@ def test_overflowing_orders_refused_before_any_polygamma(n, mu, last, monkeypatc
             cumulant_exact(p, m)
     # a cached order is returned without the check or any polygamma
     assert cumulant_exact(p, last) == kept[(n, mu)]
+
+
+@pytest.mark.parametrize("n, last", [(2, -5.927983792466912e+284), (3, -6.09022190445609e+260),
+                                     (50, -6.09022190445609e+260)])
+def test_overflowing_polygamma_sum_refused_without_a_warning(n, last):
+    # at mu = -1.9, (m-1)! and the coefficients' powers stay finite up to
+    # m = 171, but the weighted polygamma sum overflows from m = 154: it gave
+    # inf or -inf with "overflow encountered in matmul" or "in scalar
+    # multiply", and is now refused in cumulant_exact's name, with no warning
+    # of any kind; m = 153 keeps its bits
+    p = ModelParams(n, -1.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cumulant_exact(p, 153) == last
+        for m in (154, 155, 170, 171, 154):  # a refused order is not cached
+            with pytest.raises(DomainError, match=rf"^cumulant_exact: order m = {m} overflows a double in the weighted"):
+                cumulant_exact(p, m)

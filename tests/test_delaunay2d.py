@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 import pdvol.delaunay2d as dl
+import pdvol.specfun as specfun
 from pdvol.delaunay2d import (
     SimWindow,
     Triangulation,
@@ -18,7 +23,7 @@ from pdvol.delaunay2d import (
     tiling_defect,
     _toroidal_margin,
 )
-from pdvol.errors import DomainError
+from pdvol.errors import ConvergenceError, DomainError
 from pdvol.exactlaw import ModelParams, radius_cdf, volume_moment
 from pdvol.sampling import DEFAULT_SEED, RngStream
 
@@ -134,23 +139,67 @@ def _digest(tri):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("mode, side, seed, sid, digest", [
-    ("toroidal", math.sqrt(2.0e4), 20260810, 6, "022d77931c0e02d25be43522b6126ca8e9be6145d671dc74556d17e3270d4f1a"),
-    ("toroidal", 40.0, 20260810, 8, "3ba98f797c561e1574330497ba39b0e32324644d5d808cf8715e1c5a205566fe"),
-    ("toroidal", 30.0, 20260810, 17, "ea9a66f12b04a5bfb006a47e79b30bd12f4f1b3b3a69612842a6e7d9554d132a"),
-    ("toroidal", 30.0, 20260810, 19, "010cc8e63840e2713e86e482cf6f4271e6b7870c86fd896cd1f9a11fee3bfe6e"),
-    ("toroidal", 200.0, 20260810, 14, "85e9acda617bb4a5985930b52c10970926f541378b93373badb12b936b75472d"),
+_PINNED = [
+    ("toroidal", math.sqrt(2.0e4), 20260810, 6, "f8b878211d32e073907deec05b098595c88c4558b7ec68e08d5abd9032c93538"),
+    ("toroidal", 40.0, 20260810, 8, "ef784952c6a3b8bc0e1f97c2e61b731609bf3ae59db0d9ad2e51ff280422ab20"),
+    ("toroidal", 30.0, 20260810, 17, "f0d1c50d2d7ecc210013173a9cdca1f5b871fc083833e4c82276dd1e9b3e3931"),
+    ("toroidal", 30.0, 20260810, 19, "1ed805a99316fb098936a3cf9c8dcc520bdf7acd86ead716f261834552ff65b8"),
+    ("toroidal", 200.0, 20260810, 14, "3a06ce9f0fdcd26970dfb9a68d6858f906e880618112afa7238063a34722de90"),
     # the quick report's tessellation-invariants torus
-    ("toroidal", math.sqrt(2.0e4), DEFAULT_SEED, 50, "a4a5d50a347129f9dec5f7da839f71ae95e7a4e4e5f69691e40f28346782af33"),
+    ("toroidal", math.sqrt(2.0e4), DEFAULT_SEED, 50, "96249387774418f6c3bab89c94d970f179c1ac2f1c1df66e3564c763c8895425"),
     ("plain", 60.0, 20260810, 5, "16a844e82274c746c9664c50ea9d36fefe674366a4cbb9de48e6c64b09e0d589"),
     ("plain", 30.0, 20260810, 15, "764cb1f20d4394d0a1ff0360cbdbab506108f29326a3e9ebb5a53e736059fc43"),
-])
+]
+
+
+@pytest.mark.parametrize("mode, side, seed, sid, digest", _PINNED)
 def test_triangulations_pinned(mode, side, seed, sid, digest):
     # sha256 of the triangles and their circumdata: a change to the margin,
     # the Qhull call or the circumdata shows here bit for bit
     pts = sample_poisson_points(1.0, SimWindow(side, 0.0, mode), RngStream(seed, sid).generator())
     tri = delaunay_triangulate(pts, mode=mode, side=side if mode == "toroidal" else None)
     assert _digest(tri) == digest
+
+
+@pytest.mark.parametrize("side, seed, sid", [case[1:4] for case in _PINNED if case[0] == "toroidal"])
+def test_strips_give_the_single_qhull_tessellation(side, seed, sid):
+    # the same triangle set as one Qhull call over the whole torus, and each
+    # triangle's circumdata bit for bit, whichever strip computed it
+    pts = sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), RngStream(seed, sid).generator())
+    tri = delaunay_triangulate(pts, mode="toroidal", side=side)
+    vertices, *fields = _single_qhull(pts, side)
+    keys, expected = _by_triangle(pts, side, vertices, *fields)
+    got_keys, got = _by_triangle(pts, side, tri.vertices, tri.coords, tri.centers, tri.radii, tri.areas)
+    assert np.array_equal(got_keys, keys) and len(keys) == 2 * len(pts)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+    # each triangle starts at the vertex opposite its longest edge and turns
+    # counterclockwise
+    (a, b, c) = (tri.coords[:, i] for i in range(3))
+    assert np.all(np.sum((b - c) ** 2, axis=1) >= np.maximum(np.sum((c - a) ** 2, axis=1), np.sum((a - b) ** 2, axis=1)))
+    assert np.all((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) > (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+
+
+def test_strips_keep_their_bits_on_one_cpu_and_two(monkeypatch, two_cpus):
+    side = math.sqrt(2.0e4)
+    pts = sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(6))
+    names = []
+    qhull = dl._qhull
+    monkeypatch.setattr(dl, "_qhull", lambda points: names.append(threading.current_thread().name) or qhull(points))
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(specfun, "_helper_pool", None)
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_cpu.setattr(os, "cpu_count", lambda: 1)
+        threads = set(threading.enumerate())
+        one = _digest(delaunay_triangulate(pts, mode="toroidal", side=side))
+        assert specfun._helper_pool is None and set(threading.enumerate()) == threads
+    # one CPU: every strip on the calling thread; two: the trailing strips on
+    # the helper thread
+    assert names == [threading.current_thread().name] * 4
+    names.clear()
+    assert _digest(delaunay_triangulate(pts, mode="toroidal", side=side)) == one == _PINNED[0][-1]
+    caller = threading.current_thread().name
+    assert names.count(caller) == 2 and len(names) == 4 and all(n.startswith("pdvol") for n in names if n != caller)
 
 
 @pytest.mark.parametrize("n", [100, 10**3, 10**5, 10**6])
@@ -179,20 +228,67 @@ def _vertex_triples(tri):
 
 def test_toroidal_margin_retry(monkeypatch):
     # a margin below the largest circumradius must fail the post hoc check
-    # and double until the circumdisks fit, giving the unpatched result
+    # and double until the circumdisks fit, giving the unpatched result.  The
+    # strips' first Qhull calls run on two threads, in any order; each strip's
+    # own rounds run in order
     side = 30.0
     pts = sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(17))
     ref = delaunay_triangulate(pts, mode="toroidal", side=side)
-    calls = []
-    qhull = dl._qhull
-    monkeypatch.setattr(dl, "_toroidal_margin", lambda n, side: 0.3 * ref.radii.max())
+    start = 0.3 * ref.radii.max()
+    rounds, calls = [], []
+    images, qhull = dl._images, dl._qhull
+    monkeypatch.setattr(dl, "_toroidal_margin", lambda n, side: start)
+    monkeypatch.setattr(dl, "_images", lambda points, side, margin, lo, hi: rounds.append((lo, margin))
+                        or images(points, side, margin, lo, hi))
     monkeypatch.setattr(dl, "_qhull", lambda points: calls.append(len(points)) or qhull(points))
     tri = delaunay_triangulate(pts, mode="toroidal", side=side)
-    assert len(calls) >= 2 and calls == sorted(calls)
+    strips = sorted({lo for lo, _ in rounds})
+    assert len(strips) == dl._STRIPS and len(calls) == len(rounds) > len(strips)
+    for lo in strips:
+        margins = [margin for first, margin in rounds if first == lo]
+        assert margins == [start * 2.0**k for k in range(len(margins))]
     assert np.array_equal(_vertex_triples(tri), _vertex_triples(ref))
     assert tri.n_triangles == 2 * len(pts)
     assert np.all(edge_incidence_counts(tri) == 2)
     assert audit_empty_circumdisk(tri, tri.n_triangles, rng(18)) == 0
+
+
+def test_a_stitched_count_other_than_2n_raises(monkeypatch):
+    # a strip that loses its last triangle leaves 2N - 1: refused, not returned
+    side = math.sqrt(2.0e4)
+    pts = sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(6))
+    strip = dl._strip
+    monkeypatch.setattr(dl, "_strip", lambda *args: tuple(field[:-1] if args[2] == 0.0 else field
+                                                          for field in strip(*args)))
+    with pytest.raises(ConvergenceError, match="stitch 40095 triangles for 20048 points"):
+        delaunay_triangulate(pts, mode="toroidal", side=side)
+
+
+def _single_qhull(points, side):
+    """The torus triangles from one Qhull call over the points and all their
+    images within the margin of [0, side)^2, keeping those whose circumcenter
+    lies in it, in the package's vertex order: (vertices, coords, centers,
+    radii, areas)."""
+    margin = _toroidal_margin(len(points), side)
+    shifts = side * np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=float)
+    images = points + shifts[:, None, :]
+    which, index = np.nonzero(np.all((images > -margin) & (images < side + margin), axis=2))
+    ext = images[which, index]
+    simplices = dl._canonical(Delaunay(ext).simplices, index, ext)
+    coords = ext[simplices]
+    centers, radii, areas = dl._circumdata(coords)
+    keep = np.all((centers >= 0.0) & (centers < side), axis=1)
+    assert radii[keep].max() < margin
+    return index[simplices[keep]], coords[keep], centers[keep], radii[keep], areas[keep]
+
+
+def _by_triangle(points, side, vertices, *fields):
+    """The fields sorted by each triangle's vertex triple and its vertices'
+    period offsets, and those keys."""
+    offsets = np.rint((fields[0] - points[vertices]) / side).astype(np.int64).reshape(len(vertices), 6)
+    keys = np.concatenate([vertices, offsets], axis=1)
+    order = np.lexsort(keys.T[::-1])
+    return keys[order], [field[order] for field in fields]
 
 
 def test_estimators_refuse_a_mismatched_window():
@@ -284,6 +380,24 @@ def test_edge_counts_see_a_dropped_triangle():
     assert np.sum(counts == 1) == 3 and np.all(counts[3:] == 2)
 
 
+def test_edge_counts_stay_lean():
+    # keys formed pair by pair in place and period offsets taken one axis at
+    # a time as int8: the tracemalloc peak of counting read 2.74 MB on this
+    # 2e4-point torus (5.92 MB with whole-array keys and (2N, 3, 2) float
+    # offsets) and 13.6 MB on a 1e5-point one (29.5 MB)
+    side = math.sqrt(2.0e4)
+    tri = delaunay_triangulate(sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(6)),
+                               mode="toroidal", side=side)
+    tracemalloc.start()
+    try:
+        counts = edge_incidence_counts(tri)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(counts == 2) and counts.size == 3 * len(tri.points)
+    assert peak < 3.5e6
+
+
 def test_edge_counts_separate_seam_images():
     # points 0 and 1 are joined twice: directly (triangle A) and across the
     # x seam (triangle B); triangle C is B translated by one period, so it
@@ -300,6 +414,16 @@ def test_edge_counts_separate_seam_images():
     tri = Triangulation(points, "toroidal", side, vertices, coords, np.zeros((3, 2)), zeros, zeros)
     assert edge_incidence_counts(tri).tolist() == [1, 1, 1, 2, 2, 2]
     assert edge_incidence_counts(dataclasses.replace(tri, mode="plain")).tolist() == [1, 1, 2, 2, 3]
+    # the offsets are int8: C moved to 63 periods still counts as B, 64 is refused
+    for periods, fits in ((63, True), (64, False)):
+        moved = coords.copy()
+        moved[2, :, 0] += (periods - 1) * side
+        far = dataclasses.replace(tri, coords=moved)
+        if fits:
+            assert edge_incidence_counts(far).tolist() == [1, 1, 1, 2, 2, 2]
+        else:
+            with pytest.raises(DomainError, match="more than 63 periods"):
+                edge_incidence_counts(far)
 
 
 def test_typical_moment_estimates():

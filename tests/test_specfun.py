@@ -499,23 +499,6 @@ def _sphere_bits():
     return hashlib.sha256(vol.tobytes() + repr(rng.bit_generator.state).encode()).hexdigest()
 
 
-def _fake_two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs, faked.  A helper thread started under them is shut
-    down after the test, so on a one-CPU host it does not outlive the fake."""
-    _fake_two_cpus(monkeypatch)
-    before = specfun._helper_pool
-    yield
-    if specfun._helper_pool is not before:
-        specfun._helper_pool[1].shutdown(wait=True)
-        specfun._helper_pool = before
-
-
 def _refuse_helper():
     raise AssertionError("a call below the split threshold asked for the helper")
 
@@ -565,7 +548,7 @@ def test_failing_half_raises_from_call(failing, mode, monkeypatch, idle_helper, 
     leading, trailing = size // 2, size - size // 2
     z = _split_points((size,), True)
     expected = plan(z).tobytes()
-    evaluate = GammaRatioSum._evaluate
+    evaluate, helper = GammaRatioSum._evaluate, specfun._helper
     done = []
 
     def half(self, points):
@@ -582,8 +565,8 @@ def test_failing_half_raises_from_call(failing, mode, monkeypatch, idle_helper, 
         plan(z)
     # the other half had ended before the call raised
     assert done == [trailing if failing == "leading" else leading]
-    monkeypatch.undo()
-    _fake_two_cpus(monkeypatch)
+    monkeypatch.setattr(GammaRatioSum, "_evaluate", evaluate)
+    monkeypatch.setattr(specfun, "_helper", helper)
     # the helper is left usable
     assert plan(z).tobytes() == expected
 
