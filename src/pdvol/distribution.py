@@ -10,15 +10,21 @@ a truncation point found by expanding search on |phi|.  One refinement loop
 serves two evaluators of the quadrature sum: arbitrary points (the CDF and
 tail functions) take one row of exponentials e^{-iyt} per point, while the
 uniform 2048-point Kolmogorov grid, split as 32 coarse offsets c plus 64 fine
-steps f, uses e^{-i(c+f)t} = e^{-ict} e^{-ift}: 96 rows of exponentials and
-one matrix product.  The characteristic function at the nodes is one CGF
-call, which is split in two from 1536 nodes (``specfun._SPLIT_POINTS``): a
-first pass of 32 panels (768 nodes) runs whole, the refined passes split.
-Each table of exponentials of 8192 entries or more is split by rows the same
-way, its trailing rows computed on the package's helper thread.  Every entry
-gets the same cos and sin either way, so the CDF keeps its bits.  Tail
-probabilities below the inversion floor (~1e-8) are out of scope;
-exponential-scale statements go through the scaled CGF instead.
+steps f, uses e^{-i(c+f)t} = e^{-ict} e^{-ift}: one table of 96 rows of
+exponentials and one matrix product, split by its 32 coarse rows.  The
+first pass is never accepted alone, so the characteristic function at its
+nodes and the second pass's is one CGF call, which is split in two from
+1536 nodes (``specfun._SPLIT_POINTS``): on the Kolmogorov grid, 32 + 64
+panels (2304 nodes) in one split call, then one split call per refined
+pass.  Each table of exponentials of 8192 entries or more has its cosines
+and sines taken in two halves the same way, the trailing half on the
+package's helper thread, and no table of angles is allocated.  Every CGF
+point, entry and product row gets the same bits either way, so the CDF
+keeps its bits.  With these, a Kolmogorov distance at n = 1e3 and 1e4
+costs no fresh-page faults (1664 per pair before) and perfbench's highdim
+``ref_wall_s`` fell from 30.6 to 24.0-24.4 ms (2-vCPU VM).  Tail probabilities
+below the inversion floor (~1e-8) are out of scope; exponential-scale
+statements go through the scaled CGF instead.
 """
 
 from __future__ import annotations
@@ -141,47 +147,68 @@ def _gl_grid(t_max: float, panels: int):
     return tg, wg
 
 
+def _levels(law: StandardizedLaw, t_max: float, panels: int):
+    """The quadrature's refinement levels from ``panels`` panels, doubling up
+    to ``_MAX_PANELS``, as (panels, nodes tg, weighted integrand
+    phi(tg) w / tg).  The first level is never accepted alone, so its nodes
+    and the second level's take phi in one CGF call (2304 nodes at 32 + 64
+    panels, which ``specfun._SPLIT_POINTS`` splits across both threads);
+    every later level takes its own.  A level's values are those of a call
+    of its nodes alone, since each CGF point keeps its bits in any call."""
+    counts = [panels, 2 * panels] if 2 * panels <= _MAX_PANELS else [panels]
+    while counts[0] <= _MAX_PANELS:
+        grids = [_gl_grid(t_max, p) for p in counts]
+        log_phi = np.asarray(_log_phi_std(law, np.concatenate([tg for tg, _ in grids])))
+        lo = 0
+        for p, (tg, wg) in zip(counts, grids):
+            yield p, tg, np.exp(log_phi[lo : lo + tg.size]) / tg * wg
+            lo += tg.size
+        counts = [2 * counts[-1]]
+
+
 def _invert(law: StandardizedLaw, evaluate):
     """Refine the Gil-Pelaez quadrature of the standardized CDF until it is stable.
 
     ``evaluate(tg, phi_w)`` returns F at the caller's points from the nodes tg
-    and the weighted integrand phi(tg) w / tg.  The panel count starts at
-    max(32, 2 t_max) and doubles until successive refinements agree to 1e-8
-    in sup norm (ConvergenceError past 1280 panels).  Returns (F, panels).
+    and the weighted integrand phi(tg) w / tg, once per level.  The panel
+    count starts at max(32, 2 t_max) and doubles until successive refinements
+    agree to 1e-8 in sup norm (ConvergenceError past 1280 panels); the first
+    two levels take phi in one CGF call (``_levels``).  Returns (F, panels).
     """
     t_max = _find_t_max(law)
-    panels = max(32, int(t_max * 2))
     prev = None
-    while panels <= _MAX_PANELS:
-        tg, wg = _gl_grid(t_max, panels)
-        phi_w = np.exp(np.asarray(_log_phi_std(law, tg))) / tg * wg
+    for panels, tg, phi_w in _levels(law, t_max, max(32, int(t_max * 2))):
         F = evaluate(tg, phi_w)
         if prev is not None and np.max(np.abs(F - prev)) < 1e-8:
             return F, panels
         prev = F
-        panels *= 2
     raise ConvergenceError("cdf inversion: quadrature did not stabilize within the panel budget")
 
 
 def _cis_neg(y, tg):
     """exp(-i y t) on the outer grid of y and t, formed as cos - i sin in one
     complex array: the bits of np.exp(-1j * np.outer(y, t)) without its
-    complex temporaries.  A grid of at least ``_CIS_SPLIT`` entries is split
-    in two halves of its flattened entries, whatever its row count, with the
-    helper thread (``specfun._split``)."""
-    theta = np.multiply.outer(-y, tg)
-    out = np.empty(theta.shape, dtype=complex)
+    complex temporaries or a table of angles.  The angles are written into
+    the imaginary parts, their cosines taken into the real parts and then
+    their sines in place, so beyond the output only numpy's fixed-size ufunc
+    buffers are allocated (125 kB for the broadcast product).  A grid
+    of at least ``_CIS_SPLIT`` entries has its cosines and sines taken in two
+    halves of its flattened entries, whatever its row count, with the helper
+    thread (``specfun._split``)."""
+    out = np.empty((len(y), len(tg)), dtype=complex)
+    np.multiply.outer(-y, tg, out=out.imag)
     # views of the same memory: each entry is written where the table has it
-    flat, angles = out.reshape(-1), theta.reshape(-1)
+    flat = out.reshape(-1)
 
     def entries(lo, hi):
-        np.cos(angles[lo:hi], out=flat.real[lo:hi])
-        np.sin(angles[lo:hi], out=flat.imag[lo:hi])
+        angles = flat.imag[lo:hi]
+        np.cos(angles, out=flat.real[lo:hi])
+        np.sin(angles, out=angles)
 
-    if theta.size < _CIS_SPLIT:
-        entries(0, theta.size)
+    if out.size < _CIS_SPLIT:
+        entries(0, out.size)
     else:
-        _split(entries, theta.size)
+        _split(entries, out.size)
     return out
 
 
@@ -202,15 +229,19 @@ def _chunked_cdf(ys):
 def _factored_cdf(tg, phi_w):
     """Evaluator of F on the Kolmogorov grid, whose point 64 a + b is
     coarse[a] + fine[b]: the sum over nodes becomes one (coarse x nodes) @
-    (nodes x fine) product, read out row by row in grid order."""
+    (nodes x fine) product, read out row by row in grid order.  The 32
+    coarse and 64 fine offsets share one 96-row table of exponentials (one
+    split), and the product is split by coarse rows (``specfun._split``),
+    each row the bits of the whole product's."""
     n_coarse, n_fine = _GRID_SPLIT
     step = (_X_RANGE[1] - _X_RANGE[0]) / (_GRID_POINTS - 1)
     coarse = _X_RANGE[0] + n_fine * step * np.arange(n_coarse)
     fine = step * np.arange(n_fine)
-    E1 = _cis_neg(coarse, tg)
+    table = _cis_neg(np.concatenate([coarse, fine]), tg)
+    E1, E2 = table[:n_coarse], table[n_coarse:]
     E1 *= phi_w
-    E2 = _cis_neg(fine, tg)
-    return 0.5 - (E1 @ E2.T).imag.ravel() / math.pi
+    rows = _split(lambda lo, hi: (E1[lo:hi] @ E2.T).imag, n_coarse)
+    return 0.5 - np.concatenate(rows).ravel() / math.pi
 
 
 def _standardized_cdf(law: StandardizedLaw, y):

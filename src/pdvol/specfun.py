@@ -38,12 +38,15 @@ The package has one helper thread (``_helper``), started on first use in a
 process that may run on two CPUs or more; a forked child starts its own.  The
 sampler reduces proposal blocks on it, and ``_split`` runs the trailing half
 of a large call on it while the calling thread runs the leading half: a
-``GammaRatioSum`` call of at least ``_SPLIT_POINTS`` points, the large
-Gil-Pelaez exponential tables of ``distribution``, and the Qhull calls of a
-torus triangulation's trailing strips in ``delaunay2d``.  Only private
-code that never splits again runs there, and every element goes through the
-same operations wherever it is computed, so a split call gives the bits of an
-unsplit one.  Smaller calls never ask for the helper.
+``GammaRatioSum`` call of at least ``_SPLIT_POINTS`` points (among them the
+Gil-Pelaez inversion's first two levels, 2304 nodes in one call on the
+Kolmogorov grid), the cosines and sines of the large exponential tables of
+``distribution`` and the Kolmogorov grid's matrix product, split by its
+coarse rows, and the Qhull calls of a torus triangulation's trailing strips
+in ``delaunay2d``.  Only private code that never splits again runs there, and
+every element goes through the same operations wherever it is computed, so a
+split call gives the bits of an unsplit one.  Smaller calls never ask for the
+helper.
 """
 
 from __future__ import annotations

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import pdvol.distribution as distribution
+import pdvol.specfun as specfun
 from pdvol.cumulants import cumulant_exact, deviation_scale, RegimeSpec
 from pdvol.distribution import (
     _GRID_POINTS,
     _X_RANGE,
     _chunked_cdf,
     _factored_cdf,
+    _find_t_max,
+    _gl_grid,
     _invert,
+    _log_phi_std,
     LDP_CENTERING,
     MODPHI_CENTERING,
     StandardizedLaw,
@@ -25,7 +30,7 @@ from pdvol.distribution import (
     standardized_cdf,
     two_sided_tail,
 )
-from pdvol.errors import DomainError
+from pdvol.errors import ConvergenceError, DomainError
 from pdvol.exactlaw import ModelParams, cgf
 from pdvol.sampling import RngStream, sample_volume
 
@@ -179,6 +184,82 @@ def test_factored_cdf_matches_chunked_path(n, mu):
     heap = [np.ones(k) for k in (3, 1001, 65537, 12345)]
     assert kolmogorov_distance_to_normal(p) == d
     del heap
+
+
+def _level_by_level(law, evaluate):
+    """The inversion loop with one CGF call per level, as it was before the
+    first two levels shared one: the reference for ``_invert``'s bits."""
+    t_max = _find_t_max(law)
+    panels = max(32, int(t_max * 2))
+    prev = None
+    while panels <= distribution._MAX_PANELS:
+        tg, wg = _gl_grid(t_max, panels)
+        phi_w = np.exp(np.asarray(_log_phi_std(law, tg))) / tg * wg
+        F = evaluate(tg, phi_w)
+        if prev is not None and np.max(np.abs(F - prev)) < 1e-8:
+            return F, panels
+        prev = F
+        panels *= 2
+    raise ConvergenceError("cdf inversion: quadrature did not stabilize within the panel budget")
+
+
+@pytest.fixture(params=["helper-off", "helper-on"])
+def helper(request, monkeypatch):
+    if request.param == "helper-off":
+        monkeypatch.setattr(specfun, "_helper", lambda: None)
+    else:
+        request.getfixturevalue("two_cpus")
+        assert specfun._helper() is not None
+    return request.param
+
+
+@pytest.mark.parametrize("mu", [-1.9, -1.0, 0.0, 5.0])
+@pytest.mark.parametrize("n", [2, 10, 1000, 10**4, 10**6])
+def test_paired_levels_keep_every_bit(n, mu, helper):
+    # the first two levels' nodes share one CGF call, split across both
+    # threads: F and the panel count are those of one call per level
+    law = StandardizedLaw.from_params(ModelParams(n, mu, 1.0))
+    ys = np.array([-20.0, -3.0, -1.0, 0.0, 0.5, 2.0, 7.5])
+    for evaluate in (_factored_cdf, _chunked_cdf(ys)):
+        F, panels = _invert(law, evaluate)
+        ref, ref_panels = _level_by_level(law, evaluate)
+        assert panels == ref_panels and F.tobytes() == ref.tobytes()
+
+
+def test_first_two_levels_take_one_cgf_call(monkeypatch):
+    law = StandardizedLaw.from_params(ModelParams(1000, -1.0, 1.0))
+    first = max(32, int(2 * _find_t_max(law)))
+    sizes, levels = [], []
+
+    def counted(params, z, **kw):
+        sizes.append(np.size(z))
+        return cgf(params, z, **kw)
+
+    def evaluate(tg, phi_w):
+        levels.append(tg.size)
+        return _factored_cdf(tg, phi_w)
+
+    monkeypatch.setattr(distribution, "cgf", counted)
+    _, panels = _invert(law, evaluate)
+    nodes = [s for s in sizes if s > 1]  # the scalar calls search for t_max
+    assert levels == [24 * first * 2**k for k in range(len(levels))] and panels == first * 2 ** (len(levels) - 1)
+    assert len(levels) >= 2 and nodes == [levels[0] + levels[1]] + levels[2:]
+
+
+@pytest.mark.parametrize("max_panels", [16, 32, 48, 64, 96])
+def test_panel_budget_raises_where_it_did(max_panels, monkeypatch):
+    # the levels pair only where both fit the budget: with the first level
+    # at 32 panels and an evaluator that never settles, the same levels are
+    # evaluated before the same ConvergenceError as with one CGF call per level
+    law = StandardizedLaw.from_params(ModelParams(10, -1.0, 1.0))
+    assert max(32, int(2 * _find_t_max(law))) == 32
+    monkeypatch.setattr(distribution, "_MAX_PANELS", max_panels)
+    seen = {}
+    for name, invert in (("paired", _invert), ("reference", _level_by_level)):
+        calls = seen.setdefault(name, [])
+        with pytest.raises(ConvergenceError, match="did not stabilize"):
+            invert(law, lambda tg, phi_w: calls.append(tg.size) or np.full(3, float(len(calls))))
+    assert seen["paired"] == seen["reference"] == [24 * p for p in (32, 64) if p <= max_panels]
 
 
 def test_factored_cdf_matches_mpmath_quadrature():

@@ -4,6 +4,7 @@ import math
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,53 @@ def test_samplers_refuse_a_subnormal_radial_scale_before_drawing(params):
         with pytest.raises(DomainError, match=rf"^{name}: gamma kappa_n = .* below the smallest normal float"):
             call(rng)
     assert repr(rng.bit_generator.state) == before
+
+
+@pytest.mark.parametrize("params, refused, drawn", [
+    (ModelParams(400, -1.0), ("sample_rhs_product",), ("sample_circumradius",)),
+    (ModelParams(434, -1.0), ("sample_circumradius", "sample_rhs_product"), ()),
+    (ModelParams(2, -1.0, 1e-307), ("sample_lhs_product", "sample_rhs_product", "check_product_identity"),
+     ("sample_circumradius", "sample_volume")),
+], ids=["n400", "n434", "gamma1e-307"])
+def test_samplers_refuse_overflowing_draws(params, refused, drawn):
+    # gamma kappa_n is a normal float, but R^n = rho / (gamma kappa_n) or a
+    # square of it overflows: numpy warned (an error under -W error) and the
+    # samplers returned inf; now refused in the overflowing sampler's name
+    samplers = {
+        "sample_circumradius": lambda rng: sample_circumradius(params, rng, 3),
+        "sample_volume": lambda rng: sample_volume(params, rng, 3),
+        "sample_rhs_product": lambda rng: sample_rhs_product(params, rng, 3),
+        "sample_lhs_product": lambda rng: sample_lhs_product(params, rng, 3),
+        "check_product_identity": lambda rng: check_product_identity(params, 30, rng),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in refused:
+            # the product identity's left-hand side overflows first
+            owner = "sample_lhs_product" if name == "check_product_identity" else name
+            with pytest.raises(DomainError, match=rf"^{owner}: a draw overflows the largest float"):
+                samplers[name](RngStream(5, 0).generator())
+        for name in drawn:
+            assert np.isfinite(samplers[name](RngStream(5, 0).generator())).all()
+
+
+def test_draws_next_to_the_overflow_keep_their_bits():
+    # the overflow check changes no value and no stream: the largest draws
+    # that still fit are the plain formulas' bits
+    p = ModelParams(433, -1.0)
+    scale = p.gamma * math.exp(specfun.log_unit_ball_volume(p.n))
+    rng, ref = RngStream(5, 0).generator(), RngStream(5, 0).generator()
+    r = sample_circumradius(p, rng, 5)
+    assert r.tobytes() == ((ref.gamma(p.n + p.mu + 1.0, 1.0, size=5) / scale) ** (1.0 / p.n)).tobytes()
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    p = ModelParams(300, -1.0)
+    scale = p.gamma * math.exp(specfun.log_unit_ball_volume(p.n))
+    out = sample_rhs_product(p, RngStream(5, 1).generator(), 4)
+    ref = RngStream(5, 1).generator()
+    log_out = 2.0 * (np.log(ref.gamma(p.n + p.mu + 1.0, 1.0, size=4)) - math.log(scale))
+    for i in range(1, p.n + 1):
+        log_out += np.log(ref.beta((i + p.mu + 1.0) / 2.0, (p.n - i + 1.0) / 2.0, size=4))
+    assert np.isfinite(out).all() and out.tobytes() == np.exp(log_out).tobytes()
 
 
 def test_a_tiny_normal_radial_scale_still_draws():

@@ -4,6 +4,7 @@ import os
 import select
 import signal
 import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -471,10 +472,11 @@ def _split_bits():
     return h.hexdigest()
 
 
-# exponential tables: odd row counts either side of the split threshold, and
-# one row above it (a single-point cdf at 342 panels or more)
+# exponential tables: odd row counts either side of the split threshold, one
+# row above it (a single-point cdf at 342 panels or more), and the
+# Kolmogorov grid's 96 rows at its first two levels' node counts
 CIS_ROWS = (1, 3, 5, 33, 257)
-CIS_TABLES = ((768, CIS_ROWS), (1535, CIS_ROWS), (9000, (1,)))
+CIS_TABLES = ((768, CIS_ROWS), (1535, CIS_ROWS), (9000, (1,)), (768, (96,)), (1536, (96,)))
 
 
 def _cis_bits():
@@ -492,6 +494,26 @@ def _cis_bits():
     return h.hexdigest()
 
 
+def _grid_bits():
+    """sha256 of the Kolmogorov grid's factored sum at the node counts of its
+    first levels, each checked against one unsplit product of the same table."""
+    h = hashlib.sha256()
+    gen = np.random.default_rng(12)
+    n_coarse = distribution._GRID_SPLIT[0]
+    for nodes in (768, 1536, 2304, 3072):
+        tg = np.sort(gen.uniform(0.0, 60.0, nodes))
+        phi_w = gen.standard_normal(nodes) + 1j * gen.standard_normal(nodes)
+        F = distribution._factored_cdf(tg, phi_w)
+        step = 16.0 / (distribution._GRID_POINTS - 1)
+        offsets = np.concatenate([-8.0 + 64 * step * np.arange(n_coarse), step * np.arange(64)])
+        theta = np.multiply.outer(-offsets, tg)
+        table = np.cos(theta) + 1j * np.sin(theta)
+        E1, E2 = table[:n_coarse] * phi_w, table[n_coarse:]
+        assert F.tobytes() == (0.5 - (E1 @ E2.T).imag.ravel() / math.pi).tobytes()
+        h.update(F.tobytes())
+    return h.hexdigest()
+
+
 def _sphere_bits():
     """sha256 of a sampler batch of several blocks and its generator state."""
     rng = RngStream(20261019, 0).generator()
@@ -503,7 +525,8 @@ def _refuse_helper():
     raise AssertionError("a call below the split threshold asked for the helper")
 
 
-@pytest.mark.parametrize("bits", [_split_bits, _cis_bits], ids=["gamma-ratio-sum", "cis-neg"])
+@pytest.mark.parametrize("bits", [_split_bits, _cis_bits, _grid_bits],
+                         ids=["gamma-ratio-sum", "cis-neg", "grid-product"])
 def test_split_keeps_every_bit(bits, monkeypatch, idle_helper, two_cpus):
     assert specfun._helper() is not None
     started = bits()
@@ -526,6 +549,25 @@ def test_one_row_table_splits_its_entries(monkeypatch, idle_helper):
     theta = np.multiply.outer(-y, tg)
     assert out.real.tobytes() == np.cos(theta).tobytes()
     assert out.imag.tobytes() == np.sin(theta).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["whole", "split"])
+def test_exponential_table_allocates_no_scratch(mode, monkeypatch, idle_helper):
+    # the angles go into the output's imaginary parts and the cosines and
+    # sines are taken in place: beyond the table, only numpy's ufunc buffers
+    # for the broadcast product into the strided imaginary parts (125 kB
+    # measured), where a table of angles took 1.2 MB more
+    monkeypatch.setattr(specfun, "_helper", lambda: idle_helper if mode == "split" else None)
+    y, tg = np.linspace(-8.0, 8.0, 96), np.linspace(0.0, 60.0, 1536)
+    distribution._cis_neg(y, tg)
+    tracemalloc.start()
+    try:
+        out = distribution._cis_neg(y, tg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes <= peak <= out.nbytes + 160 * 1024
+    assert bool(idle_helper.threads) == (mode == "split")
 
 
 def test_small_calls_never_ask_for_the_helper(monkeypatch):
