@@ -60,7 +60,6 @@ from .sampling import (
     RngStream,
     check_product_identity,
     ks_statistic,
-    sample_angular_simplex,
     sample_circumradius,
     sample_rhs_product,
     sample_volume,

@@ -256,4 +256,8 @@ def concentration_envelope(y: float, c: float, eps: float) -> float:
         raise DomainError("concentration_envelope: y must be finite and nonnegative")
     if not (0.0 < c < math.inf and 0.0 < eps < math.inf):
         raise DomainError("concentration_envelope: c and eps must be finite and positive")
-    return 2.0 * math.exp(-y * y / (2.0 + c * y / eps))
+    exponent = y * y / (2.0 + c * y / eps)
+    if exponent != exponent:
+        # y^2 and c y / eps both overflowed: divide both by y instead
+        exponent = y / (2.0 / y + c / eps)
+    return 2.0 * math.exp(-exponent)

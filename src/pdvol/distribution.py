@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .cumulants import concentration_envelope, cumulant_exact
-from .errors import ConvergenceError, DomainError, check_integer
+from .errors import ConvergenceError, DomainError, check_integer, checked_exp
 from .exactlaw import ModelParams, cgf
 from .specfun import _split, log_barnes_g
 
@@ -321,15 +321,20 @@ def ldp_scaled_cgf(params: ModelParams, t: float, variant: CenteringVariant) -> 
 def mod_gaussian_limit(mu: float, z: float) -> float:
     """Limiting function of the normalized moment generating function:
     G((3+mu)/2) G(2+mu/2) / (G((3+mu+z)/2) G(2+(mu+z)/2)) with Barnes G.
-    Requires z > -(mu+3)."""
+    Requires z > -(mu+3); refused where a Barnes value or the limit exceeds
+    the largest float."""
     if not z > -(mu + 3.0):
         raise DomainError("mod_gaussian_limit: requires z > -(mu+3)")
-    return math.exp(
-        log_barnes_g((3.0 + mu) / 2.0)
-        + log_barnes_g(2.0 + mu / 2.0)
-        - log_barnes_g((3.0 + mu + z) / 2.0)
-        - log_barnes_g(2.0 + (mu + z) / 2.0)
-    )
+    try:
+        log_limit = (
+            log_barnes_g((3.0 + mu) / 2.0)
+            + log_barnes_g(2.0 + mu / 2.0)
+            - log_barnes_g((3.0 + mu + z) / 2.0)
+            - log_barnes_g(2.0 + (mu + z) / 2.0)
+        )
+    except DomainError as err:
+        raise DomainError(f"mod_gaussian_limit: at mu = {mu:.3g}, z = {z:.3g}, {err}") from None
+    return checked_exp("mod_gaussian_limit", "the limit", log_limit)
 
 
 def mod_gaussian_residual(params: ModelParams, z: float, adjusted: bool = True) -> float:
@@ -343,12 +348,14 @@ def mod_gaussian_residual(params: ModelParams, z: float, adjusted: bool = True) 
     w_n = (log(n/2)-1)/2 against psi itself), under which the residual decays
     like O((1+|z|^3)/n).  ``adjusted=False`` compares against psi(z) alone;
     that residual converges to the constant |psi(z)| |1 - exp(-z^2/4)| and is
-    kept for the adjudication report."""
+    kept for the adjudication report.  Refused where the normalized MGF
+    exceeds the largest float."""
     if not math.isfinite(z):
         raise DomainError("mod_gaussian_residual: z must be finite")
     w = mod_gaussian_speed(params.n)
     m_n = centering(MODPHI_CENTERING, params)
-    value = math.exp(float(cgf(params, float(z), extended=True)) - z * m_n - z * z / 2.0 * w)
+    log_value = float(cgf(params, float(z), extended=True)) - z * m_n - z * z / 2.0 * w
+    value = checked_exp("mod_gaussian_residual", "the normalized MGF", log_value)
     limit = mod_gaussian_limit(params.mu, z)
     if adjusted:
         limit *= math.exp(-z * z / 4.0)

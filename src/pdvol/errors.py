@@ -6,9 +6,15 @@ checked by ``check_integer``: it accepts what ``operator.index`` accepts,
 except a bool, inside the stated range, and refuses everything else with
 ``DomainError`` naming the function and the argument.  Integral floats (3.0,
 ``np.float64(2.0)``) are refused like any other float.
+
+A result computed as the exp of its log (``checked_exp``) is returned when it
+is a finite float, and refused with ``DomainError`` in the function's name
+otherwise, never with ``OverflowError`` or as NaN.
 """
 
+import math
 import operator
+import sys
 
 
 class DomainError(ValueError):
@@ -32,3 +38,18 @@ def check_integer(function: str, argument: str, value, least: int, most=None) ->
         bound = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise DomainError(f"{function}: needs an integer {argument} {bound}, got {value!r}")
     return number
+
+
+def checked_exp(function: str, what: str, log_value: float, log_function=None) -> float:
+    """exp(``log_value``), the result ``what`` of ``function``; DomainError in
+    ``function``'s name where it exceeds the largest float or its log is NaN,
+    naming ``log_function`` when that gives the log as a finite value."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if value < math.inf:
+        return value
+    reason = "is undefined" if math.isnan(log_value) else f"exceeds the largest float ({sys.float_info.max:.3g})"
+    hint = f"; {log_function} gives its log" if log_function else ""
+    raise DomainError(f"{function}: {what} = exp({log_value:.6g}) {reason}{hint}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, checked_exp
 from .specfun import GammaRatioSum, log_unit_ball_volume, log_unit_sphere_area
 
 # strip_edge, a helper of cgf and the cumulant oracle, stays out of __all__:
@@ -133,7 +133,8 @@ def typical_volume_moment(n: int, gamma: float, s: float) -> float:
     route: constant * angular moment * Gamma(n+s) / (n kappa_n^(n+s) gamma^s).
 
     Independent of the weighted moment formula; agreement of the two routes is
-    one of the package's cross-checks.  Requires finite s > -1.
+    one of the package's cross-checks.  Requires finite s > -1; a moment
+    above the largest float is refused.
     """
     n = check_integer("typical_volume_moment", "n", n, 2)
     if not 0.0 < gamma < math.inf:
@@ -150,7 +151,7 @@ def typical_volume_moment(n: int, gamma: float, s: float) -> float:
         - (n + s) * lkappa
         - s * math.log(gamma)
     )
-    return math.exp(logm)
+    return checked_exp("typical_volume_moment", "E V^s", logm)
 
 
 def _row_runs(n: int, mu: float):
@@ -209,8 +210,10 @@ def log_volume_moment(params: ModelParams, s: float) -> float:
 
 
 def volume_moment(params: ModelParams, s: float) -> float:
-    """E V_n(Z_mu)^s for real s > -(mu+2); scales exactly as gamma^(-s)."""
-    return math.exp(log_volume_moment(params, s))
+    """E V_n(Z_mu)^s for real s > -(mu+2); scales exactly as gamma^(-s).  A
+    moment above the largest float is refused; ``log_volume_moment`` gives
+    its log."""
+    return checked_exp("volume_moment", "E V^s", log_volume_moment(params, s), "log_volume_moment")
 
 
 def cgf(params: ModelParams, z, extended: bool = False):

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo realizations of the distributional representations:
-circumradius draws, the angular simplex density by rejection (n = 2, 3), the
-full volume sampler, both sides of the beta/gamma product identity, and
-Kolmogorov-Smirnov checks.
+circumradius draws, the volume sampler V = R^n Delta (n = 2, 3, with the
+angular part Delta by rejection), both sides of the beta/gamma product
+identity, and Kolmogorov-Smirnov checks.
 
 The rejection sampler accepts a uniform proposal with probability
 (Delta/Delta_max)^(mu+2), so its exact acceptance rate is
@@ -31,12 +31,12 @@ any proposal kernel must keep so that a seed keeps giving the same draws.
 * Only the calling thread draws.  A block's reduction to volumes (cosines,
   sines and triangle areas at n = 2; normalisation and tetrahedron volumes at
   n = 3) needs no random numbers, and may run on the package's helper thread
-  (``specfun._helper``) while the calling thread draws the next block.  A
-  batch of one block never asks for the helper, which is started on first use
-  in a process that may run on two CPUs or more.  It touches no generator,
-  and every element goes through the same operations in the same order
-  wherever it is reduced, so the volumes and the generator state are the
-  same bit for bit.
+  (``specfun._helper``), under the caller's numpy error state, while the
+  calling thread draws the next block.  A batch of one block never asks for
+  the helper, which is started on first use in a process that may run on two
+  CPUs or more.  It touches no generator, and every element goes through the
+  same operations in the same order wherever it is reduced, so the volumes
+  and the generator state are the same bit for bit.
 
 All randomness flows through RngStream (counter-based Philox keyed by
 (seed, stream_id)): identical streams reproduce bit-identical draws, and
@@ -45,6 +45,7 @@ distinct stream ids are independent by construction.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import sys
 from dataclasses import dataclass
@@ -62,8 +63,6 @@ __all__ = [
     "MAX_TRIANGLE_AREA_IN_DISK",
     "MAX_TETRAHEDRON_VOLUME_IN_BALL",
     "sample_circumradius",
-    "sample_angular_simplex",
-    "sample_angular_delta",
     "sample_volume",
     "sample_rhs_product",
     "sample_lhs_product",
@@ -155,14 +154,15 @@ def sample_circumradius(params: ModelParams, rng: np.random.Generator, size=None
 
 def _blocked(draw, reduce, count):
     """Volumes of ``count`` >= 1 proposal tuples: ``draw(m)`` draws the next m
-    tuples and ``reduce(block, out)`` writes their volumes to ``out`` and
-    returns the block's points.  Every block is drawn on the calling thread,
-    in stream order; a block is reduced on the helper thread when it is idle
-    and inline otherwise, so at most two blocks are alive.  The points are
-    returned for a one-block batch only, which is reduced inline."""
+    tuples and ``reduce(block, out)`` writes their volumes to ``out``.  Every
+    block is drawn on the calling thread, in stream order; a block is reduced
+    on the helper thread when it is idle, in a copy of the caller's context
+    (and so under its numpy error state), and inline otherwise, so at most two
+    blocks are alive.  A one-block batch is reduced inline."""
     out = np.empty(count)
     if count <= _BLOCK:
-        return out, reduce(draw(count), out)
+        reduce(draw(count), out)
+        return out
     helper = specfun._helper()
     pending = None
     try:
@@ -172,29 +172,27 @@ def _blocked(draw, reduce, count):
                 pending, done = None, pending
                 done.result()
             if helper is not None and pending is None:
-                pending = helper.submit(reduce, block, out[lo : lo + len(block)])
+                pending = helper.submit(contextvars.copy_context().run, reduce, block, out[lo : lo + len(block)])
             else:
                 reduce(block, out[lo : lo + len(block)])
     finally:
         if pending is not None:
             pending.result()
-    return out, None
+    return out
 
 
 def _triangle_areas(th, area):
     """Areas of the triangles on the unit-circle angles ``th`` (m, 3) into
-    ``area``; returns the points as [cos, sin], each (m, 3)."""
+    ``area``."""
     x, y = np.cos(th), np.sin(th)
     area[:] = 0.5 * np.abs(
         (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
     )
-    return [x, y]
 
 
 def _tetrahedron_volumes(g, vol):
     """Volumes of the tetrahedra on the standard normals ``g`` (m, 4, 3),
-    each vertex scaled to the unit sphere, into ``vol``; returns the unit
-    vectors as [ux, uy, uz], each (m, 4)."""
+    each vertex scaled to the unit sphere, into ``vol``."""
     m = len(g)
     x, y, z = g.reshape(4 * m, 3).T
     r = np.sqrt(x * x + y * y + z * z)
@@ -207,56 +205,45 @@ def _tetrahedron_volumes(g, vol):
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
     vol[:] = np.abs(det) / 6.0
-    return u
 
 
 def _uniform_circle(rng, count):
     """Areas of ``count`` >= 1 triangles on three uniform points of the unit
-    circle each, drawn ``_BLOCK`` triangles at a time (``_blocked``); for a
-    one-block batch also the points as [cos, sin], each (count, 3)."""
+    circle each, drawn ``_BLOCK`` triangles at a time (``_blocked``)."""
     return _blocked(lambda m: rng.uniform(0.0, 2.0 * math.pi, size=(m, 3)), _triangle_areas, count)
 
 
 def _uniform_sphere(rng, count):
     """Volumes of ``count`` >= 1 tetrahedra on four uniform points of the unit
-    sphere each, drawn ``_BLOCK`` tetrahedra at a time (``_blocked``); for a
-    one-block batch also the points as [ux, uy, uz], each (count, 4)."""
+    sphere each, drawn ``_BLOCK`` tetrahedra at a time (``_blocked``)."""
     return _blocked(lambda m: rng.standard_normal(size=(m, 4, 3)), _tetrahedron_volumes, count)
 
 
-def _angular_kernel(function: str, n: int, mu: float):
-    """(n as a Python int, proposal kernel, Delta_max) of the angular sampler
-    at n in {2, 3}, finite mu > -2, refused otherwise in ``function``'s name.  The
-    kernel is read from the module globals on each call, so a wrapper bound
-    over one of them sees every batch."""
-    if not -2.0 < mu < math.inf:
-        raise DomainError(f"{function}: mu must be finite and exceed -2")
-    n = check_integer(function, "n", n, 2, 3)
-    if n == 2:
-        return n, _uniform_circle, MAX_TRIANGLE_AREA_IN_DISK
-    return n, _uniform_sphere, MAX_TETRAHEDRON_VOLUME_IN_BALL
-
-
 def _check_proposal_budget(function: str, n: int, mu: float, size: int):
-    """The kernel of a rejection run (``_angular_kernel``), refusing the run
-    when its expected proposal count exceeds the budget."""
-    kernel = _angular_kernel(function, n, mu)
-    rate = math.exp(log_angular_simplex_moment(n, mu + 2.0) - (mu + 2.0) * math.log(kernel[2]))
+    """(proposal kernel, Delta_max) of a rejection run at n in {2, 3}
+    (refused otherwise in ``function``'s name) and a weight mu that
+    ``ModelParams`` has checked; the run is refused when its expected proposal
+    count exceeds the budget.  The kernel is read from the module globals on
+    each call, so a wrapper bound over one of them sees every batch."""
+    n = check_integer(function, "n", n, 2, 3)
+    propose, dmax = (
+        (_uniform_circle, MAX_TRIANGLE_AREA_IN_DISK) if n == 2 else (_uniform_sphere, MAX_TETRAHEDRON_VOLUME_IN_BALL)
+    )
+    rate = math.exp(log_angular_simplex_moment(n, mu + 2.0) - (mu + 2.0) * math.log(dmax))
     expected = size / rate if rate > 0.0 else math.inf
     if expected > _PROPOSAL_BUDGET:
         raise ConvergenceError(
             f"angular sampler: {size} draws need about {expected:.3g} proposals at the exact "
             f"acceptance rate {rate:.3g} (mu = {mu:g}), above the budget of {_PROPOSAL_BUDGET} proposals"
         )
-    return kernel
+    return propose, dmax
 
 
-def _rejection_batches(kernel, mu: float, rng, size: int, keep_directions: bool):
-    """Accepted volumes (and unit vectors) of a run whose kernel its caller
-    has taken from ``_check_proposal_budget``."""
-    n, propose, dmax = kernel
+def _rejection_batches(kernel, mu: float, rng, size: int):
+    """Accepted volumes of a run whose kernel its caller has taken from
+    ``_check_proposal_budget``."""
+    propose, dmax = kernel
     deltas = np.empty(size)
-    dirs = np.empty((size, n + 1, n)) if keep_directions else None
     got = 0
     spent = 0
     while got < size:
@@ -265,45 +252,15 @@ def _rejection_batches(kernel, mu: float, rng, size: int, keep_directions: bool)
                 f"angular sampler: no acceptance within {_PROPOSAL_BUDGET} proposals (mu = {mu:g})"
             )
         count = min(max(4 * (size - got), 4096), 2_000_000)
-        # the kernels return unit vectors for one-block batches only
-        assert count <= _BLOCK or not keep_directions
-        vol, comps = propose(rng, count)
+        vol = propose(rng, count)
         accept = rng.uniform(size=count) < (vol / dmax) ** (mu + 2.0)
         spent += count
         idx = np.nonzero(accept)[0][: size - got]
-        take = len(idx)
-        deltas[got : got + take] = vol[idx]
-        if keep_directions:
-            dirs[got : got + take] = np.stack([comp[idx] for comp in comps], axis=2)
-        got += take
+        deltas[got : got + len(idx)] = vol[idx]
+        got += len(idx)
         # free this batch before the next one is drawn
-        del vol, comps, accept
-    return dirs, deltas
-
-
-def angular_acceptance_rate(n: int, mu: float, rng: np.random.Generator, n_proposals: int) -> float:
-    """Monte Carlo acceptance rate of the rejection sampler, i.e. the mean of
-    (Delta/Delta_max)^(mu+2) over uniform proposals; equals the ratio of the
-    (mu+2) angular moment to Delta_max^(mu+2)."""
-    n_proposals = check_integer("angular_acceptance_rate", "n_proposals", n_proposals, 1)
-    _, propose, dmax = _angular_kernel("angular_acceptance_rate", n, mu)
-    vol, _ = propose(rng, n_proposals)
-    return float(np.mean((vol / dmax) ** (mu + 2.0)))
-
-
-def sample_angular_delta(n: int, mu: float, rng: np.random.Generator, size: int):
-    """Batch of simplex volumes Delta under the density proportional to
-    Delta^(mu+2) on unit-sphere (n+1)-tuples, by rejection from uniform."""
-    size = check_integer("sample_angular_delta", "size", size, 0)
-    kernel = _check_proposal_budget("sample_angular_delta", n, mu, size)
-    return _rejection_batches(kernel, mu, rng, size, keep_directions=False)[1]
-
-
-def sample_angular_simplex(n: int, mu: float, rng: np.random.Generator):
-    """One accepted tuple of unit vectors (u_0..u_n) and its simplex volume."""
-    kernel = _check_proposal_budget("sample_angular_simplex", n, mu, 1)
-    dirs, deltas = _rejection_batches(kernel, mu, rng, 1, keep_directions=True)
-    return dirs[0], float(deltas[0])
+        del vol, accept
+    return deltas
 
 
 def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
@@ -315,7 +272,7 @@ def sample_volume(params: ModelParams, rng: np.random.Generator, size: int):
     # V formed in the angular draws' own array: a product in a new array,
     # with those draws freed after it, left the heap 8 MB larger after a
     # million draws
-    deltas = _rejection_batches(kernel, params.mu, rng, size, keep_directions=False)[1]
+    deltas = _rejection_batches(kernel, params.mu, rng, size)
     return _refuse_overflow("sample_volume", params, lambda: np.multiply(deltas, rn, out=deltas))
 
 

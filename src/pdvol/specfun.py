@@ -43,9 +43,10 @@ Gil-Pelaez inversion's first two levels, 2304 nodes in one call on the
 Kolmogorov grid), the cosines and sines of the large exponential tables of
 ``distribution`` and the Kolmogorov grid's matrix product, split by its
 coarse rows, and the Qhull calls of a torus triangulation's trailing strips
-in ``delaunay2d``.  Only private code that never splits again runs there, and
-every element goes through the same operations wherever it is computed, so a
-split call gives the bits of an unsplit one.  Smaller calls never ask for the
+in ``delaunay2d``.  Only private code that never splits again runs there, in
+a copy of the caller's context (so under its numpy error state), and every
+element goes through the same operations wherever it is computed, so a split
+call gives the bits of an unsplit one.  Smaller calls never ask for the
 helper.
 """
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -198,13 +200,19 @@ def digamma(x):
 
 
 def polygamma(m: int, x):
-    """psi^(m)(x), the m-th derivative of digamma, for an integer m >= 1
-    (``digamma`` is m = 0) and x > 0."""
-    m = check_integer("polygamma", "m", m, 1)
+    """psi^(m)(x), the m-th derivative of digamma, for an integer m in
+    [1, 170] (``digamma`` is m = 0; 171! exceeds the largest float) and x > 0,
+    refused where |psi^(m)(x)| ~ m! / x^(m+1) exceeds the largest float."""
+    m = check_integer("polygamma", "m", m, 1, 170)
     arr = np.asarray(x, dtype=float)
     if not (arr > 0.0).all():
         raise DomainError("polygamma: argument must be positive, not NaN")
-    out = _polygamma(m, arr)
+    with np.errstate(over="ignore"):
+        out = _polygamma(m, arr)
+    if not np.isfinite(out).all():
+        raise DomainError(
+            f"polygamma: |psi^({m})(x)| exceeds the largest float ({sys.float_info.max:.3g}) at x = {np.min(arr):.3g}"
+        )
     return float(out) if arr.ndim == 0 else out
 
 
@@ -236,13 +244,20 @@ def log_barnes_g(x: float) -> float:
 
     G(1) = G(2) = G(3) = 1.  Evaluation: asymptotic series for x >= 15,
     otherwise the Taylor series at a base point in [0.5, 1.5) plus the
-    functional equation.
+    functional equation.  log G(x) exceeds the largest float from about
+    x = 1.01e153 on, where it is refused.
     """
     x = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError("log_barnes_g: argument must be finite and positive")
     if x >= 15.0:
-        return _log_barnes_g_asymptotic(x)
+        out = _log_barnes_g_asymptotic(x)
+        if not out < math.inf:
+            raise DomainError(
+                f"log_barnes_g: log G(x) exceeds the largest float ({sys.float_info.max:.3g}) from about "
+                f"x = 1.01e153 on; got x = {x:.3g}"
+            )
+        return out
     shift = 0.0
     b = x
     while b < 0.5:
@@ -574,7 +589,13 @@ def log_barnes_g_shift_asymptotic(z: float, a: float) -> float:
     for log G(z+a+1) - log G(z+1); the error decays like O((|a|^3 + 1)/z)."""
     if not (0.0 < z < math.inf and math.isfinite(a) and z + a > 0):
         raise DomainError("log_barnes_g_shift_asymptotic: z and a must be finite, with z > 0 and z + a > 0")
-    return a * (z * math.log(z) - z + _LN_SQRT_2PI) + 0.5 * a * a * math.log(z)
+    out = a * (z * math.log(z) - z + _LN_SQRT_2PI) + 0.5 * a * a * math.log(z)
+    if not math.isfinite(out):
+        raise DomainError(
+            f"log_barnes_g_shift_asymptotic: the approximation at z = {z:.3g}, a = {a:.3g} exceeds the "
+            f"largest float ({sys.float_info.max:.3g})"
+        )
+    return out
 
 
 def reg_lower_incomplete_gamma(a: float, x):

@@ -1,7 +1,8 @@
-"""The public surface: every ``__all__`` entry resolves, every name the
-package re-exports is public in the module that defines it, importing the
-package or its CLI leaves the heavy scipy subpackages unloaded, and importing
-the package leaves the closed polygamma sums unloaded."""
+"""The public surface: every ``__all__`` entry resolves and has a caller
+outside the tests, every name the package re-exports is public in the module
+that defines it, importing the package or its CLI leaves the heavy scipy
+subpackages unloaded, and importing the package leaves the closed polygamma
+sums unloaded."""
 
 import ast
 import importlib
@@ -80,3 +81,34 @@ def test_triangulation_loads_neither_optimize_nor_a_pool():
     )
     watched = ("scipy.optimize", "concurrent.futures.process", "scipy.spatial")
     assert _loaded_after(code, watched) == ["scipy.spatial"]
+
+
+# public names no production code calls yet, each kept for an open item: the
+# paper's deviation scale (item 16) and its moderate deviations on
+# probabilities (item 17) decide whether they stay
+UNCALLED = {"deviation_scale", "two_sided_tail", "fit_envelope_coefficient"}
+
+
+def _referenced_names():
+    """Every name loaded, or read as an attribute, in the package's modules
+    (its ``__init__`` aside), the demos and the benchmark harness."""
+    root = Path(pdvol.__file__).resolve().parents[2]
+    files = [f for f in (root / "src").rglob("*.py") if f != Path(pdvol.__file__).resolve()]
+    files += sorted((root / "demos").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+    names = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    referenced = _referenced_names()
+    public = {attr for name in MODULES for attr in getattr(importlib.import_module(f"pdvol.{name}"), "__all__", [])}
+    # the allowlist names public names that are still uncalled, and no other
+    assert UNCALLED <= public and not UNCALLED & referenced
+    uncalled = sorted(public - referenced - UNCALLED)
+    assert not uncalled, f"public names without a caller outside the tests: {uncalled}"

@@ -43,10 +43,7 @@ from pdvol.polygamma_sums import (
 )
 from pdvol.sampling import (
     RngStream,
-    angular_acceptance_rate,
     check_product_identity,
-    sample_angular_delta,
-    sample_angular_simplex,
     sample_circumradius,
     sample_lhs_product,
     sample_rhs_product,
@@ -98,7 +95,7 @@ SITES = [
     Site("trigamma_sum_closed", "k", lambda v, rng: trigamma_sum_closed(0.7, v), 2),
     Site("polygamma_sum_bound_check", "k", lambda v, rng: polygamma_sum_bound_check(0.7, v, 3), 2),
     Site("polygamma_sum_bound_check", "m", lambda v, rng: polygamma_sum_bound_check(0.7, 5, v), 2),
-    Site("polygamma", "m", lambda v, rng: polygamma(v, 1.5), 1),
+    Site("polygamma", "m", lambda v, rng: polygamma(v, 1.5), 1, 170),
     Site("GammaRatioSum", "k", lambda v, rng: GammaRatioSum([(2.0, 1.0, 1.0)], [(1.5, v)])(0.25 + 1j), 1),
     Site("GammaRatioSum.derivative", "m", lambda v, rng: PLAN.derivative(v), 1),
     Site("log_unit_ball_volume", "n", lambda v, rng: log_unit_ball_volume(v), 1),
@@ -110,13 +107,6 @@ SITES = [
     Site("sample_volume", "size", lambda v, rng: sample_volume(P2, rng, v), 0, sampler=True),
     Site("sample_rhs_product", "size", lambda v, rng: sample_rhs_product(P3, rng, v), 0, sampler=True),
     Site("sample_lhs_product", "size", lambda v, rng: sample_lhs_product(P3, rng, v), 0, sampler=True),
-    Site("sample_angular_delta", "size", lambda v, rng: sample_angular_delta(3, 0.0, rng, v), 0, sampler=True),
-    Site("sample_angular_delta", "n", lambda v, rng: sample_angular_delta(v, 0.0, rng, 5), 2, 3, sampler=True),
-    Site("sample_angular_simplex", "n", lambda v, rng: sample_angular_simplex(v, 0.0, rng), 2, 3, sampler=True),
-    Site("angular_acceptance_rate", "n_proposals", lambda v, rng: angular_acceptance_rate(2, 0.0, rng, v), 1,
-         sampler=True),
-    Site("angular_acceptance_rate", "n", lambda v, rng: angular_acceptance_rate(v, 0.0, rng, 50), 2, 3,
-         sampler=True),
     Site("check_product_identity", "n_draws", lambda v, rng: check_product_identity(P2, v, rng), 25, good=30,
          sampler=True),
 ]
@@ -130,8 +120,6 @@ CALLER_SITES = [
     ("check_product_identity", "n", lambda v, rng: check_product_identity(ModelParams(v), 30, rng),
      [4, np.int64(5), 10]),
     ("typical_volume_moment", "s", lambda v, rng: typical_volume_moment(3, 1.0, v), [math.inf, math.nan]),
-    ("sample_angular_delta", "mu", lambda v, rng: sample_angular_delta(2, v, rng, 3),
-     [math.inf, math.nan, -math.inf]),
 ]
 
 

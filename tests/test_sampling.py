@@ -18,11 +18,8 @@ from pdvol.sampling import (
     MAX_TETRAHEDRON_VOLUME_IN_BALL,
     MAX_TRIANGLE_AREA_IN_DISK,
     RngStream,
-    angular_acceptance_rate,
     check_product_identity,
     ks_statistic,
-    sample_angular_delta,
-    sample_angular_simplex,
     sample_circumradius,
     sample_lhs_product,
     sample_rhs_product,
@@ -67,15 +64,23 @@ def test_circumradius_moments_and_law():
     assert ratio == pytest.approx(0.25, rel=0.03)
 
 
+def _acceptance_rate(n, mu, rng, count):
+    """Monte Carlo acceptance rate of the rejection sampler: the mean of
+    (Delta/Delta_max)^(mu+2) over ``count`` proposals of its kernel."""
+    propose, dmax = sampling._check_proposal_budget("test", n, mu, 1)
+    return float(np.mean((propose(rng, count) / dmax) ** (mu + 2.0)))
+
+
 def test_angular_sampler_mean():
     # accepted mean of Delta equals the ratio of angular moments
-    d = sample_angular_delta(2, -1.0, RngStream(3, 0).generator(), 10**5)
+    kernel = sampling._check_proposal_budget("test", 2, -1.0, 10**5)
+    d = sampling._rejection_batches(kernel, -1.0, RngStream(3, 0).generator(), 10**5)
     target = math.exp(log_angular_simplex_moment(2, 2.0) - log_angular_simplex_moment(2, 1.0))
     assert abs(d.mean() - target) < 4.0 * d.std() / math.sqrt(len(d))
 
 
 def test_angular_acceptance_rate():
-    rate = angular_acceptance_rate(2, 0.0, RngStream(3, 1).generator(), 10**5)
+    rate = _acceptance_rate(2, 0.0, RngStream(3, 1).generator(), 10**5)
     target = math.exp(log_angular_simplex_moment(2, 2.0)) / MAX_TRIANGLE_AREA_IN_DISK**2
     se = math.sqrt(target * (1.0 - target) / 10**5)
     assert abs(rate - target) < 5.0 * se
@@ -113,12 +118,20 @@ def test_extremal_simplex_constants():
     assert -best == pytest.approx(MAX_TETRAHEDRON_VOLUME_IN_BALL, rel=1e-5)
 
 
-def test_single_tuple_sampler():
-    u, delta = sample_angular_simplex(3, -1.0, RngStream(5, 0).generator())
-    assert u.shape == (4, 3)
-    assert np.allclose(np.linalg.norm(u, axis=1), 1.0)
-    e = u[1:] - u[:1]
-    assert delta == pytest.approx(abs(np.linalg.det(e)) / 6.0, rel=1e-12)
+def test_reducers_give_the_simplex_determinant():
+    # Delta = |det(u_j - u_0)| / n! of the unit vectors each reducer builds
+    # from its proposals: angles on the circle, normals scaled to the sphere
+    rng = RngStream(5, 0).generator()
+    th = rng.uniform(0.0, 2.0 * math.pi, size=(200, 3))
+    g = rng.standard_normal(size=(200, 4, 3))
+    for reduce, proposals, u, factorial in (
+        (sampling._triangle_areas, th, np.stack([np.cos(th), np.sin(th)], axis=2), 2.0),
+        (sampling._tetrahedron_volumes, g, g / np.linalg.norm(g, axis=2, keepdims=True), 6.0),
+    ):
+        assert np.allclose(np.linalg.norm(u, axis=2), 1.0)
+        vol = np.empty(200)
+        assert reduce(proposals, vol) is None
+        np.testing.assert_allclose(vol, np.abs(np.linalg.det(u[:, 1:] - u[:, :1])) / factorial, rtol=1e-12)
 
 
 def test_volume_moments_match_exact_law():
@@ -208,9 +221,12 @@ def test_product_identity_refuses_too_few_draws_before_drawing():
 
 
 def test_acceptance_starvation(monkeypatch):
-    monkeypatch.setattr(sampling, "_PROPOSAL_BUDGET", 20000)
-    with pytest.raises(ConvergenceError, match="proposals"):
-        sample_angular_delta(3, 60.0, RngStream(0, 0).generator(), 10)
+    # (3, 60): exact acceptance rate 5.7e-5, so 10 draws expect 175043
+    # proposals, under the budget; this stream spends the budget in batches of
+    # 4096 without its ten acceptances, which the loop's own guard refuses
+    monkeypatch.setattr(sampling, "_PROPOSAL_BUDGET", 180_000)
+    with pytest.raises(ConvergenceError, match="no acceptance within 180000 proposals"):
+        sample_volume(ModelParams(3, 60.0, 1.0), RngStream(0, 1).generator(), 10)
 
 
 # Philox counter after the call and three values of 2000 volume draws from
@@ -245,8 +261,6 @@ def test_over_budget_refused_before_drawing():
             sampler(p, rng, 1_500_000)
         assert "2.03e+07" in str(info.value)
         assert repr(rng.bit_generator.state) == before
-    with pytest.raises(ConvergenceError, match="proposals"):
-        sample_angular_delta(2, 5.0, RngStream(4, 0).generator(), 1_500_000)
 
 
 def test_budget_edge(monkeypatch):
@@ -261,20 +275,20 @@ def test_budget_edge(monkeypatch):
 
 def test_angular_domain_errors():
     rng = RngStream(0, 0).generator()
-    with pytest.raises(DomainError):
-        sample_angular_delta(4, -1.0, rng, 10)
-    with pytest.raises(DomainError):
-        sample_volume(ModelParams(5, -1.0, 1.0), rng, 10)
-    # the acceptance rate shares the sampler's domain: (Delta/Delta_max)^(mu+2)
-    # is no probability at mu <= -2
-    for mu in (-2.0, -3.0, math.nan):
-        with pytest.raises(DomainError):
-            angular_acceptance_rate(2, mu, rng, 1000)
+    before = repr(rng.bit_generator.state)
+    for n in (4, np.int64(5), 10):
+        with pytest.raises(DomainError, match=r"^sample_volume: needs an integer n in \[2, 3\]"):
+            sample_volume(ModelParams(n, -1.0, 1.0), rng, 10)
+    assert repr(rng.bit_generator.state) == before
+    # the weight's domain is ModelParams': (Delta/Delta_max)^(mu+2) is no
+    # acceptance probability at mu <= -2
+    for mu in (-2.0, -3.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^ModelParams: weight mu"):
+            ModelParams(2, mu)
 
 
 SIZED_SAMPLERS = {
     "sample_volume": lambda rng, size: sample_volume(ModelParams(2, -1.0, 1.0), rng, size),
-    "sample_angular_delta": lambda rng, size: sample_angular_delta(3, 0.0, rng, size),
     "sample_rhs_product": lambda rng, size: sample_rhs_product(ModelParams(3, 0.0, 1.0), rng, size),
     "sample_lhs_product": lambda rng, size: sample_lhs_product(ModelParams(3, 0.0, 1.0), rng, size),
     "sample_circumradius": lambda rng, size: sample_circumradius(ModelParams(2, -1.0, 1.0), rng, size=size),
@@ -377,29 +391,20 @@ def test_circumradius_without_size_is_one_draw():
     assert np.ndim(sample_circumradius(ModelParams(2, -1.0, 1.0), RngStream(0, 0).generator())) == 0
 
 
-def test_acceptance_rate_refuses_bad_count_before_drawing():
-    rng = RngStream(0, 0).generator()
-    before = repr(rng.bit_generator.state)
-    for n in (2, 3):
-        for count in (0, -5, 2.5, 10001.5, 3.0, True, "10", None):
-            with pytest.raises(DomainError, match="n_proposals"):
-                angular_acceptance_rate(n, 0.0, rng, count)
-    assert repr(rng.bit_generator.state) == before
-    assert 0.0 < angular_acceptance_rate(2, 0.0, rng, np.int64(7)) < 1.0
-
-
 # sha256 of every sampler output and generator state below, and the count
-# passed to each proposal-kernel call, recorded before the angular kernels
-# were rewritten around per-component arrays: the rewrite must keep the
-# random stream, the batch sizes and every accept decision bit for bit
-SAMPLER_DIGEST = "1f60bb39e4e7674396ba79b1fc71d11c4cbdf547b68ca40ca45f7cd04aa04ac5"
+# passed to each proposal-kernel call: the random stream, the batch sizes and
+# every accept decision must stay bit for bit.  Its two parts were recorded
+# before the angular kernels were rewritten around per-component arrays (the
+# volume draws alone hash to 9eb0868e..., the two acceptance rates alone to
+# dbd886d9...); the whole was re-recorded when the single-tuple sampler, ten
+# tuples per n of the first recording, was retired
+SAMPLER_DIGEST = "e5569a2b9573a05a7ec7b3cc49e6ac2f0ad6340265d7a5b25bc4d98fcb688a56"
 MONTECARLO_POINTS = ((2, -1.0), (2, 0.0), (2, 1.0), (2, 3.0), (3, -1.0), (3, 0.0), (3, 2.0))
 PROPOSAL_CALLS = (
     [(2, 4096)] * 2 + [(2, 8000)] + [(2, 4096)] * 2 + [(2, 8000)] + [(2, 4096)] * 3 + [(2, 8000)]
     + [(2, 4096)] * 4 + [(2, 8000), (2, 4832)] + [(2, 4096)] * 2
     + [(3, 4096)] * 2 + [(3, 8000)] + [(3, 4096)] * 3 + [(3, 8000), (3, 4980)] + [(3, 4096)] * 5
     + [(3, 8000), (3, 7016), (3, 6244), (3, 5580), (3, 4896), (3, 4388)] + [(3, 4096)] * 9
-    + [(2, 4096)] * 10 + [(3, 4096)] * 10
     + [(2, 5000), (3, 5000)]
 )
 
@@ -426,14 +431,9 @@ def test_sampler_bit_identical_to_recorded_digest(monkeypatch):
             rng = RngStream(20261018, k).generator()
             h.update(sample_volume(ModelParams(n, mu, 1.0), rng, size).tobytes())
             h.update(repr(rng.bit_generator.state).encode())
-    for n in (2, 3):
-        for seed in range(10):
-            u, delta = sample_angular_simplex(n, 1.0, RngStream(seed, n).generator())
-            h.update(u.tobytes())
-            h.update(struct.pack("<d", delta))
     rng = RngStream(31, 0).generator()
     for n, mu in ((2, 0.0), (3, 2.0)):
-        h.update(struct.pack("<d", angular_acceptance_rate(n, mu, rng, 5000)))
+        h.update(struct.pack("<d", _acceptance_rate(n, mu, rng, 5000)))
     assert calls == PROPOSAL_CALLS
     assert h.hexdigest() == SAMPLER_DIGEST
 
@@ -497,8 +497,8 @@ def _kernel_bits(name, counts=HELPER_COUNTS):
     h = hashlib.sha256()
     for count in counts:
         rng = RngStream(20261019, count).generator()
-        vol, points = getattr(sampling, name)(rng, count)
-        assert points is None and len(vol) == count
+        vol = getattr(sampling, name)(rng, count)
+        assert len(vol) == count
         h.update(vol.tobytes())
         h.update(repr(rng.bit_generator.state).encode())
     return h.hexdigest()
@@ -522,11 +522,27 @@ def test_helper_keeps_every_bit(name, monkeypatch, idle_helper):
 def test_one_block_batches_stay_inline(monkeypatch):
     monkeypatch.setattr(specfun, "_helper", _refuse_helper)
     for name in ("_uniform_circle", "_uniform_sphere"):
-        vol, points = getattr(sampling, name)(RngStream(5, 0).generator(), 8192)
-        assert len(vol) == 8192 and points is not None
+        assert len(getattr(sampling, name)(RngStream(5, 0).generator(), 8192)) == 8192
+    # a small request's batches of 4096 proposals are one block each
     for n in (2, 3):
-        u, _ = sample_angular_simplex(n, 1.0, RngStream(5, n).generator())
-        assert u.shape == (n + 1, n)
+        assert len(sample_volume(ModelParams(n, 1.0, 1.0), RngStream(5, n).generator(), 7)) == 7
+
+
+def test_helper_blocks_keep_the_callers_error_state(monkeypatch, idle_helper):
+    # a block reduced on the helper runs in a copy of the caller's context,
+    # so under the numpy error state the kernel was called with
+    reduce, states = sampling._triangle_areas, []
+
+    def recording(th, area):
+        states.append((threading.get_ident(), np.geterr()["over"]))
+        reduce(th, area)
+
+    monkeypatch.setattr(sampling, "_triangle_areas", recording)
+    monkeypatch.setattr(specfun, "_helper", lambda: idle_helper)
+    with np.errstate(over="ignore"):
+        sampling._uniform_circle(RngStream(5, 0).generator(), 5 * sampling._BLOCK)
+    assert len(states) == 5 and {over for _, over in states} == {"ignore"}
+    assert {thread for thread, _ in states} & idle_helper.threads
 
 
 @pytest.mark.parametrize("mode", ["inline", "idle", "started"])

@@ -517,7 +517,7 @@ def _grid_bits():
 def _sphere_bits():
     """sha256 of a sampler batch of several blocks and its generator state."""
     rng = RngStream(20261019, 0).generator()
-    vol, _ = sampling._uniform_sphere(rng, 80_000)
+    vol = sampling._uniform_sphere(rng, 80_000)
     return hashlib.sha256(vol.tobytes() + repr(rng.bit_generator.state).encode()).hexdigest()
 
 
