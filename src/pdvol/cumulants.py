@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 from .exactlaw import STRIP_GUARD, ModelParams, _linear, _plan, cgf, strip_edge
 from .specfun import _polygamma
 
@@ -58,7 +58,11 @@ def cumulant_exact(params: ModelParams, m: int) -> float:
     whose weighted polygamma sum overflows (m >= 154 at mu = -1.9).
     """
     m = check_integer("cumulant_exact", "m", m, 1)
-    return _plan(params.n, params.mu).derivative(m, "cumulant_exact") + (m == 1) * _linear(params)
+    try:
+        plan = _plan(params.n, params.mu)
+    except DomainError as err:
+        raise DomainError(f"cumulant_exact: {err}") from None
+    return plan.derivative(m, "cumulant_exact") + (m == 1) * _linear(params)
 
 
 #: the oracle's Ridders tableau: 8 steps, each 1.5 times smaller than the last
@@ -183,10 +187,10 @@ class RegimeSpec:
             raise DomainError(f"RegimeSpec: tag {self.tag!r} requires alpha")
         if not needs_alpha and self.alpha is not None:
             raise DomainError(f"RegimeSpec: tag {self.tag!r} takes no alpha")
-        if self.tag in ("mu_power", "n_power") and not (0.0 < self.alpha < 1.0):
-            raise DomainError("RegimeSpec: exponent alpha must lie in (0, 1)")
-        if self.tag == "mu_linear" and not 0.0 < self.alpha < math.inf:
-            raise DomainError("RegimeSpec: slope alpha must be finite and positive")
+        if needs_alpha:
+            # an exponent in (0, 1), or a positive slope
+            below = None if self.tag == "mu_linear" else 1.0
+            object.__setattr__(self, "alpha", check_real("RegimeSpec", "alpha", self.alpha, above=0.0, below=below))
 
 
 def regime_expansion(regime: RegimeSpec, driver: float, gamma: float = 1.0):
@@ -197,10 +201,8 @@ def regime_expansion(regime: RegimeSpec, driver: float, gamma: float = 1.0):
     leading terms; these are predictions to be compared against the exact
     cumulants, not re-derivations.
     """
-    if not 0.0 < driver < math.inf:
-        raise DomainError("regime_expansion: driver must be finite and positive")
-    if not 0.0 < gamma < math.inf:
-        raise DomainError("regime_expansion: intensity gamma must be finite and positive")
+    driver = check_real("regime_expansion", "driver", driver, above=0.0)
+    gamma = check_real("regime_expansion", "gamma", gamma, above=0.0)
     lg = math.log(gamma)
     tag, alpha = regime.tag, regime.alpha
     if tag == "fixed_mu":
@@ -251,11 +253,11 @@ def deviation_scale(regime: RegimeSpec, n: int) -> float:
 
 def concentration_envelope(y: float, c: float, eps: float) -> float:
     """Exponential envelope 2 exp(-y^2 / (2 + c y / eps)) for the two-sided
-    tail of the standardized log volume; nonincreasing in y."""
-    if not 0.0 <= y < math.inf:
-        raise DomainError("concentration_envelope: y must be finite and nonnegative")
-    if not (0.0 < c < math.inf and 0.0 < eps < math.inf):
-        raise DomainError("concentration_envelope: c and eps must be finite and positive")
+    tail of the standardized log volume, for finite y >= 0, c > 0 and
+    eps > 0; nonincreasing in y."""
+    y = check_real("concentration_envelope", "y", y, least=0.0)
+    c = check_real("concentration_envelope", "c", c, above=0.0)
+    eps = check_real("concentration_envelope", "eps", eps, above=0.0)
     exponent = y * y / (2.0 + c * y / eps)
     if exponent != exponent:
         # y^2 and c y / eps both overflowed: divide both by y instead

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from . import specfun
-from .errors import ConvergenceError, DomainError, check_integer
+from .errors import ConvergenceError, DomainError, check_integer, check_real, check_real_array, refusing_fp_errors
 
 __all__ = [
     "SimWindow",
@@ -59,14 +59,13 @@ class SimWindow:
     mode: str = "plain"
 
     def __post_init__(self):
-        if not 0.0 < self.side < math.inf:
-            raise DomainError("SimWindow: side must be positive and finite")
+        object.__setattr__(self, "side", check_real("SimWindow", "side", self.side, above=0.0))
         if self.mode not in ("plain", "toroidal"):
             raise DomainError("SimWindow: mode must be 'plain' or 'toroidal'")
-        if not 0.0 <= self.guard < self.side / 2.0:
-            raise DomainError("SimWindow: guard must lie in [0, side/2)")
-        if self.mode == "toroidal" and self.guard != 0.0:
-            raise DomainError("SimWindow: toroidal mode has no guard")
+        # a guard in [0, side/2) in plain mode; toroidal mode has none
+        below, most = (self.side / 2.0, None) if self.mode == "plain" else (None, 0.0)
+        guard = check_real("SimWindow", "guard", self.guard, least=0.0, most=most, below=below)
+        object.__setattr__(self, "guard", guard)
 
 
 @dataclass
@@ -105,8 +104,7 @@ class TypicalCellEstimate:
 
 def sample_poisson_points(gamma: float, window: SimWindow, rng: np.random.Generator) -> np.ndarray:
     """Poisson(gamma * side^2) points placed uniformly in the window."""
-    if not gamma > 0:
-        raise DomainError("sample_poisson_points: gamma must be positive")
+    gamma = check_real("sample_poisson_points", "gamma", gamma, above=0.0)
     expected = gamma * window.side**2
     if expected < 100:
         raise DomainError("sample_poisson_points: expected count below 100 is too sparse")
@@ -133,8 +131,8 @@ def _circumdata(coords):
     return centers, radii, areas
 
 
-def _check_input_points(points):
-    points = np.asarray(points, dtype=float)
+def _check_input_points(points, side):
+    points = check_real_array("delaunay_triangulate", "points", points, least=None if side is None else 0.0, below=side)
     if points.ndim != 2 or points.shape[1] != 2:
         raise DomainError("delaunay_triangulate: points must be an (N, 2) array")
     if len(points) < 3:
@@ -276,16 +274,13 @@ def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = No
     edge and turn counterclockwise, so its circumdata depend on the triangle
     alone.
     """
-    points = _check_input_points(points)
     if mode not in ("plain", "toroidal"):
         raise DomainError("delaunay_triangulate: mode must be 'plain' or 'toroidal'")
     if side is None and mode == "toroidal":
         raise DomainError("delaunay_triangulate: toroidal mode needs the window side")
     if side is not None:
-        if not side > 0:
-            raise DomainError("delaunay_triangulate: the window side must be positive")
-        if np.any(points < 0.0) or np.any(points >= side):
-            raise DomainError("delaunay_triangulate: points must lie in [0, side)")
+        side = check_real("delaunay_triangulate", "side", side, above=0.0)
+    points = _check_input_points(points, side)
     if mode == "plain":
         tri = _qhull(points)
         vertices = tri.simplices
@@ -340,21 +335,25 @@ def estimate_typical_moment(tri: Triangulation, window: SimWindow, mu: float, s:
     of spatial blocks (cells grouped by circumcenter); the effective sample
     size is (sum W)^2 / sum W^2 for the weights W = V^(mu+1).
     """
-    sel, w, ess = _weighted_cells(tri, window, mu, "estimate_typical_moment")
-    centers = tri.centers[sel]
-    num = w * tri.areas[sel] ** s
-    ratio = float(num.sum() / w.sum())
+    mu = check_real("estimate_typical_moment", "mu", mu, above=-2.0)
+    s = check_real("estimate_typical_moment", "s", s)
+    # V^(mu+1) and V^(mu+1+s) overflow, or all underflow, at extreme mu and s
+    with refusing_fp_errors("estimate_typical_moment", "a weighted sum over the cells"):
+        sel, w, ess = _weighted_cells(tri, window, mu, "estimate_typical_moment")
+        centers = tri.centers[sel]
+        num = w * tri.areas[sel] ** s
+        ratio = float(num.sum() / w.sum())
 
-    nblocks = int(np.clip(math.isqrt(len(w)) // 8, 2, 8))
-    lo, hi = window.guard, window.side - window.guard
-    ix = np.clip(((centers[:, 0] - lo) / (hi - lo) * nblocks).astype(int), 0, nblocks - 1)
-    iy = np.clip(((centers[:, 1] - lo) / (hi - lo) * nblocks).astype(int), 0, nblocks - 1)
-    block = ix * nblocks + iy
-    nb = nblocks * nblocks
-    num_b = np.bincount(block, weights=num, minlength=nb)
-    den_b = np.bincount(block, weights=w, minlength=nb)
-    resid = num_b - ratio * den_b
-    se = float(math.sqrt(nb / (nb - 1.0) * np.sum(resid**2)) / w.sum())
+        nblocks = int(np.clip(math.isqrt(len(w)) // 8, 2, 8))
+        lo, hi = window.guard, window.side - window.guard
+        ix = np.clip(((centers[:, 0] - lo) / (hi - lo) * nblocks).astype(int), 0, nblocks - 1)
+        iy = np.clip(((centers[:, 1] - lo) / (hi - lo) * nblocks).astype(int), 0, nblocks - 1)
+        block = ix * nblocks + iy
+        nb = nblocks * nblocks
+        num_b = np.bincount(block, weights=num, minlength=nb)
+        den_b = np.bincount(block, weights=w, minlength=nb)
+        resid = num_b - ratio * den_b
+        se = float(math.sqrt(nb / (nb - 1.0) * np.sum(resid**2)) / w.sum())
     return TypicalCellEstimate(
         mu=mu,
         s=s,
@@ -368,14 +367,17 @@ def estimate_typical_moment(tri: Triangulation, window: SimWindow, mu: float, s:
 def estimate_radius_cdf(tri: Triangulation, window: SimWindow, mu: float, t_grid):
     """Weighted empirical CDF of the circumradius with weights V^(mu+1),
     evaluated on t_grid.  Returns (values, effective_sample_size)."""
-    sel, w, ess = _weighted_cells(tri, window, mu, "estimate_radius_cdf")
-    r = tri.radii[sel]
-    order = np.argsort(r)
-    r_sorted = r[order]
-    cum = np.cumsum(w[order])
-    total = cum[-1]
-    idx = np.searchsorted(r_sorted, np.asarray(t_grid, dtype=float), side="right")
-    values = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
+    mu = check_real("estimate_radius_cdf", "mu", mu, above=-2.0)
+    t_grid = check_real_array("estimate_radius_cdf", "t_grid", t_grid, least=0.0, most=math.inf)
+    with refusing_fp_errors("estimate_radius_cdf", "a weighted sum over the cells"):
+        sel, w, ess = _weighted_cells(tri, window, mu, "estimate_radius_cdf")
+        r = tri.radii[sel]
+        order = np.argsort(r)
+        r_sorted = r[order]
+        cum = np.cumsum(w[order])
+        total = cum[-1]
+        idx = np.searchsorted(r_sorted, t_grid, side="right")
+        values = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
     return values, ess
 
 

@@ -37,8 +37,8 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .cumulants import concentration_envelope, cumulant_exact
-from .errors import ConvergenceError, DomainError, check_integer, checked_exp
-from .exactlaw import ModelParams, cgf
+from .errors import ConvergenceError, DomainError, check_integer, check_real, check_real_array, checked_exp, in_name_of
+from .exactlaw import STRIP_GUARD, ModelParams, cgf, strip_edge
 from .specfun import _split, log_barnes_g
 
 __all__ = [
@@ -66,6 +66,10 @@ class StandardizedLaw:
     params: ModelParams
     mean: float
     sd: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean", check_real("StandardizedLaw", "mean", self.mean))
+        object.__setattr__(self, "sd", check_real("StandardizedLaw", "sd", self.sd, above=0.0))
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "StandardizedLaw":
@@ -245,9 +249,8 @@ def _factored_cdf(tg, phi_w):
 
 
 def _standardized_cdf(law: StandardizedLaw, y):
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.isfinite(ys).all():
-        raise DomainError("standardized_cdf: evaluation points must be finite")
+    """F at the standardized points y, a float array its caller has checked."""
+    ys = np.atleast_1d(y)
     F, _ = _invert(law, _chunked_cdf(ys))
     # the quadrature's rounding leaves F up to about 1e-11 outside [0, 1] in the tails
     F = np.clip(F, 0.0, 1.0)
@@ -260,19 +263,24 @@ def standardized_cdf(params: ModelParams, y):
     The panel count doubles until successive refinements agree to 1e-8 in
     sup norm (ConvergenceError past 1280 panels).
     """
-    return _standardized_cdf(StandardizedLaw.from_params(params), y)
+    y = check_real_array("standardized_cdf", "y", y)
+    with in_name_of("standardized_cdf"):
+        return _standardized_cdf(StandardizedLaw.from_params(params), y)
 
 
 def cdf_inverted(params: ModelParams, x):
     """CDF of Y = log V at raw points x (inverted through the standardized CF)."""
-    law = StandardizedLaw.from_params(params)
-    return _standardized_cdf(law, (np.asarray(x, dtype=float) - law.mean) / law.sd)
+    x = check_real_array("cdf_inverted", "x", x)
+    with in_name_of("cdf_inverted"):
+        law = StandardizedLaw.from_params(params)
+        return _standardized_cdf(law, (x - law.mean) / law.sd)
 
 
 def kolmogorov_distance_to_normal(params: ModelParams) -> float:
     """sup_y |F_std(y) - Phi(y)| over 2048 points on [-8, 8]."""
     ys = np.linspace(_X_RANGE[0], _X_RANGE[1], _GRID_POINTS)
-    F, _ = _invert(StandardizedLaw.from_params(params), _factored_cdf)
+    with in_name_of("kolmogorov_distance_to_normal"):
+        F, _ = _invert(StandardizedLaw.from_params(params), _factored_cdf)
     return float(np.max(np.abs(F - ndtr(ys))))
 
 
@@ -310,21 +318,21 @@ def ldp_scaled_cgf(params: ModelParams, t: float, variant: CenteringVariant) -> 
     is an empirical output, reported by the claim suite.  Needs n >= 3 (the
     speed vanishes at n = 2).
     """
-    if not math.isfinite(t):
-        raise DomainError("ldp_scaled_cgf: t must be finite")
-    w = mod_gaussian_speed(params.n)
-    if w <= 0.0:
-        raise DomainError("ldp_scaled_cgf: the speed log(n/2)/2 vanishes; needs n >= 3")
-    return (float(cgf(params, float(t))) - t * centering(variant, params)) / w
+    t = check_real("ldp_scaled_cgf", "t", t, above=strip_edge(params) + STRIP_GUARD)
+    # the speed log(n/2)/2 vanishes at n = 2
+    w = mod_gaussian_speed(check_integer("ldp_scaled_cgf", "n", params.n, 3))
+    with in_name_of("ldp_scaled_cgf"):
+        value = float(cgf(params, t))
+    return (value - t * centering(variant, params)) / w
 
 
 def mod_gaussian_limit(mu: float, z: float) -> float:
     """Limiting function of the normalized moment generating function:
     G((3+mu)/2) G(2+mu/2) / (G((3+mu+z)/2) G(2+(mu+z)/2)) with Barnes G.
-    Requires z > -(mu+3); refused where a Barnes value or the limit exceeds
-    the largest float."""
-    if not z > -(mu + 3.0):
-        raise DomainError("mod_gaussian_limit: requires z > -(mu+3)")
+    Requires finite mu > -2 and z > -(mu+3); refused where a Barnes value or
+    the limit exceeds the largest float."""
+    mu = check_real("mod_gaussian_limit", "mu", mu, above=-2.0)
+    z = check_real("mod_gaussian_limit", "z", z, above=-(mu + 3.0))
     try:
         log_limit = (
             log_barnes_g((3.0 + mu) / 2.0)
@@ -348,15 +356,16 @@ def mod_gaussian_residual(params: ModelParams, z: float, adjusted: bool = True) 
     w_n = (log(n/2)-1)/2 against psi itself), under which the residual decays
     like O((1+|z|^3)/n).  ``adjusted=False`` compares against psi(z) alone;
     that residual converges to the constant |psi(z)| |1 - exp(-z^2/4)| and is
-    kept for the adjudication report.  Refused where the normalized MGF
-    exceeds the largest float."""
-    if not math.isfinite(z):
-        raise DomainError("mod_gaussian_residual: z must be finite")
+    kept for the adjudication report.  z must lie in the extended strip
+    (``exactlaw.cgf``); refused where the MGF or the limit exceeds a double."""
+    z = check_real("mod_gaussian_residual", "z", z, above=strip_edge(params, extended=True) + STRIP_GUARD)
     w = mod_gaussian_speed(params.n)
     m_n = centering(MODPHI_CENTERING, params)
-    log_value = float(cgf(params, float(z), extended=True)) - z * m_n - z * z / 2.0 * w
+    with in_name_of("mod_gaussian_residual"):
+        log_value = float(cgf(params, z, extended=True)) - z * m_n - z * z / 2.0 * w
     value = checked_exp("mod_gaussian_residual", "the normalized MGF", log_value)
-    limit = mod_gaussian_limit(params.mu, z)
+    with in_name_of("mod_gaussian_residual"):
+        limit = mod_gaussian_limit(params.mu, z)
     if adjusted:
         limit *= math.exp(-z * z / 4.0)
     return abs(value - limit)
@@ -364,9 +373,9 @@ def mod_gaussian_residual(params: ModelParams, z: float, adjusted: bool = True) 
 
 def two_sided_tail(params: ModelParams, y: float) -> float:
     """P(|Y_std| >= y) from the inverted CDF (trustworthy down to ~1e-8)."""
-    if y < 0:
-        raise DomainError("two_sided_tail: y must be nonnegative")
-    F = standardized_cdf(params, np.array([-y, y]))
+    y = check_real("two_sided_tail", "y", y, least=0.0)
+    with in_name_of("two_sided_tail"):
+        F = standardized_cdf(params, np.array([-y, y]))
     return float(F[0] + 1.0 - F[1])
 
 
@@ -378,6 +387,9 @@ def fit_envelope_coefficient(tails, ys, eps: float) -> float:
     """Smallest coefficient c on a fixed grid (0.01 to 100) for which every
     observed two-sided tail is below the concentration envelope
     2 exp(-y^2/(2 + c y/eps)).  Constants here are fitted, never asserted."""
+    tails = check_real_array("fit_envelope_coefficient", "tails", tails, least=0.0).ravel().tolist()
+    ys = check_real_array("fit_envelope_coefficient", "ys", ys, least=0.0).ravel().tolist()
+    eps = check_real("fit_envelope_coefficient", "eps", eps, above=0.0)
     for c in _ENVELOPE_C_GRID:
         if all(p <= concentration_envelope(y, float(c), eps) for p, y in zip(tails, ys)):
             return float(c)

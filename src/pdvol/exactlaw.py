@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, check_integer, checked_exp
+from .errors import DomainError, check_integer, check_real, check_real_array, checked_exp, in_name_of
+from .errors import refusing_fp_errors
 from .specfun import GammaRatioSum, log_unit_ball_volume, log_unit_sphere_area
 
 # strip_edge, a helper of cgf and the cumulant oracle, stays out of __all__:
@@ -66,12 +67,10 @@ class ModelParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        # stored as a Python int: n*n of a numpy integer can overflow
+        # stored as a Python int and floats: n*n of a numpy integer can overflow
         object.__setattr__(self, "n", check_integer("ModelParams", "n", self.n, 2))
-        if not -2.0 < self.mu < math.inf:
-            raise DomainError("ModelParams: weight mu must be finite and exceed -2")
-        if not 0.0 < self.gamma < math.inf:
-            raise DomainError("ModelParams: intensity gamma must be finite and positive")
+        object.__setattr__(self, "mu", check_real("ModelParams", "mu", self.mu, above=-2.0))
+        object.__setattr__(self, "gamma", check_real("ModelParams", "gamma", self.gamma, above=0.0))
 
 
 def strip_edge(params: ModelParams, extended: bool = False) -> float:
@@ -96,8 +95,7 @@ def log_angular_simplex_moment(n: int, s: float) -> float:
     Valid for every finite s > -1 (all gamma arguments positive there).
     """
     n = check_integer("log_angular_simplex_moment", "n", n, 2)
-    if not -1.0 < s < math.inf:
-        raise DomainError("log_angular_simplex_moment: requires finite s > -1")
+    s = check_real("log_angular_simplex_moment", "s", s, above=-1.0)
     i = np.arange(1, n + 1)
     raw = (
         (n + 1) * math.log(2.0)
@@ -137,10 +135,8 @@ def typical_volume_moment(n: int, gamma: float, s: float) -> float:
     above the largest float is refused.
     """
     n = check_integer("typical_volume_moment", "n", n, 2)
-    if not 0.0 < gamma < math.inf:
-        raise DomainError("typical_volume_moment: gamma must be finite and positive")
-    if not -1.0 < s < math.inf:
-        raise DomainError("typical_volume_moment: requires finite s > -1")
+    gamma = check_real("typical_volume_moment", "gamma", gamma, above=0.0)
+    s = check_real("typical_volume_moment", "s", s, above=-1.0)
     lkappa = log_unit_ball_volume(n)
     logm = (
         log_typical_cell_constant(n)
@@ -171,8 +167,8 @@ def _plan(n: int, mu: float) -> GammaRatioSum:
     faster, 583 -> 487 and 621 -> 516 ms in process in two runs (minimum of
     8 interleaved passes each, 2-vCPU VM), but only because that pass
     repeats its points, and it held 6.8 MB of plans; so the cache stays at
-    32 plans.  Where the arguments overflow, GammaRatioSum refuses them (as
-    plain numbers: numpy scalars would warn first)."""
+    32 plans.  Where the arguments overflow they are refused, here or by
+    GammaRatioSum (as plain numbers: numpy scalars would warn first)."""
     mu = float(mu)
     ratios = (
         ((n + 1) * (n + mu) / 2.0 + 1.0, (n + 1) / 2.0, 1.0),
@@ -180,6 +176,8 @@ def _plan(n: int, mu: float) -> GammaRatioSum:
         (n + mu + 1.0, 1.0, 1.0),
         ((n + mu) / 2.0 + 1.0, 0.5, -(n + 1.0)),
     )
+    if not max(ratios[0][0], ratios[1][0]) < math.inf:
+        raise DomainError(f"the moment formula's arguments overflow: (n+1)(n+mu)/2 = inf at n = {n}, mu = {mu:.3g}")
     return GammaRatioSum(ratios, _row_runs(n, mu), 0.5)
 
 
@@ -190,30 +188,39 @@ def _linear(params: ModelParams) -> float:
     return gammaln(n / 2.0 + 1.0) - math.log(params.gamma) - (n / 2.0) * math.log(math.pi) - gammaln(n + 1.0)
 
 
-def _log_moment_terms(params: ModelParams, z):
-    """log E V^z at a real or complex array z.  Its cost does not depend on
-    n, no log-gamma of size Theta(n^2 log n) is ever formed, and it is
-    exactly 0 at z = 0."""
+def _log_moment_terms(params: ModelParams, z, caller: str):
+    """log E V^z at a real or complex array z that ``caller`` has checked.
+    Its cost does not depend on n, no log-gamma of size Theta(n^2 log n) is
+    ever formed, and it is exactly 0 at z = 0.  Where the plan refuses its
+    arguments, or a term passes the largest float (the Barnes ends from about
+    |z| = 2e153 on), the refusal is raised in ``caller``'s name."""
+    try:
+        plan = _plan(params.n, params.mu)
+    except DomainError as err:
+        raise DomainError(f"{caller}: {err}") from None
+    # setting numpy's error state costs about a tenth of a scalar call, and
+    # no term can overflow below |z| = 1e100, so a float there goes without
+    if type(z) is float and abs(z) < 1e100:
+        return plan._values(np.asarray(z)) + z * _linear(params)
     z = np.asarray(z)
-    return _plan(params.n, params.mu)(z) + z * _linear(params)
+    with refusing_fp_errors(caller, "a term of log E V^z"):
+        return plan._values(z) + z * _linear(params)
 
 
 def log_volume_moment(params: ModelParams, s: float) -> float:
     """log E V_n(Z_mu)^s for finite real s > -(mu+2)."""
-    edge = strip_edge(params)
-    # one test refuses NaN, +-inf and s at or below the edge
-    if not edge < s < math.inf:
-        if not math.isfinite(s):
-            raise DomainError("log_volume_moment: s must be finite")
-        raise DomainError(f"log_volume_moment: s = {s:g} is at or below the domain edge -(mu+2) = {edge:g}")
-    return float(_log_moment_terms(params, float(s)))
+    s = check_real("log_volume_moment", "s", s, above=strip_edge(params))
+    return float(_log_moment_terms(params, s, "log_volume_moment"))
 
 
 def volume_moment(params: ModelParams, s: float) -> float:
     """E V_n(Z_mu)^s for real s > -(mu+2); scales exactly as gamma^(-s).  A
     moment above the largest float is refused; ``log_volume_moment`` gives
     its log."""
-    return checked_exp("volume_moment", "E V^s", log_volume_moment(params, s), "log_volume_moment")
+    s = check_real("volume_moment", "s", s, above=strip_edge(params))
+    with in_name_of("volume_moment"):
+        log_moment = log_volume_moment(params, s)
+    return checked_exp("volume_moment", "E V^s", log_moment, "log_volume_moment")
 
 
 def cgf(params: ModelParams, z, extended: bool = False):
@@ -227,6 +234,8 @@ def cgf(params: ModelParams, z, extended: bool = False):
     """
     edge = strip_edge(params, extended)
     arr = np.asarray(z)
+    if arr.dtype.kind not in "iufc":
+        raise DomainError(f"cgf: needs real or complex z, got values of dtype {arr.dtype}")
     re = arr.real
     # one test refuses NaN or +-inf in either part and Re z at or below the edge
     if not (np.isfinite(arr) & (re > edge + STRIP_GUARD)).all():
@@ -235,7 +244,7 @@ def cgf(params: ModelParams, z, extended: bool = False):
         raise DomainError(
             f"cgf: Re z must exceed the strip edge {edge:g} (+ guard {STRIP_GUARD:g}); got Re z = {np.min(re):g}"
         )
-    out = _log_moment_terms(params, arr if np.iscomplexobj(arr) else arr.astype(float))
+    out = _log_moment_terms(params, arr if np.iscomplexobj(arr) else arr.astype(float), "cgf")
     if arr.ndim == 0:
         return complex(out) if np.iscomplexobj(arr) else float(out)
     return out
@@ -243,9 +252,7 @@ def cgf(params: ModelParams, z, extended: bool = False):
 
 def radius_cdf(params: ModelParams, t):
     """CDF of the circumradius of Z_mu: P(n+mu+1, gamma kappa_n t^n); 1 at t = inf."""
-    arr = np.asarray(t, dtype=float)
-    if not (arr >= 0.0).all():
-        raise DomainError("radius_cdf: radius must be nonnegative, not NaN")
+    arr = check_real_array("radius_cdf", "t", t, least=0.0, most=math.inf)
     from scipy.special import gammainc
 
     n = params.n
@@ -272,23 +279,27 @@ def sphere_representation_gap(n: int, mu: int, s: float, gamma: float = 1.0) -> 
     of the simplex of n+1 uniform points on a sphere with Beta-type weight mu.
     Stated for integer mu >= -1; returns |lhs/rhs - 1|.
     """
+    n = check_integer("sphere_representation_gap", "n", n, 2)
     mu = check_integer("sphere_representation_gap", "mu", mu, -1)
-    if not 0.0 < s < math.inf:
-        raise DomainError("sphere_representation_gap: requires finite s > 0")
-    params = ModelParams(n, float(mu), gamma)
-    n = params.n
+    s = check_real("sphere_representation_gap", "s", s, above=0.0)
+    params = ModelParams(n, float(mu), check_real("sphere_representation_gap", "gamma", gamma, above=0.0))
     i = np.arange(1, n + 1)
     lkappa = log_unit_ball_volume(n)
     a = n * (n + mu + 1.0) / 2.0
     ab = (n + 1) * (n + mu) / 2.0 + 1.0
-    log_xi = gammaln(ab) + gammaln(a + n * s) - gammaln(a) - gammaln(ab + n * s)
-    lhs = log_xi + float(_log_moment_terms(params, 2.0 * s))
-    log_rho = gammaln(n + mu + 1.0 + 2.0 * s) - gammaln(n + mu + 1.0) - 2.0 * s * (math.log(gamma) + lkappa)
-    log_m = (
-        -2.0 * s * gammaln(n + 1.0)
-        + float(np.sum(gammaln((mu + i) / 2.0 + 1.0 + s) - gammaln((mu + i) / 2.0 + 1.0)))
-        + (n + 1) * (gammaln((n + mu) / 2.0 + 1.0) - gammaln((n + mu) / 2.0 + 1.0 + s))
-        + gammaln((n + 1) * (n + mu) / 2.0 + 1.0 + (n + 1) * s)
-        - gammaln((n + 1) * (n + mu) / 2.0 + 1.0 + n * s)
-    )
-    return abs(math.expm1(lhs - (log_rho + log_m)))
+    with refusing_fp_errors("sphere_representation_gap", "a log-gamma term"):
+        log_xi = gammaln(ab) + gammaln(a + n * s) - gammaln(a) - gammaln(ab + n * s)
+        lhs = log_xi + float(_log_moment_terms(params, 2.0 * s, "sphere_representation_gap"))
+        log_rho = gammaln(n + mu + 1.0 + 2.0 * s) - gammaln(n + mu + 1.0) - 2.0 * s * (math.log(params.gamma) + lkappa)
+        log_m = (
+            -2.0 * s * gammaln(n + 1.0)
+            + float(np.sum(gammaln((mu + i) / 2.0 + 1.0 + s) - gammaln((mu + i) / 2.0 + 1.0)))
+            + (n + 1) * (gammaln((n + mu) / 2.0 + 1.0) - gammaln((n + mu) / 2.0 + 1.0 + s))
+            + gammaln((n + 1) * (n + mu) / 2.0 + 1.0 + (n + 1) * s)
+            - gammaln((n + 1) * (n + mu) / 2.0 + 1.0 + n * s)
+        )
+        log_ratio = lhs - (log_rho + log_m)
+    try:
+        return abs(math.expm1(log_ratio))
+    except OverflowError:
+        raise DomainError(f"sphere_representation_gap: lhs/rhs = exp({log_ratio:.6g}) exceeds the largest float") from None

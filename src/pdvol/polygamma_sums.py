@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import check_integer, check_real, check_real_array
 from .specfun import _polygamma
 
 __all__ = [
@@ -32,14 +32,6 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 
-def _check(function: str, a: float, k: int, kmin: int = 2) -> int:
-    """k as a Python int, once a is finite and positive and k is an integer
-    >= kmin."""
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"{function}: a must be positive and finite")
-    return check_integer(function, "k", k, kmin)
-
-
 def _direct_sum(m: int, a: float, k: int) -> float:
     """sum_{j=1..k} psi^(m)((j+a)/2), summed term by term."""
     j = np.arange(1, k + 1)
@@ -48,14 +40,16 @@ def _direct_sum(m: int, a: float, k: int) -> float:
 
 def digamma_sum_direct(a: float, k: int) -> float:
     """(1/2) sum_{j=1..k} psi((j+a)/2), summed term by term."""
-    k = _check("digamma_sum_direct", a, k, kmin=1)
+    a = check_real("digamma_sum_direct", "a", a, above=0.0)
+    k = check_integer("digamma_sum_direct", "k", k, 1)
     return 0.5 * _direct_sum(0, a, k)
 
 
 def digamma_sum_closed(a: float, k: int) -> float:
     """Closed form of digamma_sum_direct in terms of digamma at shifted
     arguments; exact for every k >= 2 (both parities)."""
-    k = _check("digamma_sum_closed", a, k)
+    a = check_real("digamma_sum_closed", "a", a, above=0.0)
+    k = check_integer("digamma_sum_closed", "k", k, 2)
     c = k % 2
     q = (k - c) // 2
     return (
@@ -73,7 +67,8 @@ def digamma_sum_closed_alt(a: float, k: int) -> float:
     """Alternative closed form keeping the odd tail at doubled argument with
     the constant +1+2c.  Coincides with the direct sum for even k but is
     offset by exactly +3/2 for odd k; kept for diagnostic reporting."""
-    k = _check("digamma_sum_closed_alt", a, k)
+    a = check_real("digamma_sum_closed_alt", "a", a, above=0.0)
+    k = check_integer("digamma_sum_closed_alt", "k", k, 2)
     c = k % 2
     q = (k - c) // 2
     return (
@@ -90,13 +85,15 @@ def digamma_sum_closed_alt(a: float, k: int) -> float:
 
 def trigamma_sum_direct(a: float, k: int) -> float:
     """(1/4) sum_{j=1..k} psi^(1)((j+a)/2)."""
-    k = _check("trigamma_sum_direct", a, k, kmin=1)
+    a = check_real("trigamma_sum_direct", "a", a, above=0.0)
+    k = check_integer("trigamma_sum_direct", "k", k, 1)
     return 0.25 * _direct_sum(1, a, k)
 
 
 def trigamma_sum_closed(a: float, k: int) -> float:
     """Closed form of trigamma_sum_direct; exact for every k >= 2."""
-    k = _check("trigamma_sum_closed", a, k)
+    a = check_real("trigamma_sum_closed", "a", a, above=0.0)
+    k = check_integer("trigamma_sum_closed", "k", k, 2)
     c = k % 2
     top = a + k - c + 1.0
     return (
@@ -111,10 +108,14 @@ def trigamma_sum_closed(a: float, k: int) -> float:
 def polygamma_sum_bound_check(a: float, k: int, m: int):
     """Evaluate |2^-(m+1) sum_{j=1..k} psi^(m)((j+a)/2)| against the bound
     4 m! / (a+1)^(m-1).  Returns (lhs_abs, bound, holds)."""
-    k = _check("polygamma_sum_bound_check", a, k)
+    a = check_real("polygamma_sum_bound_check", "a", a, above=0.0)
+    k = check_integer("polygamma_sum_bound_check", "k", k, 2)
     m = check_integer("polygamma_sum_bound_check", "m", m, 2)
     lhs_abs = abs(_direct_sum(m, a, k) / 2.0 ** (m + 1))
-    bound = 4.0 * math.factorial(m) / (a + 1.0) ** (m - 1)
+    try:
+        bound = 4.0 * math.factorial(m) / (a + 1.0) ** (m - 1)
+    except OverflowError:  # (a+1)^(m-1) past the largest float: the bound is below it
+        bound = math.exp(math.log(4.0 * math.factorial(m)) - (m - 1) * math.log(a + 1.0))
     return lhs_abs, bound, bool(lhs_abs <= bound)
 
 
@@ -136,7 +137,7 @@ def identity_grid_report(a_grid=DEFAULT_A_GRID, k_grid=DEFAULT_K_GRID, m_grid=DE
     """Sweep the identity grids; yields dict rows
     {a, k, m, proposition, lhs, rhs, abs_diff, holds}."""
     rows = []
-    for a in a_grid:
+    for a in check_real_array("identity_grid_report", "a_grid", a_grid, above=0.0).ravel().tolist():
         for k in k_grid:
             direct = digamma_sum_direct(a, k)
             tdirect = trigamma_sum_direct(a, k)

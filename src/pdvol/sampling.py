@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ConvergenceError, DomainError, check_integer
+from .errors import ConvergenceError, DomainError, check_integer, check_real_array, in_name_of, refusing_fp_errors
 from .exactlaw import ModelParams, log_angular_simplex_moment
 from .specfun import log_unit_ball_volume
 
@@ -130,7 +130,7 @@ def _refuse_overflow(function: str, params: ModelParams, draw):
     are drawn by then): R^n = rho / (gamma kappa_n) overflows from about
     n = 434 at mu = -1 and gamma = 1, and its square in the product identity
     from about n = 343."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf: an overflow upstream
         out = draw()
     # the draws are nonnegative, so an overflow shows in their maximum, which
     # takes no temporary array the size of the draws
@@ -233,15 +233,15 @@ def _check_proposal_budget(function: str, n: int, mu: float, size: int):
     expected = size / rate if rate > 0.0 else math.inf
     if expected > _PROPOSAL_BUDGET:
         raise ConvergenceError(
-            f"angular sampler: {size} draws need about {expected:.3g} proposals at the exact "
+            f"{function}: {size} draws need about {expected:.3g} proposals at the exact "
             f"acceptance rate {rate:.3g} (mu = {mu:g}), above the budget of {_PROPOSAL_BUDGET} proposals"
         )
     return propose, dmax
 
 
 def _rejection_batches(kernel, mu: float, rng, size: int):
-    """Accepted volumes of a run whose kernel its caller has taken from
-    ``_check_proposal_budget``."""
+    """Accepted volumes of a run whose kernel ``sample_volume`` has taken
+    from ``_check_proposal_budget``."""
     propose, dmax = kernel
     deltas = np.empty(size)
     got = 0
@@ -249,7 +249,7 @@ def _rejection_batches(kernel, mu: float, rng, size: int):
     while got < size:
         if spent > _PROPOSAL_BUDGET:
             raise ConvergenceError(
-                f"angular sampler: no acceptance within {_PROPOSAL_BUDGET} proposals (mu = {mu:g})"
+                f"sample_volume: no acceptance within {_PROPOSAL_BUDGET} proposals (mu = {mu:g})"
             )
         count = min(max(4 * (size - got), 4096), 2_000_000)
         vol = propose(rng, count)
@@ -295,7 +295,8 @@ def sample_lhs_product(params: ModelParams, rng: np.random.Generator, size: int)
     size = check_integer("sample_lhs_product", "size", size, 0)
     n, mu = check_integer("sample_lhs_product", "n", params.n, 2, 3), params.mu
     _radial_scale("sample_lhs_product", params)
-    v = sample_volume(params, rng, size)
+    with in_name_of("sample_lhs_product"):
+        v = sample_volume(params, rng, size)
     xi = rng.beta(n * (n + mu + 1.0) / 2.0, (mu + 2.0) / 2.0, size=size)
     return _refuse_overflow("sample_lhs_product", params, lambda: xi**n * (1.0 - xi) * (math.factorial(n) * v) ** 2)
 
@@ -309,9 +310,14 @@ def check_product_identity(params: ModelParams, n_draws: int, rng: np.random.Gen
         raise DomainError(f"check_product_identity: need at least {_KS_MIN} draws, got n_draws = {n_draws}")
     check_integer("check_product_identity", "n", params.n, 2, 3)
     _radial_scale("check_product_identity", params)
-    lhs = np.log(sample_lhs_product(params, rng, n_draws))
-    rhs = np.log(sample_rhs_product(params, rng, n_draws))
-    statistic, p_value = ks_statistic(lhs, rhs)
+    logs = []
+    for sample in (sample_lhs_product, sample_rhs_product):
+        with in_name_of("check_product_identity"):
+            draws = sample(params, rng, n_draws)
+        # near mu = -2 a draw can round to 0: 1 - xi, or a Beta draw, underflows
+        with refusing_fp_errors("check_product_identity", f"the log of a {sample.__name__} draw"):
+            logs.append(np.log(draws))
+    statistic, p_value = ks_statistic(*logs)
     return KsReport(statistic, p_value, n_draws, n_draws)
 
 
@@ -319,13 +325,11 @@ def ks_statistic(sample, reference):
     """One-sample (reference = CDF callable) or two-sample (reference = array)
     Kolmogorov-Smirnov statistic with asymptotic p-value.  Observations and
     reference CDF values must be finite."""
-    samples = [np.asarray(sample, dtype=float)]
+    samples = [check_real_array("ks_statistic", "sample", sample)]
     if not callable(reference):
-        samples.append(np.asarray(reference, dtype=float))
+        samples.append(check_real_array("ks_statistic", "reference", reference))
     if min(x.size for x in samples) < _KS_MIN:
         raise DomainError(f"ks_statistic: need at least {_KS_MIN} observations")
-    if not all(np.isfinite(x).all() for x in samples):
-        raise DomainError("ks_statistic: observations must be finite")
     if callable(reference):
         # the CDF at the sorted sample, as scipy evaluates it, checked once
         # and handed to kstest

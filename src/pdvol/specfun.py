@@ -61,7 +61,7 @@ import threading
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real, check_real_array, refusing_fp_errors
 
 __all__ = [
     "GammaRatioSum",
@@ -163,12 +163,12 @@ def _split(fn, count):
 def log_gamma(z):
     """Principal-branch log Gamma.
 
-    Real arguments must be positive (the negative real axis is out of scope);
-    complex arguments are accepted anywhere off the poles 0, -1, -2, ...
-    NaN is refused.  Satisfies log_gamma(z+1) = log_gamma(z) + log(z).
+    Real arguments must be positive and finite (the negative real axis is out
+    of scope); complex arguments are accepted anywhere off the poles 0, -1,
+    -2, ...  NaN is refused.  Satisfies log_gamma(z+1) = log_gamma(z) + log(z).
     """
     arr = np.asarray(z)
-    if np.iscomplexobj(arr):
+    if arr.dtype.kind == "c":
         carr = arr.astype(complex)
         if np.isnan(carr).any():
             raise DomainError("log_gamma: argument must not be NaN")
@@ -177,10 +177,7 @@ def log_gamma(z):
             raise DomainError("log_gamma: argument is a pole of Gamma (0, -1, -2, ...)")
         out = sp.loggamma(carr)
         return complex(out) if arr.ndim == 0 else out
-    farr = arr.astype(float)
-    if not (farr > 0.0).all():
-        raise DomainError("log_gamma: real argument must be positive, not NaN")
-    out = sp.gammaln(farr)
+    out = sp.gammaln(check_real_array("log_gamma", "z", arr, above=0.0))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -191,22 +188,19 @@ def _polygamma(q, x):
 
 
 def digamma(x):
-    """psi(x) = d/dx log Gamma(x) for x > 0."""
-    arr = np.asarray(x, dtype=float)
-    if not (arr > 0.0).all():
-        raise DomainError("digamma: argument must be positive, not NaN")
+    """psi(x) = d/dx log Gamma(x) for finite x > 0."""
+    arr = check_real_array("digamma", "x", x, above=0.0)
     out = _polygamma(0, arr)
     return float(out) if arr.ndim == 0 else out
 
 
 def polygamma(m: int, x):
     """psi^(m)(x), the m-th derivative of digamma, for an integer m in
-    [1, 170] (``digamma`` is m = 0; 171! exceeds the largest float) and x > 0,
-    refused where |psi^(m)(x)| ~ m! / x^(m+1) exceeds the largest float."""
+    [1, 170] (``digamma`` is m = 0; 171! exceeds the largest float) and
+    finite x > 0, refused where |psi^(m)(x)| ~ m! / x^(m+1) exceeds the
+    largest float."""
     m = check_integer("polygamma", "m", m, 1, 170)
-    arr = np.asarray(x, dtype=float)
-    if not (arr > 0.0).all():
-        raise DomainError("polygamma: argument must be positive, not NaN")
+    arr = check_real_array("polygamma", "x", x, above=0.0)
     with np.errstate(over="ignore"):
         out = _polygamma(m, arr)
     if not np.isfinite(out).all():
@@ -247,9 +241,7 @@ def log_barnes_g(x: float) -> float:
     functional equation.  log G(x) exceeds the largest float from about
     x = 1.01e153 on, where it is refused.
     """
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        raise DomainError("log_barnes_g: argument must be finite and positive")
+    x = check_real("log_barnes_g", "x", x, above=0.0)
     if x >= 15.0:
         out = _log_barnes_g_asymptotic(x)
         if not out < math.inf:
@@ -401,18 +393,24 @@ class GammaRatioSum:
     call over both blocks.  The Barnes ends keep 2 atanh(u/(2+u)) for
     complex z (``_log1p_ends``).
 
-    Arguments that overflow are refused when the plan is prepared: an x that
-    is not finite, or a Barnes end past the square root of the largest float.
+    Its real arguments follow the package's real rule (``errors.check_real``).
+    A Barnes end past the square root of the largest float is refused when
+    the plan is prepared, and a call whose terms pass the largest float (the
+    Barnes ends from about |z| = 1e153 on) when it is made.
     """
 
     def __init__(self, ratios, runs=(), run_coef=1.0):
-        x, coef, weight = (list(col) for col in zip(*ratios)) if ratios else ([], [], [])
+        x, coef, weight = [], [], []
+        for x_r, c, w in ratios:
+            x.append(check_real("GammaRatioSum", "x", x_r, above=0.0))
+            coef.append(check_real("GammaRatioSum", "c", c))
+            weight.append(check_real("GammaRatioSum", "w", w))
+        run_coef = check_real("GammaRatioSum", "run_coef", run_coef)
         self.split = len(x)
         heads, head_w, ends, spans = [], [], [], []
         for b, k in runs:
             k = check_integer("GammaRatioSum", "k", k, 1)
-            if not b > 0:
-                raise DomainError("GammaRatioSum: a run needs b > 0")
+            b = check_real("GammaRatioSum", "b", b, above=0.0)
             j = min(k, RUN_HEAD)
             x.append(b + j)
             coef.append(run_coef)
@@ -423,13 +421,9 @@ class GammaRatioSum:
                 ends += [b + k - 1.0, b + j - 1.0]
                 spans.append((b + j, float(k - j)))
         self.x, self.coef, self.run_coef = np.array(x, dtype=float), np.array(coef, dtype=float), run_coef
-        if not (self.x > 0.0).all():
-            raise DomainError("GammaRatioSum: ratios need x > 0")
         # the Barnes series squares its argument (w^2/2 and w^-2)
-        if not ((self.x < math.inf).all() and (np.array(ends) < _SQRT_MAX).all()):
-            raise DomainError(
-                f"GammaRatioSum: arguments overflow: x must be finite and a Barnes end below {_SQRT_MAX:.3g}"
-            )
+        if not (np.array(ends) < _SQRT_MAX).all():
+            raise DomainError(f"GammaRatioSum: arguments overflow: a Barnes end must be below {_SQRT_MAX:.3g}")
         self.ratio_w, self.anchor_w = np.array(weight[: self.split]), np.array(weight[self.split :])
         self.log_gamma_x, self.log_gamma_xc = sp.gammaln(self.x), sp.loggamma(self.x.astype(complex))
         self.far = self.x >= SHIFT_MIN
@@ -467,7 +461,13 @@ class GammaRatioSum:
         self.tails = {False: (_stirling_tail(self.x_far), _barnes_tail(self.ends))}
 
     def __call__(self, z):
-        z = np.asarray(z)
+        # a term past the largest float (from about |z| = 1e153 on, in the
+        # Barnes ends) is refused where numpy would warn
+        with refusing_fp_errors("GammaRatioSum", "a term"):
+            return self._values(np.asarray(z))
+
+    def _values(self, z):
+        # the call at an array z, under its caller's numpy error state
         cplx = z.dtype.kind == "c"
         if cplx not in self.tails:
             # before any split, so the helper thread only reads them
@@ -587,8 +587,8 @@ class GammaRatioSum:
 def log_barnes_g_shift_asymptotic(z: float, a: float) -> float:
     """Leading approximation a (z log z - z + log sqrt(2 pi)) + a^2/2 log z
     for log G(z+a+1) - log G(z+1); the error decays like O((|a|^3 + 1)/z)."""
-    if not (0.0 < z < math.inf and math.isfinite(a) and z + a > 0):
-        raise DomainError("log_barnes_g_shift_asymptotic: z and a must be finite, with z > 0 and z + a > 0")
+    z = check_real("log_barnes_g_shift_asymptotic", "z", z, above=0.0)
+    a = check_real("log_barnes_g_shift_asymptotic", "a", a, above=-z)  # z + a > 0
     out = a * (z * math.log(z) - z + _LN_SQRT_2PI) + 0.5 * a * a * math.log(z)
     if not math.isfinite(out):
         raise DomainError(
@@ -599,12 +599,10 @@ def log_barnes_g_shift_asymptotic(z: float, a: float) -> float:
 
 
 def reg_lower_incomplete_gamma(a: float, x):
-    """Regularized lower incomplete gamma P(a, x) in [0, 1]."""
-    if not a > 0:
-        raise DomainError("reg_lower_incomplete_gamma: shape a must be positive")
-    arr = np.asarray(x, dtype=float)
-    if not (arr >= 0.0).all():
-        raise DomainError("reg_lower_incomplete_gamma: x must be nonnegative, not NaN")
+    """Regularized lower incomplete gamma P(a, x) in [0, 1], for a finite
+    shape a > 0 and x in [0, inf]."""
+    a = check_real("reg_lower_incomplete_gamma", "a", a, above=0.0)
+    arr = check_real_array("reg_lower_incomplete_gamma", "x", x, least=0.0, most=math.inf)
     out = sp.gammainc(a, arr)
     return float(out) if arr.ndim == 0 else out
 

@@ -345,17 +345,17 @@ def test_concentration_envelope():
 
 def test_non_finite_reals_refused():
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(DomainError, match="concentration_envelope: y"):
+        with pytest.raises(DomainError, match=r"^concentration_envelope: .*\by\b"):
             concentration_envelope(bad, 1.0, 10.0)
-        for c, eps in ((bad, 10.0), (1.0, bad)):
-            with pytest.raises(DomainError, match="concentration_envelope: c and eps"):
+        for c, eps, name in ((bad, 10.0, "c"), (1.0, bad, "eps")):
+            with pytest.raises(DomainError, match=rf"^concentration_envelope: .*\b{name}\b"):
                 concentration_envelope(1.0, c, eps)
-        with pytest.raises(DomainError, match="regime_expansion: driver"):
+        with pytest.raises(DomainError, match=r"^regime_expansion: .*\bdriver\b"):
             regime_expansion(RegimeSpec("fixed_mu"), bad)
-        with pytest.raises(DomainError, match="RegimeSpec: slope"):
+        with pytest.raises(DomainError, match=r"^RegimeSpec: .*\balpha\b"):
             RegimeSpec("mu_linear", bad)
     for gamma in (math.nan, math.inf, -1.0, 0.0):
-        with pytest.raises(DomainError, match="regime_expansion: intensity gamma"):
+        with pytest.raises(DomainError, match=r"^regime_expansion: .*\bgamma\b"):
             regime_expansion(RegimeSpec("fixed_mu"), 10.0, gamma=gamma)
 
 

@@ -47,7 +47,7 @@ def test_sim_window_validation():
 
 @pytest.mark.parametrize("side, guard", [(math.inf, 0.0), (math.nan, 0.0), (100.0, math.nan), (100.0, math.inf)])
 def test_sim_window_refuses_non_finite(side, guard):
-    with pytest.raises(DomainError, match=r"^SimWindow: (side|guard)"):
+    with pytest.raises(DomainError, match=r"^SimWindow: .*\b(side|guard)\b"):
         SimWindow(side, guard)
 
 
@@ -317,9 +317,9 @@ def test_plain_triangulation_keeps_its_side():
     tri = delaunay_triangulate(pts, mode="plain", side=120.0)
     assert tri.side == 120.0
     assert delaunay_triangulate(pts, mode="plain").side is None
-    with pytest.raises(DomainError, match=r"\[0, side\)"):
+    with pytest.raises(DomainError, match=r"^delaunay_triangulate: .*\bpoints in \[0\.0, 60\.0\)"):
         delaunay_triangulate(pts, mode="plain", side=60.0)
-    with pytest.raises(DomainError, match="positive"):
+    with pytest.raises(DomainError, match=r"^delaunay_triangulate: .*\bside > 0\.0"):
         delaunay_triangulate(pts, mode="plain", side=0.0)
     wide = SimWindow(240.0, 10.0, "plain")
     with pytest.raises(DomainError, match="estimate_typical_moment"):

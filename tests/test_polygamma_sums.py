@@ -57,7 +57,7 @@ def test_digamma_alt_offset_is_three_halves_odd():
 )
 def test_non_finite_a_refused(function):
     for a in (math.inf, math.nan, -math.inf):
-        with pytest.raises(DomainError, match=r"a must be positive and finite"):
+        with pytest.raises(DomainError, match=r": needs a finite real a > 0\.0, got"):
             function(a, 3)
 
 

@@ -187,8 +187,8 @@ def test_ks_statistic_refuses_non_finite_observations(bad):
     u = RngStream(1, 0).generator().uniform(size=100)
     v = u.copy()
     v[17] = bad
-    for args in ((v, lambda t: np.clip(t, 0.0, 1.0)), (v, u), (u, v)):
-        with pytest.raises(DomainError, match="ks_statistic: observations must be finite"):
+    for args, name in (((v, lambda t: np.clip(t, 0.0, 1.0)), "sample"), ((v, u), "sample"), ((u, v), "reference")):
+        with pytest.raises(DomainError, match=rf"^ks_statistic: needs finite real {name}, got {bad}$"):
             ks_statistic(*args)
 
 
@@ -283,7 +283,7 @@ def test_angular_domain_errors():
     # the weight's domain is ModelParams': (Delta/Delta_max)^(mu+2) is no
     # acceptance probability at mu <= -2
     for mu in (-2.0, -3.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="^ModelParams: weight mu"):
+        with pytest.raises(DomainError, match=r"^ModelParams: .*\bmu\b"):
             ModelParams(2, mu)
 
 
@@ -353,8 +353,9 @@ def test_samplers_refuse_overflowing_draws(params, refused, drawn):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name in refused:
-            # the product identity's left-hand side overflows first
-            owner = "sample_lhs_product" if name == "check_product_identity" else name
+            # the product identity's left-hand side overflows first, refused
+            # in the product identity's name
+            owner = f"{name}: sample_lhs_product" if name == "check_product_identity" else name
             with pytest.raises(DomainError, match=rf"^{owner}: a draw overflows the largest float"):
                 samplers[name](RngStream(5, 0).generator())
         for name in drawn:

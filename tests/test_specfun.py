@@ -80,7 +80,7 @@ def test_log_gamma_domain():
     with pytest.raises(DomainError):
         log_gamma(complex(-2.0, 0.0))
     for bad in (math.nan, np.array([1.0, math.nan]), complex(math.nan, 1.0), complex(1.0, math.nan)):
-        with pytest.raises(DomainError, match="NaN"):
+        with pytest.raises(DomainError, match=r"NaN|got nan$"):
             log_gamma(bad)
 
 
@@ -122,9 +122,9 @@ def test_polygamma_domain():
     with pytest.raises(DomainError):
         digamma(0.0)
     for bad in (math.nan, np.array([2.0, math.nan])):
-        with pytest.raises(DomainError, match="NaN"):
+        with pytest.raises(DomainError, match=r"NaN|got nan$"):
             digamma(bad)
-        with pytest.raises(DomainError, match="NaN"):
+        with pytest.raises(DomainError, match=r"NaN|got nan$"):
             polygamma(2, bad)
 
 
@@ -344,7 +344,7 @@ def test_reg_lower_incomplete_gamma():
     with pytest.raises(DomainError):
         reg_lower_incomplete_gamma(1.0, -0.5)
     for bad in (math.nan, np.array([0.5, math.nan])):
-        with pytest.raises(DomainError, match="NaN"):
+        with pytest.raises(DomainError, match=r"NaN|got nan$"):
             reg_lower_incomplete_gamma(1.0, bad)
     with pytest.raises(DomainError):
         reg_lower_incomplete_gamma(math.nan, 1.0)
