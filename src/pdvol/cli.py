@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cdf", help="CDF of log V by characteristic-function inversion")
     _common_model_flags(p)
-    p.add_argument("--x", type=_float_list, required=True, help="comma list of evaluation points")
+    p.add_argument("--x", type=_float_list, required=True,
+                   help="comma list of x values; a list starting with a negative number needs the = form, --x=-1.2,0")
     p.set_defaults(run=cmd_cdf)
 
     p = sub.add_parser("berry-esseen", help="Kolmogorov distance to the Gaussian over an n-sweep")
@@ -374,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ldp", help="scaled cumulant generating function per centering variant")
     p.add_argument("--mu", type=float, default=-1.0)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--t", type=_float_list, default=[0.5, 1.0])
+    p.add_argument("--t", type=_float_list, default=[0.5, 1.0],
+                   help="comma list of t values; a list starting with a negative number needs the = form, --t=-0.5,1")
     p.add_argument("--sweep", type=_int_list, default=[100, 1000, 10000, 100000])
     p.add_argument("--variant", choices=["LDP", "MODPHI", "both"], default="both")
     p.set_defaults(run=cmd_ldp)
@@ -382,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modphi", help="mod-Gaussian residual over an n-sweep")
     p.add_argument("--mu", type=float, default=-1.0)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--z", type=_float_list, default=[-1.0, 0.5, 1.0])
+    p.add_argument("--z", type=_float_list, default=[-1.0, 0.5, 1.0],
+                   help="comma list of z values; a list starting with a negative number needs the = form, --z=-1,0.5")
     p.add_argument("--sweep", type=_int_list, default=[100, 1000, 10000])
     p.set_defaults(run=cmd_modphi)
 

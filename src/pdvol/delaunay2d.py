@@ -72,24 +72,33 @@ class SimWindow:
 class Triangulation:
     """Triangles of a Delaunay tessellation with per-cell circumdata.
 
-    vertices holds indices into the original point set; coords the actual
-    triangle coordinates (shifted copies on the torus); centers the
-    circumcenters (canonical representatives in [0, side)^2 on the torus).
+    vertices holds indices into the original point set; periods, int8 of
+    shape (m, 3, 2), each vertex's period offset (dx, dy) in {-1, 0, 1} on
+    the torus, so that its image is points[vertex] + side * (dx, dy), and 0 in
+    plain mode; centers the circumcenters (canonical representatives in
+    [0, side)^2 on the torus).
     """
 
     points: np.ndarray
     mode: str
     side: Optional[float]
     vertices: np.ndarray
-    coords: np.ndarray
+    periods: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
     areas: np.ndarray
-    hull_size: int = 0
 
     @property
     def n_triangles(self) -> int:
         return len(self.vertices)
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The triangles' vertex coordinates, (m, 3, 2): the images of their
+        points on the torus, which may lie outside [0, side)^2."""
+        if self.mode == "plain":
+            return self.points[self.vertices]
+        return self.points[self.vertices] + self.side * self.periods
 
 
 @dataclass
@@ -173,18 +182,18 @@ _STRIP_WIDTH = 8.0
 
 def _images(points, side: float, margin: float, lo: float, hi: float):
     """The images p + side (dx, dy) of the points, dx and dy in (-1, 0, 1),
-    that fall within margin of the strip [lo, hi) x [0, side); and each
-    image's index into points."""
+    that fall within margin of the strip [lo, hi) x [0, side); each image's
+    index into points; and its period (dx, dy), as int8."""
     x, y = points[:, 0], points[:, 1]
-    index, shift = [], []
-    for dx in (-1.0, 0.0, 1.0):
+    index, period = [], []
+    for dx in (-1, 0, 1):
         column = np.flatnonzero((x + dx * side > lo - margin) & (x + dx * side < hi + margin))
-        for dy in (-1.0, 0.0, 1.0):
+        for dy in (-1, 0, 1):
             image = y[column] + dy * side
             index.append(column[(image > -margin) & (image < side + margin)])
-            shift.append(np.full((len(index[-1]), 2), (dx * side, dy * side)))
-    index = np.concatenate(index)
-    return points[index] + np.concatenate(shift), index
+            period.append(np.full((len(index[-1]), 2), (dx, dy), dtype=np.int8))
+    index, period = np.concatenate(index), np.concatenate(period)
+    return points[index] + side * period, index, period
 
 
 def _canonical(simplices, mapping, ext):
@@ -210,8 +219,8 @@ def _canonical(simplices, mapping, ext):
 
 def _strip(points, side: float, lo: float, hi: float, margin: float, images, simplices):
     """The torus triangles whose circumcenter lies in the strip
-    [lo, hi) x [0, side), as (vertices, coords, centers, radii, areas), from
-    Qhull's ``simplices`` over the ``images`` within margin of the strip
+    [lo, hi) x [0, side), as (vertices, periods, centers, radii, areas),
+    from Qhull's ``simplices`` over the ``images`` within margin of the strip
     (``_images``).  While a kept circumdisk does not fit inside the margin,
     the margin doubles, up to three times, and Qhull runs again."""
     for attempt in range(4):
@@ -219,18 +228,18 @@ def _strip(points, side: float, lo: float, hi: float, margin: float, images, sim
             margin = min(2.0 * margin, side / 2.001)
             images = _images(points, side, margin, lo, hi)
             simplices = _qhull(images[0]).simplices
-        ext, mapping = images
+        ext, mapping, period = images
         simplices = _canonical(simplices, mapping, ext)
-        coords = ext[simplices]
-        centers, radii, areas = _circumdata(coords)
+        centers, radii, areas = _circumdata(ext[simplices])
         keep = (centers[:, 0] >= lo) & (centers[:, 0] < hi) & (centers[:, 1] >= 0.0) & (centers[:, 1] < side)
         if np.max(radii[keep], initial=0.0) < margin:
-            return mapping[simplices[keep]], coords[keep], centers[keep], radii[keep], areas[keep]
+            kept = simplices[keep]
+            return mapping[kept], period[kept], centers[keep], radii[keep], areas[keep]
     raise ConvergenceError("delaunay_triangulate: replication margin failed to cover the circumdisks")
 
 
 def _torus(points, side: float):
-    """(vertices, coords, centers, radii, areas) of the torus triangulation,
+    """(vertices, periods, centers, radii, areas) of the torus triangulation,
     stitched from its strips (``_strip``).  The strips' first Qhull calls are
     split by ``specfun._split``: the helper thread runs those of the trailing
     strips while the calling thread runs the leading ones.  The helper runs
@@ -282,26 +291,14 @@ def delaunay_triangulate(points, mode: str = "plain", side: Optional[float] = No
         side = check_real("delaunay_triangulate", "side", side, above=0.0)
     points = _check_input_points(points, side)
     if mode == "plain":
-        tri = _qhull(points)
-        vertices = tri.simplices
-        coords = points[vertices]
-        centers, radii, areas = _circumdata(coords)
+        vertices = _qhull(points).simplices
+        periods = np.zeros((*vertices.shape, 2), dtype=np.int8)
+        centers, radii, areas = _circumdata(points[vertices])
         if not np.all(np.isfinite(radii)):
             raise DomainError("delaunay_triangulate: exactly degenerate triangle in the output")
-        hull_size = len(np.unique(tri.convex_hull))
     else:
-        (vertices, coords, centers, radii, areas), hull_size = _torus(points, side), 0
-    return Triangulation(
-        points=points,
-        mode=mode,
-        side=side,
-        vertices=vertices,
-        coords=coords,
-        centers=centers,
-        radii=radii,
-        areas=areas,
-        hull_size=hull_size,
-    )
+        vertices, periods, centers, radii, areas = _torus(points, side)
+    return Triangulation(points, mode, side, vertices, periods, centers, radii, areas)
 
 
 def _weighted_cells(tri: Triangulation, window: SimWindow, mu: float, caller: str):
@@ -422,42 +419,28 @@ def edge_incidence_counts(tri: Triangulation) -> np.ndarray:
     """Multiset of edge incidence counts.  Interior edges must appear exactly
     twice (plain mode additionally has hull edges appearing once).  An edge is
     keyed by its vertex ids (lo, hi) plus, on the torus, the period offset of
-    hi's image relative to lo's, which separates distinct seam-crossing edges
-    between the same two points; the offsets come from ``coords`` and
-    ``points`` alone, as vertex offsets of at most 63 periods."""
-    m, vertices = tri.n_triangles, tri.vertices
-    pairs = ((0, 1), (1, 2), (2, 0))
-    if tri.mode == "toroidal":
-        # each vertex's period offset, one axis at a time, as int8
-        offsets, half = [], 0
-        for a in (0, 1):
-            image = np.take(tri.points[:, a], vertices)
-            np.subtract(tri.coords[:, :, a], image, out=image)
-            image /= tri.side
-            np.rint(image, out=image)
-            reach = np.abs(image).max(initial=0.0)
-            if not reach <= 63.0:
-                raise DomainError("edge_incidence_counts: a vertex lies more than 63 periods from its point")
-            half = max(half, 2 * int(reach))
-            offsets.append(image.astype(np.int8))
-            del image
-        width = 2 * half + 1
-    # keys = lo * len(points) + hi, then on the torus the offsets from lo to
-    # hi in base width, formed pair by pair in place
+    hi's image relative to lo's, read off ``periods``, which separates
+    distinct seam-crossing edges between the same two points.  A torus
+    record whose periods are not integers in {-1, 0, 1} is refused."""
+    m, vertices, periods = tri.n_triangles, tri.vertices, tri.periods
+    torus = tri.mode == "toroidal"
+    if torus and not (periods.dtype.kind == "i" and periods.min(initial=0) >= -1 and periods.max(initial=0) <= 1):
+        raise DomainError("edge_incidence_counts: a vertex's period offset is not an integer in {-1, 0, 1}")
+    # keys = lo * len(points) + hi, then on the torus key * 25 + 5 sx + sy + 12
+    # for the offsets sx, sy in [-2, 2] from lo to hi, formed pair by pair
+    digits = periods[:, :, 0] * 5 + periods[:, :, 1] if torus else None
     keys = np.empty(3 * m, dtype=np.int64)
-    for p, (i, j) in enumerate(pairs):
+    for p, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
         vi, vj, key = vertices[:, i], vertices[:, j], keys[p * m : (p + 1) * m]
         np.minimum(vi, vj, out=key)
         key *= len(tri.points)
         key += np.maximum(vi, vj)
-        if tri.mode == "toroidal":
-            sign = (vi < vj).astype(np.int8) * 2 - 1  # offsets run from lo to hi
-            for offset in offsets:
-                step = offset[:, j] - offset[:, i]
-                step *= sign
-                key *= width
-                key += step
-                key += half
+        if torus:
+            step = digits[:, j] - digits[:, i]
+            step *= (vi < vj).astype(np.int8) * 2 - 1  # offsets run from lo to hi
+            key *= 25
+            key += step
+            key += 12
     # sorted, equal keys form runs; their lengths are the incidence counts
     keys.sort()
     change = np.empty(keys.size, dtype=bool)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 import pdvol.delaunay2d as dl
 import pdvol.specfun as specfun
@@ -99,7 +99,7 @@ def test_plain_triangle_count_and_tiling():
     win = SimWindow(60.0)
     pts = sample_poisson_points(1.0, win, rng(5))
     tri = delaunay_triangulate(pts)
-    assert tri.n_triangles == 2 * len(pts) - 2 - tri.hull_size
+    assert tri.n_triangles == 2 * len(pts) - 2 - len(ConvexHull(pts).vertices)
     assert tiling_defect(tri) < 1e-6
     counts = edge_incidence_counts(tri)
     assert set(np.unique(counts)) == {1, 2}
@@ -339,7 +339,7 @@ def test_plain_triangulation_keeps_its_side():
 def _one_triangle(tri, j, extra_point=None):
     """Triangle j alone, over the same points plus an optional extra point."""
     points = tri.points if extra_point is None else np.vstack([tri.points, extra_point])
-    fields = ("vertices", "coords", "centers", "radii", "areas")
+    fields = ("vertices", "periods", "centers", "radii", "areas")
     return dataclasses.replace(tri, points=points, **{f: getattr(tri, f)[j : j + 1] for f in fields})
 
 
@@ -374,17 +374,17 @@ def test_edge_counts_see_a_dropped_triangle():
     outside = np.any((tri.coords < 0.0) | (tri.coords >= side), axis=(1, 2))
     keep = np.ones(tri.n_triangles, dtype=bool)
     keep[np.nonzero(outside)[0][0]] = False
-    fields = ("vertices", "coords", "centers", "radii", "areas")
+    fields = ("vertices", "periods", "centers", "radii", "areas")
     holed = dataclasses.replace(tri, **{f: getattr(tri, f)[keep] for f in fields})
     counts = edge_incidence_counts(holed)
     assert np.sum(counts == 1) == 3 and np.all(counts[3:] == 2)
 
 
 def test_edge_counts_stay_lean():
-    # keys formed pair by pair in place and period offsets taken one axis at
-    # a time as int8: the tracemalloc peak of counting read 2.74 MB on this
-    # 2e4-point torus (5.92 MB with whole-array keys and (2N, 3, 2) float
-    # offsets) and 13.6 MB on a 1e5-point one (29.5 MB)
+    # keys formed pair by pair in place from the stored int8 period offsets:
+    # the tracemalloc peak of counting read 2.49 MB on this 2e4-point torus
+    # (2.74 MB with the offsets rebuilt from the coordinates by rounding,
+    # 5.92 MB with whole-array keys and (2N, 3, 2) float offsets)
     side = math.sqrt(2.0e4)
     tri = delaunay_triangulate(sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(6)),
                                mode="toroidal", side=side)
@@ -395,7 +395,7 @@ def test_edge_counts_stay_lean():
     finally:
         tracemalloc.stop()
     assert np.all(counts == 2) and counts.size == 3 * len(tri.points)
-    assert peak < 3.5e6
+    assert peak < 3.25e6
 
 
 def test_edge_counts_separate_seam_images():
@@ -405,25 +405,36 @@ def test_edge_counts_separate_seam_images():
     side = 10.0
     points = np.array([[1.0, 5.0], [9.0, 5.0], [5.0, 1.0], [5.0, 9.0]])
     vertices = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 3]])
-    coords = np.array([
+    periods = np.array([
+        [[0, 0], [0, 0], [0, 0]],
+        [[0, 0], [-1, 0], [0, 0]],
+        [[1, 0], [0, 0], [1, 0]],
+    ], dtype=np.int8)
+    zeros = np.zeros(3)
+    tri = Triangulation(points, "toroidal", side, vertices, periods, np.zeros((3, 2)), zeros, zeros)
+    assert tri.coords.tolist() == [
         [[1.0, 5.0], [9.0, 5.0], [5.0, 1.0]],
         [[1.0, 5.0], [-1.0, 5.0], [5.0, 9.0]],
         [[11.0, 5.0], [9.0, 5.0], [15.0, 9.0]],
-    ])
-    zeros = np.zeros(3)
-    tri = Triangulation(points, "toroidal", side, vertices, coords, np.zeros((3, 2)), zeros, zeros)
+    ]
     assert edge_incidence_counts(tri).tolist() == [1, 1, 1, 2, 2, 2]
     assert edge_incidence_counts(dataclasses.replace(tri, mode="plain")).tolist() == [1, 1, 2, 2, 3]
-    # the offsets are int8: C moved to 63 periods still counts as B, 64 is refused
-    for periods, fits in ((63, True), (64, False)):
-        moved = coords.copy()
-        moved[2, :, 0] += (periods - 1) * side
-        far = dataclasses.replace(tri, coords=moved)
-        if fits:
-            assert edge_incidence_counts(far).tolist() == [1, 1, 1, 2, 2, 2]
-        else:
-            with pytest.raises(DomainError, match="more than 63 periods"):
-                edge_incidence_counts(far)
+    # a torus image lies at most one period from its point: C shifted by a
+    # second period is refused
+    far = periods.copy()
+    far[2, :, 0] += 1
+    with pytest.raises(DomainError, match=r"^edge_incidence_counts: .*\{-1, 0, 1\}"):
+        edge_incidence_counts(dataclasses.replace(tri, periods=far))
+
+
+def test_torus_record_is_lean():
+    # each vertex's period offset is stored as int8 and its coordinates
+    # derived: 62 B per triangle (104 B with the coordinates stored)
+    side = math.sqrt(2.0e4)
+    tri = delaunay_triangulate(sample_poisson_points(1.0, SimWindow(side, 0.0, "toroidal"), rng(6)),
+                               mode="toroidal", side=side)
+    arrays = [getattr(tri, f.name) for f in dataclasses.fields(tri) if f.name != "points"]
+    assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) <= 62 * tri.n_triangles
 
 
 def test_typical_moment_estimates():

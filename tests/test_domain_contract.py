@@ -139,8 +139,11 @@ REGIMES = [cm.RegimeSpec("fixed_mu"), cm.RegimeSpec("near_equal_weight"), cm.Reg
            cm.RegimeSpec("mu_power", 0.5), cm.RegimeSpec("n_power", 0.25), cm.RegimeSpec("n_power", 0.5),
            cm.RegimeSpec("n_power", 0.75), cm.RegimeSpec("mu_linear", 1.0)]
 #: sha256 of the sweep's finite outputs, recorded before the real rule was
-#: added; NEWLY_FINITE's calls are left out of it
-SWEEP_DIGEST = "e8d48f09ae6f583c09ae412ba9b3bcc204abb1eea25ede09a6b13dd651b8bea1"
+#: added (e8d48f09...) and again when Triangulation's fields became
+#: (..., vertices, periods, centers, radii, areas): emitting each
+#: triangulation as (..., vertices, coords, centers, radii, areas, hull size)
+#: still gives the first digest; NEWLY_FINITE's calls are left out of it
+SWEEP_DIGEST = "2500f7c5f8138bace9d3d91264b93d15ea541c808442883b18462cf97d559c87"
 SWEEP_FINITE = 8405
 #: raised OverflowError then, at (a + 1)^(m - 1): the bound is 0 there
 NEWLY_FINITE = {f"polygamma_sum_bound_check({a:g},{k},5)" for a in (1e150, 1e154, 1e200, 1e300)
